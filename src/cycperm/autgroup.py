@@ -11,7 +11,10 @@ Three routes with different reach:
 Membership checks everywhere reduce to "g(x) divides the permuted word":
 by linearity a permutation preserves the code iff it maps the k
 generator-shift basis words back into the code, which is ~q^k times
-cheaper than set comparisons.
+cheaper than set comparisons.  A basis word whose support the permutation
+fixes pointwise maps to itself, so only the words that meet the moved
+points are checked; a transposition costs at most 2*wt(g) word checks
+whatever k is.
 """
 
 from __future__ import annotations
@@ -76,6 +79,12 @@ class _Engine:
     For prime fields the reduction table x^i mod g is precomputed; over F_2
     its rows are additionally bit-packed so a whole permuted basis can be
     syndrome-checked with vectorized XOR reductions.
+
+    A permutation sigma only changes the basis words whose support it
+    moves: if sigma fixes every point of supp(x^t g), the permuted word is
+    x^t g itself, which lies in C over any field.  perm_preserves therefore
+    checks just the rows t with (supp g + t) meeting the moved set M, or
+    all k rows when |M| * wt(g) >= k.
     """
 
     def __init__(self, code: CyclicCodeSpec):
@@ -83,6 +92,8 @@ class _Engine:
         f = code.field
         n, k = code.n, code.k
         self.n, self.k, self.q = n, k, f.order
+        self._points = np.arange(n, dtype=np.int64)
+        self._rows = np.arange(k, dtype=np.int64)
         g = code.gen
         self.g_supp = np.array([i for i, c in enumerate(g.coeffs)
                                 if c != f.zero], dtype=np.int64)
@@ -106,60 +117,60 @@ class _Engine:
                 R[i] = row % r
             self.R = R
             if r == 2:
+                # bit b of lane b >> 6 holds column b
                 lanes = (m + 63) // 64
-                packed = np.zeros((n, lanes), dtype=np.uint64)
-                for i in range(n):
-                    nz = np.nonzero(R[i])[0]
-                    for b in nz:
-                        packed[i, b >> 6] |= np.uint64(1) << np.uint64(b & 63)
-                self.packed = packed
+                bits = np.zeros((n, 64 * lanes), dtype=np.uint8)
+                bits[:, :m] = R
+                self.packed = np.packbits(bits, axis=1, bitorder="little") \
+                    .view("<u8").astype(np.uint64)
             else:
                 self.packed = None
         else:
             self.R = None
             self.packed = None
 
-    def _inv(self, sigma: np.ndarray) -> np.ndarray:
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[sigma] = np.arange(self.n, dtype=np.int64)
-        return inv
-
     def perm_preserves(self, sigma: np.ndarray,
                        first_failure: bool = False) -> Tuple[bool, Optional[int]]:
         """Does sigma map every basis word back into the code?
 
-        Returns (ok, failing basis index).  With first_failure the scan
-        stops at the first bad basis word (sampling fast path).
+        Returns (ok, failing basis index), the index being the smallest
+        failing one.  Only the basis words sigma can change are checked.
+        With first_failure the first of them is checked on its own before
+        the rest are built (sampling fast path).
         """
         code = self.code
         if code.k == 0:
             return True, None
         if self.R is None:
             return self._perm_preserves_generic(sigma, first_failure)
-        inv = self._inv(np.asarray(sigma, dtype=np.int64))
-        shifts = np.arange(self.k, dtype=np.int64)[:, None]
-        idx = inv[self.g_supp[None, :] + shifts]          # (k, w)
-        if first_failure:
-            batches = [slice(0, 1), slice(1, self.k)]
+        sigma = np.asarray(sigma, dtype=np.int64)
+        moved = sigma != self._points
+        if np.count_nonzero(moved) * self.g_supp.size >= self.k:
+            rows = self._rows
         else:
-            batches = [slice(0, self.k)]
-        for sl in batches:
-            rows = idx[sl]
-            if rows.size == 0:
+            rows = np.unique(np.flatnonzero(moved)[:, None] - self.g_supp[None, :])
+            rows = rows[(rows >= 0) & (rows < self.k)]
+        inv = np.empty(self.n, dtype=np.int64)
+        inv[sigma] = self._points
+        for batch in ((rows[:1], rows[1:]) if first_failure else (rows,)):
+            if batch.size == 0:
                 continue
-            if self.packed is not None:
-                syn = np.bitwise_xor.reduce(self.packed[rows], axis=1)
-                bad = np.nonzero(syn.any(axis=1))[0]
-            else:
-                r = self.code.field.r
-                syn = np.zeros((rows.shape[0], self.R.shape[1]), dtype=np.int64)
-                for j in range(rows.shape[1]):
-                    syn += self.g_vals[j] * self.R[rows[:, j]]
-                syn %= r
-                bad = np.nonzero(syn.any(axis=1))[0]
+            bad = self._bad_rows(inv[self.g_supp[None, :] + batch[:, None]])
             if bad.size:
-                return False, int(bad[0]) + (sl.start or 0)
+                return False, int(batch[bad[0]])
         return True, None
+
+    def _bad_rows(self, idx: np.ndarray) -> np.ndarray:
+        """Rows of idx (permuted-word supports, one word per row) not in C."""
+        if self.packed is not None:
+            syn = np.bitwise_xor.reduce(self.packed[idx], axis=1)
+        else:
+            r = self.code.field.r
+            syn = np.zeros((idx.shape[0], self.R.shape[1]), dtype=np.int64)
+            for j in range(idx.shape[1]):
+                syn += self.g_vals[j] * self.R[idx[:, j]]
+            syn %= r
+        return np.flatnonzero(syn.any(axis=1))
 
     def _perm_preserves_generic(self, sigma, first_failure):
         code = self.code
@@ -771,6 +782,13 @@ class VerificationReport:
         )
 
 
+def report_passed(rep: VerificationReport) -> bool:
+    """The pass/fail verdict of a report: certified, not unequal, and
+    without counterexamples."""
+    return (rep.certified is not False and rep.equal is not False
+            and not rep.counterexamples)
+
+
 def _code_descriptor(code: CyclicCodeSpec) -> dict:
     return {"field": code.field.describe(), "n": code.n,
             "gen": format_poly_text(code.gen)}
@@ -778,16 +796,19 @@ def _code_descriptor(code: CyclicCodeSpec) -> dict:
 
 def certify_subgroup(code: CyclicCodeSpec, gens: Sequence[Permutation],
                      claim: Optional[GroupExpr] = None,
-                     compute_order: bool = True) -> VerificationReport:
+                     compute_order: bool = True,
+                     engine: Optional[_Engine] = None) -> VerificationReport:
     """Check that every generator preserves the code (basis-word test).
 
     certified = all (generator, basis word) checks pass; failures are
     reported as counterexamples carrying the failing basis index.  The
     Schreier-Sims order of <gens> is included unless disabled (large
     degrees), and the symbolic order of the claim when one is attached.
+    A caller that also samples the same code passes its engine in.
     """
     t0 = time.perf_counter()
-    engine = _Engine(code)
+    if engine is None:
+        engine = _Engine(code)
     counterexamples = []
     certified = True
     for p in gens:
@@ -817,7 +838,8 @@ def certify_subgroup(code: CyclicCodeSpec, gens: Sequence[Permutation],
 
 
 def falsify_by_sampling(code: CyclicCodeSpec, claimed: PermGroup,
-                        trials: int, seed: int) -> VerificationReport:
+                        trials: int, seed: int,
+                        engine: Optional[_Engine] = None) -> VerificationReport:
     """Seeded random search for code-preserving permutations outside the
     claimed group.  Same seed gives the identical trial stream everywhere;
     an empty counterexample list is evidence, not proof.
@@ -825,7 +847,8 @@ def falsify_by_sampling(code: CyclicCodeSpec, claimed: PermGroup,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
-    engine = _Engine(code)
+    if engine is None:
+        engine = _Engine(code)
     rng = np.random.default_rng(seed)
     n = code.n
     counterexamples = []
@@ -833,7 +856,7 @@ def falsify_by_sampling(code: CyclicCodeSpec, claimed: PermGroup,
         sigma = rng.permutation(n)
         ok, _bad = engine.perm_preserves(sigma, first_failure=True)
         if ok:
-            p = Permutation(sigma.tolist())
+            p = Permutation(sigma)
             if not claimed.contains(p):
                 counterexamples.append({"images": list(p.images),
                                         "basis_index": None})

@@ -16,11 +16,13 @@ import time
 
 from .autgroup import (
     VerificationReport,
+    _Engine,
     backtrack_per_group,
     certify_subgroup,
     exhaustive_per_group,
     falsify_by_sampling,
     predicted_group,
+    report_passed,
 )
 from .cyclic_code import make_code, min_distance
 from .errors import CycpermError
@@ -126,11 +128,14 @@ def cmd_perm_group(args) -> int:
             claim = predicted_group(code)
             print(f"predicted: {format_group_expr(claim)}", file=sys.stderr)
         gens = materialize(claim)
+        engine = _Engine(code)
         report = certify_subgroup(code, gens, claim=claim,
-                                  compute_order=code.n <= args.order_cap)
+                                  compute_order=code.n <= args.order_cap,
+                                  engine=engine)
         if args.trials:
             claimed = PermGroup(code.n, gens)
-            samp = falsify_by_sampling(code, claimed, args.trials, args.seed)
+            samp = falsify_by_sampling(code, claimed, args.trials, args.seed,
+                                       engine=engine)
             report.trials = samp.trials
             report.seed = samp.seed
             report.rng_algorithm = samp.rng_algorithm
@@ -138,9 +143,7 @@ def cmd_perm_group(args) -> int:
                                       + samp.counterexamples)
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     _emit(report.to_json_dict())
-    ok = (report.certified is not False and report.equal is not False
-          and not report.counterexamples)
-    return 0 if ok else 1
+    return 0 if report_passed(report) else 1
 
 
 def cmd_table(args) -> int:
@@ -156,8 +159,7 @@ def cmd_table(args) -> int:
     payload = []
     all_ok = True
     for row, rep in zip(rows, reports):
-        ok = (rep.certified is not False and rep.equal is not False
-              and not rep.counterexamples)
+        ok = report_passed(rep)
         all_ok = all_ok and ok
         payload.append({"row": row.id, "n": row.n, "n_factored": row.n_factored,
                         "gen": row.gen_text, "claim": row.claim,

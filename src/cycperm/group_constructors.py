@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Union
 
+import numpy as np
+
 from .cyclic_code import Layout
 from .errors import (
     ArityError,
@@ -146,20 +148,15 @@ def wreath_generators(a_gens: List[Permutation], h_gens: List[Permutation],
     la = a_gens[0].degree
     lh = h_gens[0].degree
     n = la * lh
+    grid = np.arange(n, dtype=np.int32).reshape(la, lh)
     out: List[Permutation] = []
     for j in range(lh):
         for ga in a_gens:
-            img = list(range(n))
-            for i in range(la):
-                img[i * lh + j] = ga.images[i] * lh + j
+            img = np.arange(n, dtype=np.int32)
+            img[j::lh] = ga.array() * lh + j
             out.append(Permutation(img))
     for gh in h_gens:
-        img = list(range(n))
-        for i in range(la):
-            base = i * lh
-            for j in range(lh):
-                img[base + j] = base + gh.images[j]
-        out.append(Permutation(img))
+        out.append(Permutation(grid[:, gh.array()].ravel()))
     return out
 
 

@@ -26,11 +26,20 @@ _BATCH = 2048
 
 
 class Permutation:
-    """Immutable permutation; images[i] = sigma(i)."""
+    """Immutable permutation; images[i] = sigma(i).
 
-    __slots__ = ("images", "_arr")
+    Built from a sequence of ints (validated point by point) or from an
+    integer ndarray (validated by one vectorized bijection check and stored
+    as int32; the images tuple is then built on first read).
+    """
+
+    __slots__ = ("_images", "_arr")
 
     def __init__(self, images: Sequence[int]):
+        if isinstance(images, np.ndarray):
+            object.__setattr__(self, "_images", None)
+            object.__setattr__(self, "_arr", _checked_array(images))
+            return
         imgs = tuple(int(i) for i in images)
         n = len(imgs)
         seen = [False] * n
@@ -38,12 +47,18 @@ class Permutation:
             if not 0 <= i < n or seen[i]:
                 raise ValueError(f"{imgs!r} is not a permutation of 0..{n - 1}")
             seen[i] = True
-        object.__setattr__(self, "images", imgs)
+        object.__setattr__(self, "_images", imgs)
         object.__setattr__(self, "_arr", None)
 
     @property
+    def images(self) -> Tuple[int, ...]:
+        if self._images is None:
+            object.__setattr__(self, "_images", tuple(self._arr.tolist()))
+        return self._images
+
+    @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self._arr) if self._images is None else len(self._images)
 
     def array(self) -> np.ndarray:
         if self._arr is None:
@@ -64,6 +79,22 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({format_permutation(self)!r}, degree={self.degree})"
+
+
+def _checked_array(images: np.ndarray) -> np.ndarray:
+    """A private int32 copy of a 1-D array that is a bijection of 0..n-1."""
+    n = images.size
+    ok = images.ndim == 1 and images.dtype.kind in "iu"
+    if ok and n:
+        ok = 0 <= images.min() and images.max() < n
+    if ok:
+        arr = images.astype(np.int32)
+        seen = np.zeros(n, dtype=bool)
+        seen[arr] = True
+        ok = bool(seen.all())
+    if not ok:
+        raise ValueError(f"array {images!r} is not a permutation of 0..{n - 1}")
+    return arr
 
 
 def identity_perm(n: int) -> Permutation:
@@ -475,7 +506,7 @@ class PermGroup:
             lev = ch.levels[b]
             t = lev.trans[rng.randrange(lev.size)]
             acc = acc[t]  # compose(acc, t)
-        return Permutation(acc.tolist())
+        return Permutation(acc)
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, |gens|={len(self.generators)})"
@@ -499,10 +530,15 @@ def groups_equal(g1: PermGroup, g2: PermGroup) -> bool:
         raise DegreeMismatch("groups of different degrees")
     if g1.order != g2.order:
         return False
-    c1, c2 = g1.chain(), g2.chain()
-    gens1 = np.stack([g.array() for g in g1.generators])
-    gens2 = np.stack([g.array() for g in g2.generators])
-    return bool(c2.contains_batch(gens1).all() and c1.contains_batch(gens2).all())
+    return (_contains_all(g2.chain(), g1.generators)
+            and _contains_all(g1.chain(), g2.generators))
+
+
+def _contains_all(chain: _StabChain, gens: Sequence[Permutation]) -> bool:
+    """Every generator is in the chain's group; an empty set trivially is."""
+    if not gens:
+        return True
+    return bool(chain.contains_batch(np.stack([g.array() for g in gens])).all())
 
 
 def reduce_generators(perms: Sequence[Permutation],

@@ -25,10 +25,12 @@ from typing import List, Optional, Sequence
 
 from .autgroup import (
     VerificationReport,
+    _Engine,
     backtrack_per_group,
     certify_subgroup,
     exhaustive_per_group,
     falsify_by_sampling,
+    report_passed,
 )
 from .cyclic_code import DEFAULT_ENUM_CAP, make_code
 from .galois import FieldSpec, make_field
@@ -272,16 +274,6 @@ class RunConfig:
     out_path: Optional[str] = None
 
 
-def _report_passed(rep: VerificationReport) -> bool:
-    if rep.certified is False:
-        return False
-    if rep.equal is False:
-        return False
-    if rep.counterexamples:
-        return False
-    return True
-
-
 def run_table(rows: Sequence[TableRow], cfg: RunConfig,
               log=None) -> List[VerificationReport]:
     """Verify each row; reports align with the input order.
@@ -303,13 +295,15 @@ def run_table(rows: Sequence[TableRow], cfg: RunConfig,
         else:
             claimed = PermGroup(row.n, materialize(claim))
             group_cache[row.claim] = claimed
+        engine = _Engine(code)
         rep = certify_subgroup(code, list(claimed.generators), claim=claim,
-                               compute_order=False)
+                               compute_order=False, engine=engine)
         if row.n <= cfg.order_cap:
             rep.computed_order = claimed.order
             rep.equal = rep.computed_order == rep.predicted_order
         else:
-            samp = falsify_by_sampling(code, claimed, cfg.trials, cfg.seed)
+            samp = falsify_by_sampling(code, claimed, cfg.trials, cfg.seed,
+                                       engine=engine)
             rep.trials = samp.trials
             rep.seed = samp.seed
             rep.rng_algorithm = samp.rng_algorithm
@@ -328,7 +322,7 @@ def run_table(rows: Sequence[TableRow], cfg: RunConfig,
         rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
         reports.append(rep)
         if log:
-            status = "pass" if _report_passed(rep) else "FAIL"
+            status = "pass" if report_passed(rep) else "FAIL"
             log(f"{row.id:5s} n={row.n:<5d} tier={rep.method:<10s} "
                 f"{status}  ({rep.elapsed_ms} ms)")
     return reports

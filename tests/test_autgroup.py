@@ -1,18 +1,21 @@
+import hashlib
 import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cycperm.autgroup import (
     VerificationReport,
+    _Engine,
     backtrack_per_group,
     certify_subgroup,
     exhaustive_per_group,
     falsify_by_sampling,
     predicted_group,
 )
-from cycperm.cyclic_code import Layout, make_code
+from cycperm.cyclic_code import Layout, basis_codewords, contains, make_code
 from cycperm.errors import NoPattern, TooLarge
 from cycperm.galois import make_field
 from cycperm.group_constructors import (
@@ -46,6 +49,7 @@ from cycperm.polyring import (
     substitute_power,
     x_poly,
 )
+from cycperm.table import select_rows
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -276,6 +280,76 @@ def test_falsify_deterministic_stream():
     a = falsify_by_sampling(code, trivial, trials=50, seed=9)
     b = falsify_by_sampling(code, trivial, trials=50, seed=9)
     assert a.counterexamples == b.counterexamples
+
+
+def test_falsify_golden_stream():
+    # pins the rng.permutation(n) stream and which trials pass
+    code = make_code(F2, 7, G7A)
+    trivial = PermGroup(7, [identity_perm(7)])
+    rep = falsify_by_sampling(code, trivial, trials=2000, seed=5)
+    images = [tuple(c["images"]) for c in rep.counterexamples]
+    assert len(images) == 77
+    assert images[:2] == [(6, 0, 4, 2, 5, 1, 3), (2, 0, 5, 6, 4, 1, 3)]
+    digest = hashlib.sha256(json.dumps(images).encode()).hexdigest()
+    assert digest[:16] == "1d9ff51baab2d90e"
+
+
+def _dense_preserves(code, sigma):
+    """Reference: check every basis word x^t g, return the first failure."""
+    f = code.field
+    for t, row in enumerate(basis_codewords(code)):
+        word = tuple(f.element_of_index(row[j]) for j in sigma)
+        if not contains(code, word):
+            return False, t
+    return True, None
+
+
+def _factor_of_degree(field, n, degree, weight):
+    return next(g for g, _ in factor_xn_minus_1(n, field)
+                if g.degree == degree
+                and sum(c != field.zero for c in g.coeffs) == weight)
+
+
+def _transposition(n, a, b):
+    return perm_from_cycles([[a, b]], n)
+
+
+@pytest.mark.parametrize("code, blocks", [
+    (make_code(F2, 7, G7A), []),
+    (make_code(F2, 21, G7A), [(3, 7), (7, 3)]),
+    (make_code(F2, 62, select_rows(["T16"])[0].build_gen(F2)), [(2, 31), (31, 2)]),
+    (make_code(F3, 13, _factor_of_degree(F3, 13, 3, 4)), []),
+    (make_code(F3, 21, _factor_of_degree(F3, 21, 6, 7)), [(3, 7), (7, 3)]),
+])
+def test_sparse_preserves_matches_dense(code, blocks):
+    n = code.n
+    perms = [_transposition(n, 0, 1), _transposition(n, 0, n - 1),
+             _transposition(n, 2, n // 2), _transposition(n, n - 2, n - 1),
+             perm_from_cycles([[1, 4, n - 3]], n),
+             Permutation([(i + 1) % n for i in range(n)])]
+    perms += sym_generators(n)
+    for la, lh in blocks:
+        perms += wreath_generators(sym_generators(la), sym_generators(lh),
+                                   Layout.ROW_BLOCKS)
+    rng = np.random.default_rng(2024)
+    perms += [Permutation(rng.permutation(n)) for _ in range(6)]
+    engine = _Engine(code)
+    outcomes = []
+    for p in perms:
+        want = _dense_preserves(code, p.images)
+        assert engine.perm_preserves(p.array()) == want, p
+        assert engine.perm_preserves(p.array(), first_failure=True) == want, p
+        outcomes.append(want)
+    assert (True, None) in outcomes
+    assert any(not ok and t > 0 for ok, t in outcomes)
+
+
+def test_groups_equal_without_generators():
+    # the exhaustive scan drops the identity, leaving no generators at n = 1
+    exact = exhaustive_per_group(make_code(F2, 1, one_poly(F2)))
+    assert exact.generators == ()
+    assert groups_equal(exact, PermGroup(1, materialize(parse_group_expr("S(1)"))))
+    assert groups_equal(exact, exact)
 
 
 def test_report_json_round_trip():

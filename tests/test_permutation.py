@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cycperm.errors import DegreeMismatch
@@ -25,6 +26,31 @@ def test_not_a_permutation_rejected():
         Permutation([0, 0, 1])
     with pytest.raises(ValueError):
         Permutation([0, 3, 1])
+
+
+@pytest.mark.parametrize("images", [
+    np.array([0, 0, 1]),
+    np.array([0, 3, 1]),
+    np.array([0, -1, 1]),
+    np.array([[0, 1], [1, 0]]),
+])
+def test_not_a_permutation_array_rejected(images):
+    with pytest.raises(ValueError):
+        Permutation(images)
+
+
+def test_array_and_list_permutations_agree():
+    images = [3, 0, 4, 1, 2]
+    for dtype in (np.int32, np.int64, np.uint16):
+        arr = np.array(images, dtype=dtype)
+        p, q = Permutation(arr), Permutation(images)
+        assert p == q and q == p
+        assert hash(p) == hash(q)
+        assert p.degree == 5 and p.images == tuple(images)
+        arr[0] = 0  # the permutation keeps its own copy
+        assert p == q
+    assert Permutation(np.arange(4)) != Permutation([1, 0, 2, 3])
+    assert Permutation(np.arange(4)) != Permutation(np.arange(5))
 
 
 def test_apply_perm_definition():

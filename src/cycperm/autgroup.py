@@ -20,6 +20,7 @@ whatever k is.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 from dataclasses import dataclass, field as dc_field
@@ -56,6 +57,7 @@ from .permutation import (
 )
 from .polyring import (
     Poly,
+    _prime_factors,
     cyclotomic,
     factor_xn_minus_1,
     format_poly_text,
@@ -225,7 +227,8 @@ def _scan_permutations(args):
     return found
 
 
-def _worker_count(workers: Optional[int]) -> int:
+def worker_count(workers: Optional[int] = None) -> int:
+    """`workers` if given, else CYCPERM_WORKERS, else 1; at least 1."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("CYCPERM_WORKERS")
@@ -254,7 +257,7 @@ def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
     for t in range(code.k):
         supports.append(tuple((int(p) + t, int(c))
                               for p, c in zip(_engine_supp(code), _engine_vals(code))))
-    nworkers = _worker_count(workers)
+    nworkers = worker_count(workers)
     firsts = list(range(n))
     if nworkers == 1:
         found = _scan_permutations((n, firsts, supports, powq, keys))
@@ -393,7 +396,7 @@ def backtrack_per_group(code: CyclicCodeSpec,
     ok, _ = engine.perm_preserves(shift.array())
     if ok:
         note(shift.images)
-    if _gcd(n, code.field.order) == 1:
+    if math.gcd(n, code.field.order) == 1:
         mult = Permutation([(code.field.order * i) % n for i in range(n)])
         ok, _ = engine.perm_preserves(mult.array())
         if ok:
@@ -485,12 +488,6 @@ def backtrack_per_group(code: CyclicCodeSpec,
     return group
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # ---------------------------------------------------------------------------
 # theorem-driven prediction
 
@@ -501,20 +498,6 @@ def _v_p(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
-
-
-def _prime_divisors(n: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _quadratic_residues(p: int) -> frozenset:
@@ -542,7 +525,7 @@ def _leaf_expr(field: FieldSpec, p: int, g: Poly) -> GroupExpr:
     if p <= 12:
         from .group_constructors import PerOf, per_of_order
         order = per_of_order(field, p, g)
-        if order == _factorial(p):
+        if order == math.factorial(p):
             return Sym(p)
         if p == 7 and order == 168 \
                 and g == poly_from_ints(field, [1, 1, 0, 1]):
@@ -631,13 +614,6 @@ def _coset_matches_factor(field: FieldSpec, p: int, coset: frozenset,
     return not acc.any()
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def predicted_group(code: CyclicCodeSpec) -> GroupExpr:
     """Match the code against the length-hp / length-r^m p^n / length-pq
     shapes and return the predicted group expression.
@@ -651,7 +627,7 @@ def predicted_group(code: CyclicCodeSpec) -> GroupExpr:
     matches: List[Tuple[int, GroupExpr]] = []
 
     # (c) n = h p q with cyclotomic-product generators
-    primes = [p for p in _prime_divisors(n) if p != r]
+    primes = [p for p in _prime_factors(n) if p != r]
     for ia in range(len(primes)):
         for ib in range(ia + 1, len(primes)):
             p, q2 = primes[ia], primes[ib]

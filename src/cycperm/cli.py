@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -23,6 +22,7 @@ from .autgroup import (
     falsify_by_sampling,
     predicted_group,
     report_passed,
+    worker_count,
 )
 from .cyclic_code import make_code, min_distance
 from .errors import CycpermError
@@ -184,11 +184,6 @@ def cmd_selftest(args) -> int:
     return selftest(log=print)
 
 
-def _default_workers() -> int:
-    env = os.environ.get("CYCPERM_WORKERS")
-    return max(1, int(env)) if env else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cycperm",
@@ -238,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=12,
                    help="exhaustive cutoff on n")
     p.add_argument("--order-cap", type=int, default=300)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=worker_count())
     p.set_defaults(fn=cmd_perm_group)
 
     p = sub.add_parser("table", help="verify embedded Table I rows")
@@ -255,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order-cap", type=int, default=300)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=worker_count())
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("selftest", help="fast invariant suite")

@@ -17,6 +17,7 @@ the layout tag records which matrix representation justified the claim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Union
 
@@ -160,23 +161,24 @@ def wreath_generators(a_gens: List[Permutation], h_gens: List[Permutation],
     return out
 
 
-def _crt_solve(a: int, p: int, b: int, q: int) -> int:
-    """Unique k in [0, pq) with k = a mod p, k = b mod q."""
-    return (a * q * pow(q, -1, p) + b * p * pow(p, -1, q)) % (p * q)
-
-
 def crt_product_generators(p: int, q: int) -> List[Permutation]:
-    """S_p x S_q inside S_pq via k <-> (k mod p, k mod q)."""
+    """S_p x S_q inside S_pq via k <-> (k mod p, k mod q).
+
+    The point with residues (a, b) is the unique k in [0, pq) with k = a
+    mod p and k = b mod q, that is (a e_p + b e_q) mod pq for the CRT
+    idempotents e_p = q (q^-1 mod p) and e_q = p (p^-1 mod q).
+    """
     if p == q or not (_is_prime(p) and _is_prime(q)):
         raise NotCoprime(f"need distinct primes, got {p}, {q}")
     n = p * q
+    e_p, e_q = q * pow(q, -1, p), p * pow(p, -1, q)
+    k = np.arange(n, dtype=np.int64)
+    a, b = k % p, k % q
     out = []
     for tau in sym_generators(p):
-        out.append(Permutation([_crt_solve(tau.images[k % p], p, k % q, q)
-                                for k in range(n)]))
+        out.append(Permutation((tau.array()[a] * e_p + b * e_q) % n))
     for tau in sym_generators(q):
-        out.append(Permutation([_crt_solve(k % p, p, tau.images[k % q], q)
-                                for k in range(n)]))
+        out.append(Permutation((a * e_p + tau.array()[b] * e_q) % n))
     return out
 
 
@@ -251,7 +253,7 @@ def expr_degree(e: GroupExpr) -> int:
 def expr_order(e: GroupExpr) -> int:
     """Theoretical order: |A wr H| = |A|^deg(H) * |H|, |S_p x S_q| = p! q!."""
     if isinstance(e, Sym):
-        return _factorial(e.n)
+        return math.factorial(e.n)
     if isinstance(e, Cyclic):
         return e.n
     if isinstance(e, AGL1):
@@ -261,7 +263,7 @@ def expr_order(e: GroupExpr) -> int:
     if isinstance(e, Wreath):
         return expr_order(e.a) ** expr_degree(e.h) * expr_order(e.h)
     if isinstance(e, CrtProduct):
-        return _factorial(e.p) * _factorial(e.q)
+        return math.factorial(e.p) * math.factorial(e.q)
     if isinstance(e, PerOf):
         return per_of_order(e.field, e.n, e.gen)
     raise TypeError(f"not a GroupExpr: {e!r}")
@@ -283,13 +285,6 @@ def materialize(e: GroupExpr) -> List[Permutation]:
     if isinstance(e, PerOf):
         return per_of_generators(e.field, e.n, e.gen)
     raise TypeError(f"not a GroupExpr: {e!r}")
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def format_group_expr(e: GroupExpr) -> str:

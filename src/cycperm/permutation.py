@@ -7,10 +7,20 @@ is property-tested; it is the one place the convention lives.
 
 Groups are backed by a deterministic (non-randomized) Schreier-Sims
 stabilizer chain over the natural base 0, 1, 2, ... with fixed points
-skipped.  Transversals are stored as explicit permutation tables, and
-sifting is vectorized over batches of rows, which keeps the wreath-product
-groups of degree ~300 from Table-scale runs affordable.  Orders are exact
-Python integers.
+skipped.  Orders are exact Python integers.
+
+The chain keeps every level's transversals as explicit permutations in one
+pooled pair of int32 tables (forward and inverse), which grow by doubling.
+A point -> level-slot array and a (slot, image) -> pool-row map take a row
+from its first moved point straight to the transversal that sifts it.
+Sifting is level-parallel: one step reduces every live row of a batch by a
+single flat gather from the inverse table, whichever level each row sits
+at, and rows that stall come back as residues.  Scalar sift, membership,
+batch membership and Schreier-generator sifting all run this one kernel.
+A level's pending (generator, orbit point) pairs are turned into products
+g u_a by flat gathers over a stacked generator table; the kernel's step at
+that level makes them Schreier generators.  This keeps the wreath-product
+groups of degree ~300 from Table-scale runs affordable.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ import numpy as np
 from .errors import DegreeMismatch
 
 _BATCH = 2048
+_GATHER = 1 << 15  # entries per flat gather block
 
 
 class Permutation:
@@ -171,118 +182,131 @@ def parse_permutation(text: str, degree: int) -> Permutation:
 # Schreier-Sims stabilizer chain
 
 
-class _Level:
-    __slots__ = ("base", "n", "gens", "orbit", "pos", "trans", "trinv",
-                 "size", "processed", "pending")
+def _grown(buf: np.ndarray, need: int,
+           fill: Optional[int] = None) -> np.ndarray:
+    """`buf` with room for at least `need` rows; capacity doubles.  New rows
+    hold `fill`, or are left unwritten when it is None."""
+    cap = buf.shape[0]
+    if need <= cap:
+        return buf
+    shape = (max(need, 2 * cap),) + buf.shape[1:]
+    if fill is None:
+        out = np.empty(shape, dtype=buf.dtype)
+    else:
+        out = np.full(shape, fill, dtype=buf.dtype)
+    out[:cap] = buf
+    return out
 
-    def __init__(self, base: int, n: int):
+
+def _gather(table: np.ndarray, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """out[i, j] = table[rows[i], X[i, j]] by flat gathers over row blocks.
+
+    A block's flat index is small enough to stay in cache, so a batch of
+    any size needs no index temporary of its own size.
+    """
+    flat = table.reshape(-1)
+    n = table.shape[1]
+    off = rows.astype(np.intp)[:, None] * n
+    out = np.empty(X.shape, dtype=table.dtype)
+    step = max(1, _GATHER // n)
+    for s in range(0, len(X), step):
+        e = s + step
+        out[s:e] = flat[X[s:e] + off[s:e]]
+    return out
+
+
+class _Level:
+    """One base point: its orbit, the pool rows of its transversals, and how
+    far each of its generators has been paired with the orbit."""
+
+    __slots__ = ("chain", "base", "slot", "orbit", "rows", "size", "gens",
+                 "processed", "pending")
+
+    def __init__(self, chain: "_StabChain", base: int, slot: int):
+        self.chain = chain
         self.base = base
-        self.n = n
-        self.gens: List[np.ndarray] = []
-        self.orbit = np.empty(4, dtype=np.int64)
-        self.orbit[0] = base
-        self.pos = np.full(n, -1, dtype=np.int64)
-        self.pos[base] = 0
-        self.trans = np.empty((4, n), dtype=np.int32)
-        self.trinv = np.empty((4, n), dtype=np.int32)
-        self.trans[0] = self.trinv[0] = np.arange(n, dtype=np.int32)
+        self.slot = slot
+        self.orbit = np.full(4, base, dtype=np.int32)
+        self.rows = np.zeros(4, dtype=np.int32)  # pool row 0 is the identity
         self.size = 1
+        self.gens: List[int] = []       # indices into the chain's gen table
         self.processed: List[int] = []  # per-gen count of orbit points done
         self.pending = 0                # unprocessed (gen, point) pairs
 
     def orbit_points(self) -> np.ndarray:
         return self.orbit[:self.size]
 
-    def _grow(self, need: int):
-        cap = self.trans.shape[0]
-        if need > cap:
-            newcap = max(need, 2 * cap)
-            buf = np.empty(newcap, dtype=np.int64)
-            buf[:self.size] = self.orbit[:self.size]
-            self.orbit = buf
-            for name in ("trans", "trinv"):
-                old = getattr(self, name)
-                buf2 = np.empty((newcap, self.n), dtype=np.int32)
-                buf2[:self.size] = old[:self.size]
-                setattr(self, name, buf2)
-
-    def add_gen(self, g: np.ndarray):
-        self.gens.append(g)
+    def add_gen(self, gi: int):
+        self.gens.append(gi)
         self.processed.append(0)
         self.pending += self.size
-        if (self.pos[g[self.orbit_points()]] < 0).any():
-            self._extend_orbit(seed_gen=g)
+        ch = self.chain
+        g = ch.gen_table[gi]
+        if (ch.rowmap[self.slot, g[self.orbit_points()]] < 0).any():
+            self._extend_orbit(seed=gi)
 
-    def _extend_orbit(self, seed_gen: np.ndarray):
+    def _extend_orbit(self, seed: int):
         """Vectorized BFS closure; only the new generator can open points
-        from the previously closed orbit."""
-        arange = np.arange(self.n, dtype=np.int32)
+        from the previously closed orbit.  Each round applies every sweeping
+        generator to the frontier at once; a new point's transversal comes
+        from its first (generator, frontier point) hit in gen-major order."""
+        ch = self.chain
         frontier = np.arange(self.size)
-        sweep_gens = [seed_gen]
+        sweep = np.array([seed])
         while frontier.size:
-            pts = self.orbit[frontier]
-            new_idx = []
-            for g in sweep_gens:
-                q = g[pts]
-                fresh = self.pos[q] < 0
-                if not fresh.any():
-                    continue
-                src = frontier[fresh]
-                qf = q[fresh]
-                _, upos = np.unique(qf, return_index=True)
-                src, qf = src[upos], qf[upos]
-                still = self.pos[qf] < 0
-                src, qf = src[still], qf[still]
-                if not src.size:
-                    continue
-                UG = g[self.trans[src]]  # compose(g, u_parent): base -> q
-                old = self.size
-                self._grow(old + len(qf))
-                self.pos[qf] = np.arange(old, old + len(qf))
-                self.orbit[old:old + len(qf)] = qf
-                self.trans[old:old + len(qf)] = UG
-                inv = np.empty_like(UG)
-                np.put_along_axis(inv, UG, arange[None, :].repeat(len(qf), 0), axis=1)
-                self.trinv[old:old + len(qf)] = inv
-                new_idx.extend(range(old, old + len(qf)))
-                self.size = old + len(qf)
-                self.pending += len(qf) * len(self.gens)
-            frontier = np.array(new_idx, dtype=np.int64)
-            sweep_gens = self.gens  # new points must close under everything
-
-    def collect_pending(self, limit: int) -> Optional[np.ndarray]:
-        """Schreier generators for unprocessed (gen, orbit point) pairs."""
-        chunks = []
-        total = 0
-        m = self.size
-        arange = np.arange(self.n, dtype=np.int32)
-        for gi, g in enumerate(self.gens):
-            done = self.processed[gi]
-            if done >= m:
-                continue
-            take = min(m - done, max(1, limit - total))
-            U = self.trans[done:done + take]
-            SU = g[U]  # rows: compose(g, u_a), map base -> g(a)
-            TI = self.trinv[self.pos[SU[:, self.base]]]
-            rows = np.take_along_axis(TI, SU, axis=1)
-            keep = ~(rows == arange).all(axis=1)
-            if keep.any():
-                chunks.append(rows[keep])
-                total += int(keep.sum())
-            self.processed[gi] = done + take
-            self.pending -= take
-            if total >= limit:
+            Q = ch.gen_table[sweep[:, None], self.orbit[frontier]]
+            hit_g, hit_f = np.nonzero(ch.rowmap[self.slot, Q] < 0)
+            if not hit_g.size:
                 break
-        if not chunks:
-            return None
-        return np.concatenate(chunks, axis=0)
+            qf = Q[hit_g, hit_f]
+            _, first = np.unique(qf, return_index=True)
+            first.sort()
+            qf, src = qf[first], frontier[hit_f[first]]
+            k = len(qf)
+            # compose(g, u_src): base -> q
+            UG = _gather(ch.gen_table, sweep[hit_g[first]],
+                         ch.fwd[self.rows[src]])
+            prow = ch.alloc_rows(k)
+            ch.fwd[prow] = UG
+            ch.inv[prow[:, None], UG] = ch.arange
+            old = self.size
+            self.orbit = _grown(self.orbit, old + k)
+            self.rows = _grown(self.rows, old + k)
+            self.orbit[old:old + k] = qf
+            self.rows[old:old + k] = prow
+            ch.rowmap[self.slot, qf] = prow
+            self.size = old + k
+            self.pending += k * len(self.gens)
+            frontier = np.arange(old, old + k)
+            sweep = np.array(self.gens)  # new points close under everything
+
+    def collect_pending(self, limit: int) -> np.ndarray:
+        """g u_a for the next `limit` unprocessed (gen, orbit point) pairs,
+        gen by gen in orbit order.  The sift's step at this level turns each
+        into its Schreier generator u_{g(a)}^-1 g u_a."""
+        ch = self.chain
+        done = np.array(self.processed)
+        left = self.size - done
+        start = np.cumsum(left) - left
+        take = np.clip(limit - start, 0, left)
+        total = int(take.sum())
+        gen_of = np.repeat(np.array(self.gens), take)
+        orb = np.arange(total) - np.repeat(start - done, take)
+        self.processed = (done + take).tolist()
+        self.pending -= total
+        return _gather(ch.gen_table, gen_of, ch.fwd[self.rows[orb]])
 
 
 class _StabChain:
     """Deterministic Schreier-Sims over the natural base order.
 
     Levels exist only for base points with nontrivial data; conceptually the
-    base is 0, 1, ..., n-1 with fixed points skipped.
+    base is 0, 1, ..., n-1 with fixed points skipped.  Every level's
+    transversals live in one pooled pair of tables (`fwd[r]` maps the base
+    point to an orbit point, `inv[r]` is its inverse; row 0 is the identity
+    shared by all levels).  `slot_of[p]` names the level at point p (slot 0
+    is an empty level for points that are not bases) and `rowmap[s, a]` the
+    pool row whose transversal takes level s's base to a, or -1.
     """
 
     def __init__(self, n: int):
@@ -290,8 +314,23 @@ class _StabChain:
         self.levels: dict[int, _Level] = {}
         self.bases: List[int] = []  # sorted
         self.all_gens: List[Tuple[np.ndarray, int]] = []  # (gen, its level)
-        self._arange = np.arange(n, dtype=np.int32)
+        self.arange = np.arange(n, dtype=np.int32)
+        self.gen_table = np.empty((4, n), dtype=np.int32)
+        self.fwd = np.empty((16, n), dtype=np.int32)
+        self.inv = np.empty((16, n), dtype=np.int32)
+        self.fwd[0] = self.inv[0] = self.arange
+        self.pool_size = 1
+        self.slot_of = np.zeros(n, dtype=np.int32)
+        self.rowmap = np.full((4, n), -1, dtype=np.int32)
         self._dirty: set = set()
+
+    def alloc_rows(self, k: int) -> np.ndarray:
+        """Indices of k fresh pool rows."""
+        old = self.pool_size
+        self.fwd = _grown(self.fwd, old + k)
+        self.inv = _grown(self.inv, old + k)
+        self.pool_size = old + k
+        return np.arange(old, old + k, dtype=np.int32)
 
     # -- queries ------------------------------------------------------------
 
@@ -301,140 +340,91 @@ class _StabChain:
             out *= self.levels[b].size
         return out
 
-    def sift(self, x: np.ndarray):
-        """Returns (residue, stall_point); (None, None) when x is a member.
+    def _sift_rows(self, X: np.ndarray) -> np.ndarray:
+        """The sift kernel: reduce every row of X through the chain at once.
 
-        The conceptual base is 0, 1, ..., n-1; points without a level have a
-        trivial orbit, so a residue moving such a point stalls right there.
-        This keeps the invariant that a generator inserted at level b fixes
-        every point below b.
+        Each step looks up, for every live row, the transversal at its first
+        moved point and applies all of them by one gather, whatever levels
+        the rows sit at.  The conceptual base is 0, 1, ..., n-1; a point
+        without a level has a trivial orbit, so a row moving such a point
+        (or mapping a base outside its orbit) stalls right there.  This keeps
+        the invariant that a generator inserted at level b fixes every point
+        below b.  Stalled rows of X are overwritten with their residues;
+        returns each row's stall point, n for members.
         """
-        ar = self._arange
-        for b in self.bases:
-            moved = np.nonzero(x != ar)[0]
-            if moved.size == 0:
-                return None, None
-            f = int(moved[0])
-            if f < b:
-                return x, f
-            if f > b:
-                continue
-            lev = self.levels[b]
-            j = lev.pos[int(x[b])]
-            if j < 0:
-                return x, b
-            x = lev.trinv[j][x]
-        moved = np.nonzero(x != ar)[0]
-        if moved.size == 0:
-            return None, None
-        return x, int(moved[0])
+        stall = np.full(len(X), self.n)
+        if not self.n:  # the one permutation of nothing is the identity
+            return stall
+        live, Y = np.arange(len(X)), X
+        while True:
+            neq = Y != self.arange
+            f = neq.argmax(axis=1)
+            at = np.arange(len(f))
+            moved = neq[at, f]  # False only for the identity
+            if not moved.all():
+                live, Y, f = live[moved], Y[moved], f[moved]
+                at = at[:len(f)]
+            if not live.size:
+                return stall
+            r = self.rowmap[self.slot_of[f], Y[at, f]]
+            ok = r >= 0
+            if not ok.all():
+                X[live[~ok]] = Y[~ok]
+                stall[live[~ok]] = f[~ok]
+                live, Y, r = live[ok], Y[ok], r[ok]
+            Y = _gather(self.inv, r, Y)
+
+    def sift(self, x: np.ndarray):
+        """Returns (residue, stall_point); (None, None) when x is a member."""
+        X = np.array(x, dtype=np.int32).reshape(1, self.n)
+        b = int(self._sift_rows(X)[0])
+        return (None, None) if b == self.n else (X[0], b)
 
     def contains(self, x: np.ndarray) -> bool:
-        return self.sift(np.asarray(x, dtype=np.int32))[0] is None
+        return self.sift(x)[0] is None
 
     def contains_batch(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized membership for a stack of permutations."""
-        rows = np.asarray(rows, dtype=np.int32)
-        m = rows.shape[0]
-        member = np.zeros(m, dtype=bool)
-        alive = np.arange(m)
-        X = rows.copy()
-        for b in self.bases:
-            if alive.size == 0:
-                break
-            lev = self.levels[b]
-            p = X[alive, b]
-            act = p != b
-            if not act.any():
-                continue
-            idx = alive[act]
-            j = lev.pos[X[idx, b]]
-            ok = j >= 0
-            # rows leaving the chain are non-members
-            alive = np.setdiff1d(alive, idx[~ok], assume_unique=True)
-            idx = idx[ok]
-            if idx.size:
-                X[idx] = np.take_along_axis(lev.trinv[j[ok]], X[idx], axis=1)
-        if alive.size:
-            member[alive] = (X[alive] == self._arange).all(axis=1)
-        return member
+        X = np.array(rows, dtype=np.int32)
+        return self._sift_rows(X) == self.n
 
     # -- construction ---------------------------------------------------------
 
     def extend(self, gens: Iterable[np.ndarray]):
         for g in gens:
-            g = np.asarray(g, dtype=np.int32)
-            residue, b = self.sift(g.copy())
+            residue, b = self.sift(g)
             if residue is not None:
                 self._insert(residue, b)
         self._complete()
 
     def _insert(self, g: np.ndarray, b: int):
+        gi = len(self.all_gens)
+        self.gen_table = _grown(self.gen_table, gi + 1)
+        self.gen_table[gi] = g
         if b not in self.levels:
-            lev = _Level(b, self.n)
+            slot = len(self.levels) + 1
+            self.rowmap = _grown(self.rowmap, slot + 1, fill=-1)
+            self.rowmap[slot, b] = 0
+            self.slot_of[b] = slot
+            lev = _Level(self, b, slot)
             self.levels[b] = lev
             self.bases.append(b)
             self.bases.sort()
             # generators living strictly below become active here too
-            for g0, lvl0 in self.all_gens:
+            for gi0, (_, lvl0) in enumerate(self.all_gens):
                 if lvl0 > b:
-                    lev.add_gen(g0)
+                    lev.add_gen(gi0)
             self._dirty.add(b)
         self.all_gens.append((g, b))
         for bb in self.bases:
             if bb <= b:
-                self.levels[bb].add_gen(g)
+                self.levels[bb].add_gen(gi)
                 self._dirty.add(bb)
 
-    @staticmethod
-    def _first_moved(X: np.ndarray, ar: np.ndarray, sentinel: int) -> np.ndarray:
-        neq = X != ar
-        moved = neq.any(axis=1)
-        return np.where(moved, neq.argmax(axis=1), sentinel)
-
-    def _sift_batch(self, rows) -> List[np.ndarray]:
-        """Sift a batch; returns the non-member residues (fully reduced).
-
-        Mirrors the gap-aware scalar sift.  Each row's first moved point is
-        tracked incrementally, so a row only pays at levels it acts on and
-        rows that reduce to the identity early cost nothing downstream.
-        """
-        if rows is None or not len(rows):
-            return []
-        X = np.array(rows, dtype=np.int32)
-        ar = self._arange
-        n = self.n
-        f = self._first_moved(X, ar, n)
-        alive = np.nonzero(f < n)[0]
-        stalled: List[np.ndarray] = []
-        for b in self.bases:
-            if alive.size == 0:
-                break
-            fa = f[alive]
-            gap = fa < b
-            if gap.any():
-                for row in alive[gap]:
-                    stalled.append(X[row])
-                alive = alive[~gap]
-                fa = fa[~gap]
-            here = fa == b
-            if not here.any():
-                continue
-            lev = self.levels[b]
-            idx = alive[here]
-            j = lev.pos[X[idx, b]]
-            ok = j >= 0
-            for row in idx[~ok]:
-                stalled.append(X[row])
-            idx = idx[ok]
-            if idx.size:
-                X[idx] = np.take_along_axis(lev.trinv[j[ok]], X[idx], axis=1)
-                f[idx] = self._first_moved(X[idx], ar, n)
-            alive = np.concatenate([alive[~here], idx])
-            alive = alive[f[alive] < n]
-        for row in alive:
-            stalled.append(X[row])
-        return stalled
+    def _sift_batch(self, X: np.ndarray) -> List[np.ndarray]:
+        """Sift a fresh int32 batch in place; returns the non-member
+        residues (fully reduced)."""
+        return list(X[self._sift_rows(X) < self.n])
 
     def _complete(self):
         while self._dirty:
@@ -443,12 +433,8 @@ class _StabChain:
             if target.pending <= 0:
                 self._dirty.discard(b)
                 continue
-            batch = target.collect_pending(_BATCH)
-            if batch is None:
-                continue
-            residues = self._sift_batch(batch)
-            for res in residues:
-                r2, b2 = self.sift(res.copy())
+            for res in self._sift_batch(target.collect_pending(_BATCH)):
+                r2, b2 = self.sift(res)
                 if r2 is not None:
                     self._insert(r2, b2)
 
@@ -458,14 +444,8 @@ class _StabChain:
     def orbit_at(self, point: int) -> List[int]:
         """Fundamental orbit of `point` in the stabilizer of all smaller points."""
         if point in self.levels:
-            return [int(p) for p in self.levels[point].orbit_points()]
+            return self.levels[point].orbit_points().tolist()
         return [point]
-
-    def transversal_elements(self, b: int) -> List[np.ndarray]:
-        if b not in self.levels:
-            return []
-        lev = self.levels[b]
-        return [lev.trans[j] for j in range(lev.size)]
 
 
 class PermGroup:
@@ -504,7 +484,7 @@ class PermGroup:
         acc = np.arange(self.degree, dtype=np.int32)
         for b in ch.bases:
             lev = ch.levels[b]
-            t = lev.trans[rng.randrange(lev.size)]
+            t = ch.fwd[lev.rows[rng.randrange(lev.size)]]
             acc = acc[t]  # compose(acc, t)
         return Permutation(acc)
 
@@ -543,11 +523,23 @@ def _contains_all(chain: _StabChain, gens: Sequence[Permutation]) -> bool:
 
 def reduce_generators(perms: Sequence[Permutation],
                       degree: int) -> List[Permutation]:
-    """Greedy deterministic reduction: keep elements that grow the group."""
+    """Greedy deterministic reduction: keep elements that grow the group.
+
+    Membership is tested a batch at a time, and a batch is tested again
+    from just after each element it keeps, so the result is the greedy one.
+    """
+    perms = list(perms)
     chain = _StabChain(degree)
     kept: List[Permutation] = []
-    for p in perms:
-        if not chain.contains(p.array()):
-            chain.extend([p.array()])
-            kept.append(p)
+    i = 0
+    while i < len(perms):
+        batch = perms[i:i + _BATCH]
+        member = chain.contains_batch(np.stack([p.array() for p in batch]))
+        j = int(member.argmin())
+        if member[j]:
+            i += len(batch)
+            continue
+        chain.extend([batch[j].array()])
+        kept.append(batch[j])
+        i += j + 1
     return kept

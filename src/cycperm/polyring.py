@@ -11,6 +11,7 @@ polynomial has an empty coefficient tuple and degree -1.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -253,6 +254,7 @@ def _divisors(n: int) -> list:
 
 
 def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n, ascending."""
     out = []
     d = 2
     while d * d <= n:
@@ -320,7 +322,7 @@ def _multiplicative_order(q: int, n: int) -> int:
 
 def _cyclotomic_cosets_of_units(q: int, o: int) -> list:
     """q-cosets partitioning the units mod o, each sorted, ordered by min."""
-    units = [t for t in range(1, o) if _gcd(t, o) == 1] if o > 1 else []
+    units = [t for t in range(1, o) if math.gcd(t, o) == 1] if o > 1 else []
     seen = set()
     cosets = []
     for t in units:
@@ -334,12 +336,6 @@ def _cyclotomic_cosets_of_units(q: int, o: int) -> list:
             cur = (cur * q) % o
         cosets.append(sorted(cos))
     return cosets
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class _Ext:

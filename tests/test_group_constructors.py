@@ -32,8 +32,13 @@ from cycperm.group_constructors import (
     sym_generators,
     wreath_generators,
 )
-from cycperm.permutation import PermGroup, compose, groups_equal, \
-    perm_from_cycles
+from cycperm.permutation import (
+    PermGroup,
+    Permutation,
+    compose,
+    groups_equal,
+    perm_from_cycles,
+)
 from cycperm.polyring import poly_from_ints
 from cycperm.table import random_group_expr
 
@@ -91,6 +96,22 @@ def test_crt_product_examples():
         crt_product_generators(3, 3)
     with pytest.raises(NotCoprime):
         crt_product_generators(4, 5)
+
+
+@pytest.mark.parametrize("p,q", [(3, 5), (5, 7), (7, 31)])
+def test_crt_product_matches_pointwise_formula(p, q):
+    def crt(a, b):  # the unique k in [0, pq) with k = a mod p, k = b mod q
+        return (a * q * pow(q, -1, p) + b * p * pow(p, -1, q)) % (p * q)
+
+    n = p * q
+    expected = [
+        Permutation([crt(tau.images[k % p], k % q) for k in range(n)])
+        for tau in sym_generators(p)
+    ] + [
+        Permutation([crt(k % p, tau.images[k % q]) for k in range(n)])
+        for tau in sym_generators(q)
+    ]
+    assert crt_product_generators(p, q) == expected
 
 
 def test_crt_lifts_commute_across_factors():

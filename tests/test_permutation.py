@@ -4,7 +4,14 @@ import random
 import numpy as np
 import pytest
 
+from cycperm import permutation
 from cycperm.errors import DegreeMismatch
+from cycperm.group_constructors import (
+    expr_degree,
+    expr_order,
+    materialize,
+    parse_group_expr,
+)
 from cycperm.permutation import (
     PermGroup,
     Permutation,
@@ -130,6 +137,35 @@ def test_groups_equal():
         groups_equal(a, s6)
 
 
+def _closure(gens, n):
+    """Every element of <gens>, as image tuples, by breadth-first search."""
+    seen = {tuple(range(n))}
+    frontier = [tuple(range(n))]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple(g.images[c] for c in cur)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def _check_entry_points_agree(G, perms):
+    """Scalar sift/contains and contains_batch agree row by row."""
+    ch = G.chain()
+    batch = ch.contains_batch(np.stack([p.array() for p in perms]))
+    for p, in_batch in zip(perms, batch):
+        x = p.array()
+        residue, stall = ch.sift(x)
+        assert (residue is None) == (stall is None)
+        assert ch.contains(x) == (residue is None) == bool(in_batch)
+        if residue is not None:  # a residue moves its stall point first
+            moved = np.nonzero(residue != np.arange(G.degree))[0]
+            assert moved[0] == stall
+    return batch
+
+
 def test_chain_membership_against_brute_closure():
     rng = random.Random(404)
     for _ in range(25):
@@ -139,22 +175,98 @@ def test_chain_membership_against_brute_closure():
             img = list(range(n))
             rng.shuffle(img)
             gens.append(Permutation(img))
-        seen = {tuple(range(n))}
-        frontier = [tuple(range(n))]
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = tuple(g.images[c] for c in cur)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+        seen = _closure(gens, n)
         G = group_from_generators(gens)
         assert G.order == len(seen)
+        perms = []
         for _ in range(30):
             img = list(range(n))
             rng.shuffle(img)
-            p = Permutation(img)
-            assert G.contains(p) == (tuple(p.images) in seen)
+            perms.append(Permutation(img))
+        batch = _check_entry_points_agree(G, perms)
+        assert list(batch) == [tuple(p.images) in seen for p in perms]
+
+
+@pytest.mark.parametrize("claim", ["wr(S(2), PSL2_7, rows)", "x(3,5)"])
+def test_chain_structure_against_brute_closure(claim):
+    expr = parse_group_expr(claim)
+    n = expr_degree(expr)
+    G = PermGroup(n, materialize(expr))
+    elements = _closure(G.generators, n)
+    assert G.order == len(elements) == expr_order(expr)
+    rng = random.Random(9)
+    members = [Permutation(e) for e in rng.sample(sorted(elements), 200)]
+    others = []
+    while len(others) < 200:
+        img = list(range(n))
+        rng.shuffle(img)
+        if tuple(img) not in elements:
+            others.append(Permutation(img))
+    batch = _check_entry_points_agree(G, members + others)
+    assert batch.tolist() == [True] * 200 + [False] * 200
+    # orbit of d in the pointwise stabilizer of 0..d-1
+    stab = elements
+    base = []
+    for d in range(n):
+        orbit = {e[d] for e in stab}
+        assert set(G.chain().orbit_at(d)) == orbit
+        if len(orbit) > 1:
+            base.append(d)
+        stab = [e for e in stab if e[d] == d]
+    assert G.base() == base
+
+
+def _random_generators(rng, n):
+    """1-4 generators; often intransitive (random blocks) with fixed points."""
+    points = list(range(n))
+    rng.shuffle(points)
+    blocks, i = [], rng.randrange(0, n // 3 + 1)  # points[:i] stay fixed
+    while i < n:
+        size = rng.randrange(1, n - i + 1)
+        if rng.random() < 0.5:
+            size = min(size, rng.randrange(2, 9))
+        blocks.append(points[i:i + size])
+        i += size
+    gens = []
+    for _ in range(rng.randrange(1, 5)):
+        img = list(range(n))
+        for block in blocks:
+            moved = block[:]
+            rng.shuffle(moved)
+            for a, b in zip(block, moved):
+                img[a] = b
+        gens.append(Permutation(img))
+    return gens
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_chain_against_sympy(batch, monkeypatch):
+    sympy_perm = pytest.importorskip("sympy.combinatorics")
+    if batch is not None:  # batches then span levels and stall off-base
+        monkeypatch.setattr(permutation, "_BATCH", batch)
+    rng = random.Random(2026)
+    for _ in range(20):
+        n = rng.randrange(8, 41)
+        gens = _random_generators(rng, n)
+        G = group_from_generators(gens)
+        H = sympy_perm.PermutationGroup(
+            [sympy_perm.Permutation(list(g.images)) for g in gens])
+        assert G.order == H.order()
+        members = []
+        for _ in range(10):
+            acc = identity_perm(n)
+            for _ in range(rng.randrange(1, 8)):
+                acc = compose(acc, rng.choice(gens))
+            members.append(acc)
+        others = []
+        for _ in range(10):
+            img = list(range(n))
+            rng.shuffle(img)
+            others.append(Permutation(img))
+        for p in members + others:
+            expect = H.contains(sympy_perm.Permutation(list(p.images)))
+            assert G.contains(p) == expect
+        assert all(G.contains(p) for p in members)
 
 
 def test_random_chain_words_are_members():

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cycperm
 from cycperm.autgroup import VerificationReport, predicted_group
 from cycperm.cyclic_code import make_code
 from cycperm.galois import make_field
@@ -193,3 +195,13 @@ def test_cli_bad_input_exit_code():
     res = _run_cli("code-info", "--field", "2", "--n", "7", "--gen", "1,0,1")
     assert res.returncode == 2
     assert "error" in res.stderr
+
+
+def test_python_m_cycperm_runs_from_a_checkout():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cycperm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-m", "cycperm", "--help"],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("usage: cycperm")
+    assert "table" in res.stdout

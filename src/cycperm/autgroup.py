@@ -11,10 +11,13 @@ Three routes with different reach:
 Membership checks everywhere reduce to "g(x) divides the permuted word":
 by linearity a permutation preserves the code iff it maps the k
 generator-shift basis words back into the code, which is ~q^k times
-cheaper than set comparisons.  A basis word whose support the permutation
-fixes pointwise maps to itself, so only the words that meet the moved
-points are checked; a transposition costs at most 2*wt(g) word checks
-whatever k is.
+cheaper than set comparisons.  One engine (_Engine) does this for every
+field with q <= 4096: a table of x^i mod g over element indices, with
+bit-packed XOR syndromes over F_2 and table-accumulated syndromes over
+every other field.  A basis word whose support the permutation fixes
+pointwise maps to itself, so only the words that meet the moved points
+are checked; a transposition costs at most 2*wt(g) word checks whatever
+k is.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .cyclic_code import (
     make_code,
 )
 from .errors import DegreeMismatch, NoPattern, AmbiguousPattern, TooLarge
-from .galois import FieldSpec
+from .galois import FieldSpec, field_tables
 from .group_constructors import (
     AGL1,
     CrtProduct,
@@ -57,6 +60,7 @@ from .permutation import (
 )
 from .polyring import (
     Poly,
+    _labelled_factors,
     _prime_factors,
     cyclotomic,
     factor_xn_minus_1,
@@ -64,7 +68,6 @@ from .polyring import (
     one_poly,
     poly_divides,
     poly_from_ints,
-    poly_mod,
     poly_mul,
     poly_sub,
     try_contract_power,
@@ -76,11 +79,13 @@ RNG_ALGORITHM = "numpy-pcg64/fisher-yates-permutation"
 
 
 class _Engine:
-    """Fast membership tests for one code.
+    """Fast membership tests for one code, over any field with q <= 4096.
 
-    For prime fields the reduction table x^i mod g is precomputed; over F_2
-    its rows are additionally bit-packed so a whole permuted basis can be
-    syndrome-checked with vectorized XOR reductions.
+    The reduction table R[i] = x^i mod g is precomputed over element indices
+    with the field's add/mul/neg tables.  Over F_2 its rows are bit-packed
+    so a whole permuted basis is syndrome-checked with vectorized XOR
+    reductions; over every other field the syndromes are accumulated with
+    the same tables.
 
     A permutation sigma only changes the basis words whose support it
     moves: if sigma fixes every point of supp(x^t g), the permuted word is
@@ -96,40 +101,31 @@ class _Engine:
         self.n, self.k, self.q = n, k, f.order
         self._points = np.arange(n, dtype=np.int64)
         self._rows = np.arange(k, dtype=np.int64)
-        g = code.gen
-        self.g_supp = np.array([i for i, c in enumerate(g.coeffs)
-                                if c != f.zero], dtype=np.int64)
-        self.g_vals = np.array([f.element_index(g.coeffs[i])
-                                for i in self.g_supp], dtype=np.int64)
-        self.prime_field = f.alpha == 1
-        if self.prime_field and g.degree >= 1:
-            r = f.r
-            m = g.degree
-            gv = np.array([c[0] for c in g.coeffs], dtype=np.int64)
-            R = np.zeros((n, m), dtype=np.int64)
-            for i in range(min(m, n)):
-                R[i, i] = 1
-            for i in range(m, n):
-                prev = R[i - 1]
-                row = np.zeros(m, dtype=np.int64)
-                row[1:] = prev[:-1]
-                c = prev[m - 1]
-                if c:
-                    row = (row - c * gv[:m]) % r
-                R[i] = row % r
-            self.R = R
-            if r == 2:
-                # bit b of lane b >> 6 holds column b
-                lanes = (m + 63) // 64
-                bits = np.zeros((n, 64 * lanes), dtype=np.uint8)
-                bits[:, :m] = R
-                self.packed = np.packbits(bits, axis=1, bitorder="little") \
-                    .view("<u8").astype(np.uint64)
-            else:
-                self.packed = None
-        else:
-            self.R = None
-            self.packed = None
+        self._add, mul, neg = field_tables(f)
+        gidx = np.array([f.element_index(c) for c in code.gen.coeffs],
+                        dtype=np.int64)
+        self.g_supp = np.flatnonzero(gidx)
+        self.g_vals = gidx[self.g_supp]
+        self._g_mul = mul[self.g_vals]  # row j: times the j-th nonzero g_i
+        m = code.gen.degree
+        # x^m = -(g_0 + ... + g_{m-1} x^{m-1}) mod the monic g
+        low = neg[gidx[:m]]
+        R = np.zeros((n, m), dtype=np.int64)
+        for i in range(min(m, n)):
+            R[i, i] = 1
+        for i in range(m, n if m else 0):  # g = 1: R has no columns
+            prev = R[i - 1]
+            R[i, 1:] = prev[:-1]
+            if prev[m - 1]:
+                R[i] = self._add[R[i], mul[prev[m - 1], low]]
+        self.R = R
+        if self.q == 2:
+            # bit b of lane b >> 6 holds column b
+            lanes = (m + 63) // 64
+            bits = np.zeros((n, 64 * lanes), dtype=np.uint8)
+            bits[:, :m] = R
+            self.packed = np.packbits(bits, axis=1, bitorder="little") \
+                .view("<u8").astype(np.uint64)
 
     def perm_preserves(self, sigma: np.ndarray,
                        first_failure: bool = False) -> Tuple[bool, Optional[int]]:
@@ -140,11 +136,8 @@ class _Engine:
         With first_failure the first of them is checked on its own before
         the rest are built (sampling fast path).
         """
-        code = self.code
-        if code.k == 0:
+        if self.k == 0:
             return True, None
-        if self.R is None:
-            return self._perm_preserves_generic(sigma, first_failure)
         sigma = np.asarray(sigma, dtype=np.int64)
         moved = sigma != self._points
         if np.count_nonzero(moved) * self.g_supp.size >= self.k:
@@ -164,30 +157,13 @@ class _Engine:
 
     def _bad_rows(self, idx: np.ndarray) -> np.ndarray:
         """Rows of idx (permuted-word supports, one word per row) not in C."""
-        if self.packed is not None:
+        if self.q == 2:
             syn = np.bitwise_xor.reduce(self.packed[idx], axis=1)
         else:
-            r = self.code.field.r
-            syn = np.zeros((idx.shape[0], self.R.shape[1]), dtype=np.int64)
-            for j in range(idx.shape[1]):
-                syn += self.g_vals[j] * self.R[idx[:, j]]
-            syn %= r
+            syn = self._g_mul[0][self.R[idx[:, 0]]]
+            for j in range(1, idx.shape[1]):
+                syn = self._add[syn, self._g_mul[j][self.R[idx[:, j]]]]
         return np.flatnonzero(syn.any(axis=1))
-
-    def _perm_preserves_generic(self, sigma, first_failure):
-        code = self.code
-        f = code.field
-        n = code.n
-        sigma = [int(s) for s in sigma]
-        for t in range(code.k):
-            word = [f.zero] * n
-            for pos, c in zip(self.g_supp, self.g_vals):
-                word[int(pos) + t] = f.element_of_index(int(c))
-            permuted = tuple(word[sigma[i]] for i in range(n))
-            from .polyring import make_poly
-            if not poly_mod(make_poly(f, permuted), code.gen).is_zero():
-                return False, t
-        return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +229,10 @@ def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
     keys = set()
     for row in rows:
         keys.add(sum(int(c) * powq[i] for i, c in enumerate(row) if c))
-    supports = []
-    for t in range(code.k):
-        supports.append(tuple((int(p) + t, int(c))
-                              for p, c in zip(_engine_supp(code), _engine_vals(code))))
+    engine = _Engine(code)
+    supports = [tuple((int(p) + t, int(c))
+                      for p, c in zip(engine.g_supp, engine.g_vals))
+                for t in range(code.k)]
     nworkers = worker_count(workers)
     firsts = list(range(n))
     if nworkers == 1:
@@ -279,16 +255,6 @@ def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
     if group.order != len(perms):
         raise AssertionError("exhaustive scan produced a non-group")
     return group
-
-
-def _engine_supp(code):
-    f = code.field
-    return [i for i, c in enumerate(code.gen.coeffs) if c != f.zero]
-
-
-def _engine_vals(code):
-    f = code.field
-    return [f.element_index(c) for c in code.gen.coeffs if c != f.zero]
 
 
 # ---------------------------------------------------------------------------
@@ -538,46 +504,21 @@ def _leaf_expr(field: FieldSpec, p: int, g: Poly) -> GroupExpr:
         # (the named groups are multiplier-canonical subgroups; a group like
         # the reciprocal-code copy of PSL(2,7) is conjugate but not equal)
         return PerOf(field, p, g)
-    # p > 12: classify by the multiplier stabilizer of the defining set
-    q = field.order
-    defining = set()
-    cos_of = {}
-    seen = set()
-    for s in range(p):
-        if s in seen:
-            continue
-        cos = []
-        cur = s
-        while cur not in seen:
-            seen.add(cur)
-            cos.append(cur)
-            cur = (cur * q) % p
-        fz = frozenset(cos)
-        for c in cos:
-            cos_of[c] = fz
-    # root exponents of g: coset minimal polys dividing g
-    from .polyring import _get_ext, _multiplicative_order
-    for fac, _m in factor_xn_minus_1(p, field):
-        if poly_divides(fac, g):
-            if fac.degree == 1 and fac == poly_sub(x_poly(field), one_poly(field)):
-                defining.add(0)
-            else:
-                # identify the coset with matching size; disambiguate by
-                # direct root containment in the splitting field
-                for fz in set(cos_of.values()):
-                    if len(fz) == fac.degree and 0 not in fz:
-                        if _coset_matches_factor(field, p, fz, fac):
-                            defining |= fz
-                            break
-    nonzero = frozenset(defining - {0})
+    # p > 12: classify by the multiplier stabilizer of the defining set,
+    # the union of the coset labels of the factors that divide g
+    cosets = [(o, coset, poly_divides(fac, g))
+              for o, coset, fac in _labelled_factors(p, field)]
+    defining = frozenset().union(*(c for _, c, div in cosets if div))
+    nonzero = defining - {0}
     qr = _quadratic_residues(p)
     if nonzero and (nonzero == qr or nonzero == frozenset(range(1, p)) - qr):
         raise NoPattern("quadratic-residue family: exceptional group out of scope")
-    ncosets = {cos_of[c] for c in nonzero}
-    if len(ncosets) == 1 or len({cos_of[c] for c in range(1, p)} - ncosets) == 1:
+    n_in = sum(div for o, _, div in cosets if o == p)
+    n_out = sum(not div for o, _, div in cosets if o == p)
+    if n_in == 1 or n_out == 1:
         raise NoPattern("single-coset (projective) family out of scope")
     stab = [a for a in range(1, p)
-            if frozenset((a * z) % p for z in defining) == frozenset(defining)]
+            if frozenset((a * z) % p for z in defining) == defining]
     m = len(stab)
     if m == 1:
         return Cyclic(p)
@@ -586,32 +527,6 @@ def _leaf_expr(field: FieldSpec, p: int, g: Poly) -> GroupExpr:
     if p == 31 and m == 5:
         return Named("C31xC5")
     raise NoPattern(f"no named tag for multiplier order {m} at p={p}")
-
-
-_COSET_ROOT_CACHE: Dict = {}
-
-
-def _coset_matches_factor(field: FieldSpec, p: int, coset: frozenset,
-                          fac: Poly) -> bool:
-    """Does fac vanish on gamma^s for s in the coset?  (One test suffices.)"""
-    from .polyring import _get_ext, _multiplicative_order
-    key = (field, p)
-    if key not in _COSET_ROOT_CACHE:
-        d = _multiplicative_order(field.order, p)
-        ext = _get_ext(field, d)
-        _COSET_ROOT_CACHE[key] = (ext, ext.root_of_unity(p))
-    ext, gamma = _COSET_ROOT_CACHE[key]
-    s = min(coset)
-    root = ext.pow(gamma, s)
-    # evaluate fac at root inside the extension (index-form elements)
-    acc = ext.zero_el.copy()
-    power = ext.one.copy()
-    for c in fac.coeffs:
-        ci = field.element_index(c)
-        if ci:
-            acc = ext.add(acc, ext.mul_t[ci, power])
-        power = ext.mul(power, root)
-    return not acc.any()
 
 
 def predicted_group(code: CyclicCodeSpec) -> GroupExpr:

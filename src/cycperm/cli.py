@@ -16,6 +16,7 @@ import time
 from .autgroup import (
     VerificationReport,
     _Engine,
+    _code_descriptor,
     backtrack_per_group,
     certify_subgroup,
     exhaustive_per_group,
@@ -47,9 +48,8 @@ from .table import RunConfig, run_table, select_rows, selftest, \
 def _field_arg(args) -> "FieldSpec":
     field = parse_field(args.field)
     if getattr(args, "modulus", None):
-        from .galois import make_field as mf
-        field = mf(field.r, field.alpha,
-                   [int(c) for c in args.modulus.split(",")])
+        field = make_field(field.r, field.alpha,
+                           [int(c) for c in args.modulus.split(",")])
     return field
 
 
@@ -100,24 +100,16 @@ def cmd_perm_group(args) -> int:
     code = make_code(field, args.n, gen)
     claim = parse_group_expr(args.claim) if args.claim else None
     t0 = time.perf_counter()
-    if args.mode == "brute":
-        group = exhaustive_per_group(code, cutoff=args.cutoff,
-                                     workers=args.workers)
-        report = VerificationReport(
-            code={"field": field.describe(), "n": code.n,
-                  "gen": format_poly_text(code.gen)},
-            method="Exhaustive", computed_order=group.order)
-        if claim is not None:
-            report.predicted = format_group_expr(claim)
-            report.predicted_order = expr_order(claim)
-            claimed = PermGroup(code.n, materialize(claim))
-            report.equal = groups_equal(group, claimed)
-    elif args.mode == "backtrack":
-        group = backtrack_per_group(code)
-        report = VerificationReport(
-            code={"field": field.describe(), "n": code.n,
-                  "gen": format_poly_text(code.gen)},
-            method="Backtrack", computed_order=group.order)
+    if args.mode in ("brute", "backtrack"):
+        if args.mode == "brute":
+            group = exhaustive_per_group(code, cutoff=args.cutoff,
+                                         workers=args.workers)
+            method = "Exhaustive"
+        else:
+            group = backtrack_per_group(code)
+            method = "Backtrack"
+        report = VerificationReport(code=_code_descriptor(code), method=method,
+                                    computed_order=group.order)
         if claim is not None:
             report.predicted = format_group_expr(claim)
             report.predicted_order = expr_order(claim)

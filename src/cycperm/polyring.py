@@ -561,6 +561,36 @@ def _coset_min_poly(ext: _Ext, gamma, coset: list, o: int) -> Poly:
     return _trim(base, coeffs)
 
 
+def _labelled_factors(n_free: int, field: FieldSpec) -> list:
+    """Irreducible factors of the squarefree x^n_free - 1, each with the
+    q-cyclotomic coset it was built from.
+
+    gcd(n_free, r) must be 1.  Returns [(o, coset, Poly)]: for each divisor
+    o of n_free, the factors of the o-th cyclotomic polynomial, one per
+    coset of the units mod o under multiplication by q.  The factor
+    labelled (o, C) has the roots gamma^s, s in C, for the primitive o-th
+    root of unity gamma that the splitting field picks; o = 1 gives x - 1
+    labelled {0}.  The cosets of one o partition the units mod o.
+    """
+    q = field.order
+    out = []
+    for o in _divisors(n_free):
+        if o == 1:
+            out.append((1, frozenset({0}),
+                        poly_sub(x_poly(field), one_poly(field))))
+            continue
+        cosets = _cyclotomic_cosets_of_units(q, o)
+        if len(cosets) == 1:
+            out.append((o, frozenset(cosets[0]), cyclotomic(o, field)))
+            continue
+        ext = _get_ext(field, _multiplicative_order(q, o))
+        gamma = ext.root_of_unity(o)
+        for coset in cosets:
+            out.append((o, frozenset(coset),
+                        _coset_min_poly(ext, gamma, coset, o)))
+    return out
+
+
 def factor_xn_minus_1(n: int, field: FieldSpec) -> list:
     """Irreducible factors of x^n - 1 with multiplicities.
 
@@ -570,29 +600,15 @@ def factor_xn_minus_1(n: int, field: FieldSpec) -> list:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    q, r = field.order, field.r
+    r = field.r
     e, n_free = 0, n
     while n_free % r == 0:
         n_free //= r
         e += 1
-    mult = r ** e
-    factors = []
-    for o in _divisors(n_free):
-        if o == 1:
-            factors.append(poly_sub(x_poly(field), one_poly(field)))
-            continue
-        cosets = _cyclotomic_cosets_of_units(q % o if o > 1 else q, o)
-        if len(cosets) == 1:
-            factors.append(cyclotomic(o, field))
-            continue
-        d_o = _multiplicative_order(q, o)
-        ext = _get_ext(field, d_o)
-        gamma = ext.root_of_unity(o)
-        for coset in cosets:
-            factors.append(_coset_min_poly(ext, gamma, coset, o))
-    factors.sort(key=lambda p: (p.degree,
-                                tuple(field.element_index(c) for c in p.coeffs)))
-    return [(p, mult) for p in factors]
+    factors = sorted((fac for _o, _c, fac in _labelled_factors(n_free, field)),
+                     key=lambda p: (p.degree, tuple(field.element_index(c)
+                                                    for c in p.coeffs)))
+    return [(p, r ** e) for p in factors]
 
 
 def dual_generator(g: Poly, n: int) -> Poly:

@@ -9,6 +9,7 @@ import pytest
 from cycperm.autgroup import (
     VerificationReport,
     _Engine,
+    _leaf_expr,
     backtrack_per_group,
     certify_subgroup,
     exhaustive_per_group,
@@ -16,7 +17,7 @@ from cycperm.autgroup import (
     predicted_group,
 )
 from cycperm.cyclic_code import Layout, basis_codewords, contains, make_code
-from cycperm.errors import NoPattern, TooLarge
+from cycperm.errors import FieldMismatch, NoPattern, TooLarge
 from cycperm.galois import make_field
 from cycperm.group_constructors import (
     CrtProduct,
@@ -42,6 +43,7 @@ from cycperm.polyring import (
     cyclotomic,
     factor_xn_minus_1,
     one_poly,
+    parse_poly_text,
     poly_from_ints,
     poly_mul,
     poly_pow,
@@ -53,7 +55,9 @@ from cycperm.table import select_rows
 
 F2 = make_field(2)
 F3 = make_field(3)
+F4 = make_field(2, 2)
 F5 = make_field(5)
+F9 = make_field(3, 2)
 G7A = poly_from_ints(F2, [1, 1, 0, 1])
 
 
@@ -227,6 +231,37 @@ def test_predicted_no_pattern_cases():
         predicted_group(code)
 
 
+def _leaf_outcome(field, p, g):
+    try:
+        return format_group_expr(_leaf_expr(field, p, g))
+    except NoPattern as exc:
+        return f"NoPattern: {exc}"
+
+
+# One code per outcome of _leaf_expr's p > 12 branch.  AGL1(p) cannot occur
+# there: the only defining sets that every unit fixes are {}, {0}, the units
+# and Z_p, whose generators are all handled before the branch.
+@pytest.mark.parametrize("field, p, gen, want", [
+    # 53 = 1 mod 13, so every coset is a singleton
+    (make_field(53), 13, "42,13,1", "C(13)"),
+    (F2, 31, "1,0,1,1,1,0,1,1,1,1,1", "C31xC5"),
+    (F2, 23, "1,1,0,0,0,1,1,1,0,1,0,1",
+     "NoPattern: quadratic-residue family: exceptional group out of scope"),
+    (F2, 31, "1,1,1,1,0,1",
+     "NoPattern: single-coset (projective) family out of scope"),
+    (F2, 31, "1,0,0,0,1,1,1,0,0,0,1",
+     "NoPattern: no named tag for multiplier order 10 at p=31"),
+    (make_field(53), 13, "1,15,1",
+     "NoPattern: no named tag for multiplier order 2 at p=13"),
+    (F4, 43, "1:0,0:1,1:1,0:1,1:1,0:0,1:0,1:0,1:0,0:0,0:1,1:1,0:1,1:1,1:0",
+     "NoPattern: no named tag for multiplier order 7 at p=43"),
+    (F5, 31, "1,2,0,2,1,1,1",
+     "NoPattern: no named tag for multiplier order 3 at p=31"),
+])
+def test_leaf_expr_large_prime_outcomes(field, p, gen, want):
+    assert _leaf_outcome(field, p, parse_poly_text(gen, field)) == want
+
+
 def test_certify_table_n21():
     claim = parse_group_expr("wr(S(3), PSL2_7, rows)")
     rep = certify_subgroup(make_code(F2, 21, G7A), materialize(claim),
@@ -320,6 +355,14 @@ def _transposition(n, a, b):
     (make_code(F2, 62, select_rows(["T16"])[0].build_gen(F2)), [(2, 31), (31, 2)]),
     (make_code(F3, 13, _factor_of_degree(F3, 13, 3, 4)), []),
     (make_code(F3, 21, _factor_of_degree(F3, 21, 6, 7)), [(3, 7), (7, 3)]),
+    # coefficients as element indices: 2 is y in F_4 = F_2[y]/(y^2+y+1)
+    (make_code(F4, 15, poly_from_ints(F4, [2, 2, 1])), [(3, 5), (5, 3)]),
+    (make_code(F4, 21, poly_from_ints(F4, [1, 0, 2, 1])), [(3, 7), (7, 3)]),
+    (make_code(F9, 10, poly_from_ints(F9, [1, 4, 1])), [(2, 5)]),
+    (make_code(F5, 12, poly_from_ints(F5, [4, 2, 1])), [(3, 4)]),
+    # g = 1: the full space, and a reduction table with no columns
+    (make_code(F2, 7, one_poly(F2)), []),
+    (make_code(F4, 9, one_poly(F4)), [(3, 3)]),
 ])
 def test_sparse_preserves_matches_dense(code, blocks):
     n = code.n
@@ -341,7 +384,14 @@ def test_sparse_preserves_matches_dense(code, blocks):
         assert engine.perm_preserves(p.array(), first_failure=True) == want, p
         outcomes.append(want)
     assert (True, None) in outcomes
-    assert any(not ok and t > 0 for ok, t in outcomes)
+    if code.gen.degree:
+        assert any(not ok and t > 0 for ok, t in outcomes)
+
+
+def test_engine_shares_the_field_table_cap():
+    f = make_field(2, 13)  # q = 8192 > 4096
+    with pytest.raises(FieldMismatch):
+        _Engine(make_code(f, 3, poly_sub(x_poly(f), one_poly(f))))
 
 
 def test_groups_equal_without_generators():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import sympy
 from cycperm.errors import CharacteristicDividesN, DivisionByZero, NotADivisor
 from cycperm.galois import make_field
 from cycperm.polyring import (
+    _labelled_factors,
     cyclotomic,
     dual_generator,
     factor_xn_minus_1,
@@ -15,6 +17,7 @@ from cycperm.polyring import (
     one_poly,
     parse_poly_text,
     poly_add,
+    poly_divides,
     poly_divmod,
     poly_from_ints,
     poly_gcd,
@@ -183,6 +186,34 @@ def test_factors_irreducible_over_f4_by_trial_division():
                         m //= field.order
                     div = make_poly(field, coeffs + [field.one])
                     assert not poly_mod(fac, div).is_zero(), (n, fac, div)
+
+
+@pytest.mark.parametrize("r,alpha,n_free", [
+    (2, 1, 7), (2, 1, 15), (2, 1, 21), (2, 1, 31),
+    (3, 1, 8), (3, 1, 13), (3, 1, 20),
+    (2, 2, 9), (2, 2, 15), (2, 2, 21),
+])
+def test_labelled_factors_carry_their_cosets(r, alpha, n_free):
+    """The factor labelled (o, C) vanishes at gamma^s for s in C, where
+    gamma is a root of the factor m_1 whose label for o contains 1."""
+    field = make_field(r, alpha)
+    labelled = _labelled_factors(n_free, field)
+    assert sorted(format_poly_text(f) for _, _, f in labelled) \
+        == sorted(format_poly_text(f) for f, _ in factor_xn_minus_1(n_free, field))
+    by_o = {}
+    for o, coset, fac in labelled:
+        by_o.setdefault(o, []).append((coset, fac))
+    assert sorted(by_o) == [o for o in range(1, n_free + 1) if n_free % o == 0]
+    for o, entries in by_o.items():
+        units = {t for t in range(o) if math.gcd(t, o) == 1} if o > 1 else {0}
+        assert sum(len(c) for c, _ in entries) == len(units), (o, entries)
+        assert set().union(*(c for c, _ in entries)) == units
+        [m1] = [fac for c, fac in entries if 1 % o in c]
+        for coset, fac in entries:
+            assert fac.degree == len(coset)
+            for s in coset:
+                # m_1 | f(x^s)  <=>  f(gamma^s) = 0
+                assert poly_divides(m1, substitute_power(fac, s or o)), (o, s)
 
 
 def test_dual_generator_examples():

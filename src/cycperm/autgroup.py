@@ -2,9 +2,10 @@
 
 Three routes with different reach:
 
-* exhaustive_per_group - scan all of S_n (small n), exact;
-* backtrack_per_group  - coordinate-image backtracking with signature
-  refinement and stabilizer-chain pruning (enumerable codes), exact;
+* exhaustive_per_group - scan all of S_n (small n) in blocks, exact;
+* backtrack_per_group  - coordinate-image backtracking over a candidate
+  matrix refined by pair classes, with stabilizer-chain pruning
+  (enumerable codes), exact;
 * predicted_group / certify_subgroup / falsify_by_sampling - theorem-shaped
   prediction, subgroup certificates and seeded negative sampling (any n).
 
@@ -12,12 +13,12 @@ Membership checks everywhere reduce to "g(x) divides the permuted word":
 by linearity a permutation preserves the code iff it maps the k
 generator-shift basis words back into the code, which is ~q^k times
 cheaper than set comparisons.  One engine (_Engine) does this for every
-field with q <= 4096: a table of x^i mod g over element indices, with
-bit-packed XOR syndromes over F_2 and table-accumulated syndromes over
-every other field.  A basis word whose support the permutation fixes
-pointwise maps to itself, so only the words that meet the moved points
-are checked; a transposition costs at most 2*wt(g) word checks whatever
-k is.
+route, the exhaustive scan included, and every field with q <= 4096: a
+table of x^i mod g over element indices, with bit-packed XOR syndromes
+over F_2 and table-accumulated syndromes over every other field.  A basis
+word whose support the permutation fixes pointwise maps to itself, so
+only the words that meet the moved points are checked; a transposition
+costs at most 2*wt(g) word checks whatever k is.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .polyring import (
     _labelled_factors,
     _prime_factors,
     cyclotomic,
-    factor_xn_minus_1,
     format_poly_text,
     one_poly,
     poly_divides,
@@ -155,6 +155,19 @@ class _Engine:
                 return False, int(batch[bad[0]])
         return True, None
 
+    def preserving_inverses(self, taus: np.ndarray) -> np.ndarray:
+        """Indices of the rows tau = sigma^{-1} of taus whose sigma
+        preserves the code; basis word t is checked only on the rows that
+        passed the words before it."""
+        keep = np.arange(taus.shape[0])
+        for t in range(self.k):
+            bad = self._bad_rows(taus[:, self.g_supp + t])
+            if bad.size:
+                good = np.ones(taus.shape[0], dtype=bool)
+                good[bad] = False
+                keep, taus = keep[good], taus[good]
+        return keep
+
     def _bad_rows(self, idx: np.ndarray) -> np.ndarray:
         """Rows of idx (permuted-word supports, one word per row) not in C."""
         if self.q == 2:
@@ -169,37 +182,27 @@ class _Engine:
 # ---------------------------------------------------------------------------
 # exhaustive search
 
+_TAIL = 7  # a scan block runs over every ordering of its last 7 images
+
 
 def _scan_permutations(args):
-    """Worker: scan permutations with the given first images.
+    """Worker: the rows tau = sigma^{-1} with first image v whose sigma
+    preserves the code, in lexicographic order.
 
-    Iterates tau = sigma^{-1}; the packed key of the sigma-permuted basis
-    word is sum(val_j * q^{tau(pos_j)}), so no tuples are materialized.
+    A block fixes tau[0] = v and a prefix, and takes every ordering of the
+    remaining points from the table of orderings.
     """
-    n, firsts, supports, powq, keys = args
+    engine, orderings, v = args
+    n, tail = engine.n, orderings.shape[1]
+    others = [p for p in range(n) if p != v]
+    block = np.empty((len(orderings), n), dtype=np.int64)
+    block[:, 0] = v
     found = []
-    pts = list(range(n))
-    s0 = supports[0]
-    rest_supports = supports[1:]
-    for v in firsts:
-        others = [p for p in pts if p != v]
-        for tail in itertools.permutations(others):
-            tau = (v,) + tail
-            acc = 0
-            for p_, c_ in s0:
-                acc += c_ * powq[tau[p_]]
-            if acc not in keys:
-                continue
-            ok = True
-            for sup in rest_supports:
-                acc = 0
-                for p_, c_ in sup:
-                    acc += c_ * powq[tau[p_]]
-                if acc not in keys:
-                    ok = False
-                    break
-            if ok:
-                found.append(tau)
+    for prefix in itertools.permutations(others, n - 1 - tail):
+        block[:, 1:n - tail] = prefix
+        block[:, n - tail:] = np.setdiff1d(others, prefix)[orderings]
+        keep = engine.preserving_inverses(block)
+        found.extend(map(tuple, block[keep].tolist()))
     return found
 
 
@@ -213,45 +216,28 @@ def worker_count(workers: Optional[int] = None) -> int:
 
 def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
                          workers: Optional[int] = None) -> PermGroup:
-    """Per(C) by scanning all n! permutations with early-exit basis checks."""
+    """Per(C) by scanning all n! permutations, as blocks of their inverses
+    checked by _Engine.preserving_inverses one basis word at a time."""
     n = code.n
     if n > cutoff:
         raise TooLarge(f"n={n} exceeds the exhaustive cutoff {cutoff}")
-    f = code.field
-    q = f.order
     if code.k == 0:
         from .group_constructors import sym_generators
         return PermGroup(n, sym_generators(n))
-    if q ** code.k > DEFAULT_ENUM_CAP:
-        raise TooLarge("codeword set too large to enumerate for the scan")
-    rows = codeword_index_matrix(code)
-    powq = [q ** i for i in range(n)]
-    keys = set()
-    for row in rows:
-        keys.add(sum(int(c) * powq[i] for i, c in enumerate(row) if c))
     engine = _Engine(code)
-    supports = [tuple((int(p) + t, int(c))
-                      for p, c in zip(engine.g_supp, engine.g_vals))
-                for t in range(code.k)]
+    tail = range(min(_TAIL, n - 1))
+    orderings = np.array(list(itertools.permutations(tail)), dtype=np.int64)
+    chunks = [(engine, orderings, v) for v in range(n)]
     nworkers = worker_count(workers)
-    firsts = list(range(n))
     if nworkers == 1:
-        found = _scan_permutations((n, firsts, supports, powq, keys))
+        parts = map(_scan_permutations, chunks)
     else:
         import multiprocessing as mp
-        chunks = [(n, [v], supports, powq, keys) for v in firsts]
         with mp.get_context("fork").Pool(nworkers) as pool:
             parts = pool.map(_scan_permutations, chunks)
-        found = [t for part in parts for t in part]
-    found.sort()
-    perms = []
-    for tau in found:
-        inv = [0] * n
-        for i, j in enumerate(tau):
-            inv[j] = i
-        perms.append(Permutation(inv))
-    gens = reduce_generators(perms, n)
-    group = PermGroup(n, gens)
+    found = sorted(t for part in parts for t in part)
+    perms = [Permutation(sigma) for sigma in np.argsort(found, axis=1)]
+    group = PermGroup(n, reduce_generators(perms, n))
     if group.order != len(perms):
         raise AssertionError("exhaustive scan produced a non-group")
     return group
@@ -309,9 +295,12 @@ def backtrack_per_group(code: CyclicCodeSpec,
                         cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
     """Exact Per(C) via backtracking over coordinate images.
 
-    A partial map may only send i to j with identical refined colors and
-    matching pair classes against everything already placed; complete maps
-    are accepted iff every basis word maps into the code.  Found
+    The open choices are an n x n candidate matrix: sigma(i) = j stays
+    possible while i and j have identical refined colors and matching pair
+    classes against every placed pair, and each placement ANDs in two outer
+    comparisons (the refinement step of partition backtracking).  A node
+    branches on the first open row with the fewest candidates; complete
+    maps are accepted iff every basis word maps into the code.  Found
     automorphisms feed a stabilizer chain so cosets already covered are
     skipped (orbit pruning along the first-point spine).
 
@@ -368,13 +357,14 @@ def backtrack_per_group(code: CyclicCodeSpec,
         if ok:
             note(mult.images)
 
-    def compatible(i: int, j: int, assigned: List[Tuple[int, int]]) -> bool:
-        if colors[i] != colors[j]:
-            return False
-        for i0, j0 in assigned:
-            if pair[i, i0] != pair[j, j0] or pair[i0, i] != pair[j0, j]:
-                return False
-        return True
+    def place(cands: np.ndarray, i0: int, j0: int) -> np.ndarray:
+        """The candidate matrix after sigma(i0) = j0: sigma(i) = j stays
+        possible only if the pair classes of (i, i0) and (j, j0) match."""
+        out = cands & (pair[:, i0, None] == pair[None, :, j0]) \
+            & (pair[i0, :, None] == pair[None, j0, :])
+        out[i0, :] = False
+        out[:, j0] = False
+        return out
 
     def filter_masks(masks: List[int], i: int, j: int) -> Optional[List[int]]:
         if pos_val is None:
@@ -387,69 +377,61 @@ def backtrack_per_group(code: CyclicCodeSpec,
             out.append(m)
         return out
 
-    def dfs_complete(assigned: List[Tuple[int, int]], used: set,
+    images = np.arange(n, dtype=np.int64)  # rows below generate's d: identity
+
+    def dfs_complete(cands: np.ndarray, open_rows: np.ndarray,
                      masks: List[int]) -> Optional[List[int]]:
-        if len(assigned) == n:
-            images = [0] * n
-            for i, j in assigned:
-                images[i] = j
-            ok, _ = engine.perm_preserves(np.array(images, dtype=np.int64))
-            return images if ok else None
-        placed = {a for a, _ in assigned}
-        best_i, best_cands = None, None
-        for i in range(n):
-            if i in placed:
-                continue
-            cands = [j for j in range(n)
-                     if j not in used and compatible(i, j, assigned)]
-            if best_cands is None or len(cands) < len(best_cands):
-                best_i, best_cands = i, cands
-                if not cands:
-                    return None
-        for j in best_cands:
-            nxt = filter_masks(masks, best_i, j)
+        if open_rows.size == 0:
+            ok, _ = engine.perm_preserves(images)
+            return images.tolist() if ok else None
+        counts = np.count_nonzero(cands[open_rows], axis=1)
+        b = int(counts.argmin())  # the first open row with fewest candidates
+        if counts[b] == 0:
+            return None
+        i = int(open_rows[b])
+        rest = np.delete(open_rows, b)
+        for j in np.flatnonzero(cands[i]).tolist():
+            nxt = filter_masks(masks, i, j)
             if nxt is None:
                 continue
-            assigned.append((best_i, j))
-            used.add(j)
-            res = dfs_complete(assigned, used, nxt)
+            images[i] = j
+            res = dfs_complete(place(cands, i, j), rest, nxt)
             if res is not None:
                 return res
-            assigned.pop()
-            used.discard(j)
         return None
+
+    # prefixes[d]: the candidate matrix after the identity on 0..d-1
+    prefixes = [colors[:, None] == colors[None, :]]
+    for i in range(n - 2):
+        prefixes.append(place(prefixes[-1], i, i))
 
     def generate(d: int):
         """Ensure the chain holds all of Per(C) fixing 0..d-1 pointwise."""
         if d >= n - 1:
             return
         generate(d + 1)
-        prefix = [(i, i) for i in range(d)]
         base_masks = [full_mask] * len(tracked) if pos_val is not None else []
         for i in range(d):
             nxt = filter_masks(base_masks, i, i)
             if nxt is None:
                 return
             base_masks = nxt
-        for j in range(n):
+        open_rows = np.arange(d + 1, n)
+        for j in np.flatnonzero(prefixes[d][d]).tolist():
             if j == d:
-                continue
-            if not compatible(d, j, prefix):
                 continue
             if j in chain.orbit_at(d):
                 continue
             masks = filter_masks(base_masks, d, j)
             if masks is None:
                 continue
-            assigned = prefix + [(d, j)]
-            used = set(range(d)) | {j}
-            res = dfs_complete(list(assigned), used, masks)
+            images[d] = j
+            res = dfs_complete(place(prefixes[d], d, j), open_rows, masks)
             if res is not None:
                 note(res)
 
     generate(0)
-    gens = reduce_generators(found, n) if found else [Permutation(range(n))]
-    group = PermGroup(n, gens)
+    group = PermGroup(n, found or [Permutation(range(n))])
     group._chain = chain
     return group
 
@@ -522,8 +504,6 @@ def _leaf_expr(field: FieldSpec, p: int, g: Poly) -> GroupExpr:
     m = len(stab)
     if m == 1:
         return Cyclic(p)
-    if m == p - 1:
-        return AGL1(p)
     if p == 31 and m == 5:
         return Named("C31xC5")
     raise NoPattern(f"no named tag for multiplier order {m} at p={p}")

@@ -53,6 +53,13 @@ def _field_arg(args) -> "FieldSpec":
     return field
 
 
+def _gen_arg(args, field) -> "Poly":
+    try:
+        return parse_poly_text(args.gen, field)
+    except ValueError as exc:
+        raise CycpermError(f"--gen: {exc}") from None
+
+
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -75,7 +82,7 @@ def cmd_cyclotomic(args) -> int:
 
 def cmd_code_info(args) -> int:
     field = _field_arg(args)
-    gen = parse_poly_text(args.gen, field)
+    gen = _gen_arg(args, field)
     code = make_code(field, args.n, gen)
     info = {
         "n": code.n,
@@ -96,7 +103,7 @@ def cmd_code_info(args) -> int:
 
 def cmd_perm_group(args) -> int:
     field = _field_arg(args)
-    gen = parse_poly_text(args.gen, field)
+    gen = _gen_arg(args, field)
     code = make_code(field, args.n, gen)
     claim = parse_group_expr(args.claim) if args.claim else None
     t0 = time.perf_counter()

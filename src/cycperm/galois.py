@@ -277,20 +277,30 @@ def parse_field(text: str) -> FieldSpec:
 def field_tables(f: FieldSpec):
     """(add, mul, neg) tables over element indices, as numpy arrays.
 
+    Built on the base-r digits of the indices: addition adds digits mod r,
+    and a * b = sum_l a_l (y^l b) through the linear maps b -> y^l b,
+    adding one digit of a per step.
     Used by the vectorized codeword engines; q x q is fine at desk scale.
     """
     import numpy as np
 
-    q = f.order
+    q, r, alpha = f.order, f.r, f.alpha
     if q > 4096:
         raise FieldMismatch(f"index tables unsupported for q={q}")
-    elems = [f.element_of_index(i) for i in range(q)]
+    weights = r ** np.arange(alpha, dtype=np.int64)
+    digits = np.arange(q, dtype=np.int64)[:, None] // weights % r
     add = np.zeros((q, q), dtype=np.int64)
-    mul = np.zeros((q, q), dtype=np.int64)
-    neg = np.zeros(q, dtype=np.int64)
-    for i, a in enumerate(elems):
-        neg[i] = f.element_index(f.neg(a))
-        for j, b in enumerate(elems):
-            add[i, j] = f.element_index(f.add(a, b))
-            mul[i, j] = f.element_index(f.mul(a, b))
+    for i in range(alpha):
+        add += (digits[:, i, None] + digits[None, :, i]) % r * weights[i]
+    mul = np.zeros((1, q), dtype=np.int64)  # the products with a = 0
+    ylb = digits  # digits of y^l * b
+    for l in range(alpha):
+        # row c * r^l + a: the products with a + c y^l, for a < r^l
+        times = np.arange(r)[:, None, None] * ylb % r @ weights
+        mul = add[times[:, None, :], mul[None, :, :]].reshape(-1, q)
+        if l + 1 < alpha:  # y^alpha = -(m_0 + ... + m_{alpha-1} y^{alpha-1})
+            top = ylb[:, -1:]
+            ylb = (np.hstack([0 * top, ylb[:, :-1]])
+                   - top * f.modulus[:alpha]) % r
+    neg = -digits % r @ weights
     return add, mul, neg

@@ -18,7 +18,7 @@ from cycperm.autgroup import (
 )
 from cycperm.cyclic_code import Layout, basis_codewords, contains, make_code
 from cycperm.errors import FieldMismatch, NoPattern, TooLarge
-from cycperm.galois import make_field
+from cycperm.galois import make_field, parse_field
 from cycperm.group_constructors import (
     CrtProduct,
     PerOf,
@@ -61,16 +61,20 @@ F9 = make_field(3, 2)
 G7A = poly_from_ints(F2, [1, 1, 0, 1])
 
 
-def _all_proper_divisor_codes(field, n):
+def _all_divisor_codes(field, n):
+    """C_{n,g} for every monic g | x^n - 1, g = 1 and g = x^n - 1 included."""
     facs = factor_xn_minus_1(n, field)
     out = []
     for combo in itertools.product(*(range(m + 1) for _, m in facs)):
         g = one_poly(field)
         for (fac, _), e in zip(facs, combo):
             g = poly_mul(g, poly_pow(fac, e))
-        if 1 < g.degree < n:
-            out.append(make_code(field, n, g))
+        out.append(make_code(field, n, g))
     return out
+
+
+def _all_proper_divisor_codes(field, n):
+    return [c for c in _all_divisor_codes(field, n) if 1 < c.gen.degree < n]
 
 
 def test_exhaustive_hamming_psl27():
@@ -101,6 +105,57 @@ def test_exhaustive_workers_agree():
     g2 = exhaustive_per_group(code, workers=3)
     assert g1.order == g2.order == 1296
     assert groups_equal(g1, g2)
+
+
+@pytest.mark.parametrize("field, n_max", [(F2, 7), (F3, 7), (F4, 5)])
+def test_exhaustive_matches_per_permutation_reference(field, n_max):
+    # the scan's group must be exactly the set of sigma in S_n that pass
+    # the engine's membership test, each sigma checked on its own
+    for n in range(1, n_max + 1):
+        codes = _all_divisor_codes(field, n)
+        assert any(c.k == n for c in codes) and any(c.k == 0 for c in codes)
+        for code in codes:
+            engine = _Engine(code)
+            passing = [sigma for sigma in itertools.permutations(range(n))
+                       if engine.perm_preserves(np.array(sigma))[0]]
+            group = exhaustive_per_group(code)
+            assert group.order == len(passing), (field, n, code.gen)
+            assert group.chain().contains_batch(np.array(passing)).all()
+
+
+def _exact_search_records(calls):
+    from cycperm.table import parse_gen_expr
+    out = []
+    for kind, field_text, n, gen_text, workers in calls:
+        field = parse_field(field_text)
+        code = make_code(field, n, parse_gen_expr(gen_text, field))
+        if kind == "backtrack":
+            group = backtrack_per_group(code)
+        else:
+            group = exhaustive_per_group(code, workers=workers)
+        out.append([str(group.order),
+                    [list(map(int, g.images)) for g in group.generators]])
+    return out
+
+
+def test_exact_search_golden():
+    # pins order and generator images of the benchmark's direct exact
+    # searches (values recorded before the vectorized search kernels)
+    records = _exact_search_records([
+        ("backtrack", "2", 30, "Q(3)Q(5)", 1),
+        ("backtrack", "2", 105, "Q(5)Q(7)", 1),
+        ("backtrack", "2^2", 14, "x^3+x+1", 1),
+        ("backtrack", "2^2", 21, "x^3+x+1", 1),
+        ("exhaustive", "2", 9, "x^6+x^3+1", 1),
+        ("exhaustive", "2", 10, "Q(5)", 1),
+        ("exhaustive", "2", 9, "x^6+x^3+1", 2),
+    ])
+    assert [int(order) for order, _ in records] == [
+        23592960, 1039694019687845983054132464844800, 21504, 47029248,
+        1296, 3840, 1296]
+    assert records[4] == records[6]
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest[:16] == "7cd539e179db2b82"
 
 
 def test_backtrack_q15_crt():

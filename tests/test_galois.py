@@ -8,7 +8,7 @@ from cycperm.errors import (
     NotPrime,
     ReducibleModulus,
 )
-from cycperm.galois import make_field, parse_field
+from cycperm.galois import field_tables, make_field, parse_field
 
 
 # independent irreducibility oracle: trial division of Z_2 polynomials
@@ -118,3 +118,17 @@ def test_parse_field_descriptor():
     assert parse_field("2").order == 2
     assert parse_field("2^3").order == 8
     assert parse_field(" 5 ").r == 5
+
+
+@pytest.mark.parametrize("r, alpha", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2),
+                                      (5, 2), (2, 6)])
+def test_field_tables_match_scalar_ops(r, alpha):
+    f = make_field(r, alpha)
+    add, mul, neg = field_tables(f)
+    assert add.shape == mul.shape == (f.order, f.order)
+    elems = list(f.elements())
+    for i, a in enumerate(elems):
+        assert neg[i] == f.element_index(f.neg(a))
+        for j, b in enumerate(elems):
+            assert add[i, j] == f.element_index(f.add(a, b))
+            assert mul[i, j] == f.element_index(f.mul(a, b))

@@ -195,6 +195,16 @@ def test_cli_bad_input_exit_code():
     res = _run_cli("code-info", "--field", "2", "--n", "7", "--gen", "1,0,1")
     assert res.returncode == 2
     assert "error" in res.stderr
+    # malformed --gen text: an error line, not a traceback
+    for args in (["perm-group", "--field", "2^13", "--n", "3", "--gen", "1,1",
+                  "--mode", "certify"],
+                 ["perm-group", "--field", "2", "--n", "7", "--gen", "1,x,1"],
+                 ["code-info", "--field", "2", "--n", "7", "--gen", "1,x,1"],
+                 ["code-info", "--field", "3", "--n", "7", "--gen", "1,5"]):
+        res = _run_cli(*args)
+        assert res.returncode == 2, args
+        assert res.stderr.startswith("error: --gen: "), args
+        assert "Traceback" not in res.stderr, args
 
 
 def test_python_m_cycperm_runs_from_a_checkout():

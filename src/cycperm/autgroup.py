@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,8 +60,10 @@ from .permutation import (
 )
 from .polyring import (
     Poly,
+    _indices,
     _labelled_factors,
     _prime_factors,
+    _xpow_table,
     cyclotomic,
     format_poly_text,
     one_poly,
@@ -101,24 +102,13 @@ class _Engine:
         self.n, self.k, self.q = n, k, f.order
         self._points = np.arange(n, dtype=np.int64)
         self._rows = np.arange(k, dtype=np.int64)
-        self._add, mul, neg = field_tables(f)
-        gidx = np.array([f.element_index(c) for c in code.gen.coeffs],
-                        dtype=np.int64)
+        self._add, mul, _ = field_tables(f)
+        gidx = _indices(code.gen)
         self.g_supp = np.flatnonzero(gidx)
         self.g_vals = gidx[self.g_supp]
         self._g_mul = mul[self.g_vals]  # row j: times the j-th nonzero g_i
         m = code.gen.degree
-        # x^m = -(g_0 + ... + g_{m-1} x^{m-1}) mod the monic g
-        low = neg[gidx[:m]]
-        R = np.zeros((n, m), dtype=np.int64)
-        for i in range(min(m, n)):
-            R[i, i] = 1
-        for i in range(m, n if m else 0):  # g = 1: R has no columns
-            prev = R[i - 1]
-            R[i, 1:] = prev[:-1]
-            if prev[m - 1]:
-                R[i] = self._add[R[i], mul[prev[m - 1], low]]
-        self.R = R
+        self.R = R = _xpow_table(f, gidx, n)
         if self.q == 2:
             # bit b of lane b >> 6 holds column b
             lanes = (m + 63) // 64
@@ -206,16 +196,8 @@ def _scan_permutations(args):
     return found
 
 
-def worker_count(workers: Optional[int] = None) -> int:
-    """`workers` if given, else CYCPERM_WORKERS, else 1; at least 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("CYCPERM_WORKERS")
-    return max(1, int(env)) if env else 1
-
-
 def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
-                         workers: Optional[int] = None) -> PermGroup:
+                         workers: int = 1) -> PermGroup:
     """Per(C) by scanning all n! permutations, as blocks of their inverses
     checked by _Engine.preserving_inverses one basis word at a time."""
     n = code.n
@@ -228,12 +210,11 @@ def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
     tail = range(min(_TAIL, n - 1))
     orderings = np.array(list(itertools.permutations(tail)), dtype=np.int64)
     chunks = [(engine, orderings, v) for v in range(n)]
-    nworkers = worker_count(workers)
-    if nworkers == 1:
+    if workers <= 1:
         parts = map(_scan_permutations, chunks)
     else:
         import multiprocessing as mp
-        with mp.get_context("fork").Pool(nworkers) as pool:
+        with mp.get_context("fork").Pool(workers) as pool:
             parts = pool.map(_scan_permutations, chunks)
     found = sorted(t for part in parts for t in part)
     perms = [Permutation(sigma) for sigma in np.argsort(found, axis=1)]

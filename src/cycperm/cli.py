@@ -2,8 +2,9 @@
 
 Subcommands: factor, cyclotomic, code-info, perm-group, table, selftest.
 Reports are JSON on stdout; progress lines go to stderr.  Exit status is 0
-iff every verification in the invocation passed.  CYCPERM_WORKERS sets the
-default worker count for the exhaustive search.
+iff every verification in the invocation passed; malformed input prints
+an error line and exits 2.  --workers (default 1) sets the worker count of
+the exhaustive search.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .autgroup import (
     falsify_by_sampling,
     predicted_group,
     report_passed,
-    worker_count,
 )
 from .cyclic_code import make_code, min_distance
 from .errors import CycpermError
@@ -46,11 +46,24 @@ from .table import RunConfig, run_table, select_rows, selftest, \
 
 
 def _field_arg(args) -> "FieldSpec":
-    field = parse_field(args.field)
+    try:
+        field = parse_field(args.field)
+    except ValueError as exc:
+        raise CycpermError(f"--field: {exc}") from None
     if getattr(args, "modulus", None):
-        field = make_field(field.r, field.alpha,
-                           [int(c) for c in args.modulus.split(",")])
+        try:
+            coeffs = [int(c) for c in args.modulus.split(",")]
+        except ValueError as exc:
+            raise CycpermError(f"--modulus: {exc}") from None
+        field = make_field(field.r, field.alpha, coeffs)
     return field
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
 
 
 def _gen_arg(args, field) -> "Poly":
@@ -199,17 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", parents=[common_field],
                        help="factor x^n - 1 into irreducibles")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.set_defaults(fn=cmd_factor)
 
     p = sub.add_parser("cyclotomic", parents=[common_field],
                        help="the n-th cyclotomic polynomial in the field")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.set_defaults(fn=cmd_cyclotomic)
 
     p = sub.add_parser("code-info", parents=[common_field],
                        help="derived data of the cyclic code C_{n,g}")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--gen", required=True,
                    help="generator polynomial, comma-separated ascending "
                         "coefficients")
@@ -219,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perm-group", parents=[common_field],
                        help="compute or certify Per(C)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--gen", required=True)
     p.add_argument("--mode", choices=["brute", "backtrack", "certify"],
                    default="certify")
@@ -232,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=12,
                    help="exhaustive cutoff on n")
     p.add_argument("--order-cap", type=int, default=300)
-    p.add_argument("--workers", type=int, default=worker_count())
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_perm_group)
 
     p = sub.add_parser("table", help="verify embedded Table I rows")
@@ -249,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order-cap", type=int, default=300)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=worker_count())
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("selftest", help="fast invariant suite")

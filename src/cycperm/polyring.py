@@ -4,6 +4,12 @@ Home of the generator/check polynomial machinery: division, gcd, cyclotomic
 polynomials Q_n, the factorization of x^n - 1 by q-cyclotomic cosets, the
 dual-generator formula and power substitution g(x^t).
 
+x^n - 1 is factored without a splitting field: equal-degree splitting
+modulo Q_o finds one irreducible factor m_1, and every other factor of Q_o
+is a gcd of Q_o with m_1(x^t).  _Ext is the vectorized residue arithmetic
+modulo a monic polynomial behind both steps, and _xpow_table the one table
+of x^i mod M that it shares with the membership engine.
+
 A Poly stores ascending coefficients with no trailing zeros; the zero
 polynomial has an empty coefficient tuple and degree -1.
 """
@@ -15,13 +21,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     CharacteristicDividesN,
     DivisionByZero,
     FieldMismatch,
     NotADivisor,
 )
-from .galois import Element, FieldSpec
+from .galois import Element, FieldSpec, field_tables
 
 
 @dataclass(frozen=True)
@@ -310,15 +318,7 @@ def cyclotomic(n: int, field: FieldSpec) -> Poly:
     return _trim(field, emb)
 
 
-# -- splitting-field machinery for coset factorization ------------------------
-
-def _multiplicative_order(q: int, n: int) -> int:
-    t, acc = 1, q % n
-    while acc != 1:
-        acc = (acc * q) % n
-        t += 1
-    return t
-
+# -- coset-labelled factorization ---------------------------------------------
 
 def _cyclotomic_cosets_of_units(q: int, o: int) -> list:
     """q-cosets partitioning the units mod o, each sorted, ordered by min."""
@@ -338,46 +338,71 @@ def _cyclotomic_cosets_of_units(q: int, o: int) -> list:
     return cosets
 
 
+def _xpow_table(field: FieldSpec, modulus, count: int):
+    """x^0 .. x^(count-1) mod a monic M, as rows of element indices.
+
+    modulus holds M's ascending coefficient indices and each row has deg M
+    columns.  Row i is row i-1 shifted up, with its top column folded back
+    in through x^m = -(M_0 + ... + M_{m-1} x^(m-1)); M = 1 gives rows with
+    no columns.
+    """
+    add, mul, neg = field_tables(field)
+    m = len(modulus) - 1
+    low = neg[modulus[:m]]
+    rows = np.zeros((count, m), dtype=np.int64)
+    for i in range(min(m, count)):
+        rows[i, i] = 1
+    for i in range(m, count if m else 0):
+        prev = rows[i - 1]
+        rows[i, 1:] = prev[:-1]
+        if prev[m - 1]:
+            rows[i] = add[rows[i], mul[prev[m - 1], low]]
+    return rows
+
+
+def _indices(p: Poly):
+    return np.array([p.field.element_index(c) for c in p.coeffs], dtype=np.int64)
+
+
+def _poly_of_indices(field: FieldSpec, idx) -> Poly:
+    return _trim(field, [field.element_of_index(int(v)) for v in idx])
+
+
 class _Ext:
-    """Degree-d extension of an arbitrary FieldSpec, for root extraction.
+    """Arithmetic in F_q[x]/(M) for a monic M of degree d >= 1 over an
+    arbitrary FieldSpec; M need not be irreducible.
 
     Elements are index-form vectors: numpy arrays of d base-element indices
-    (ascending powers of the extension variable).  Multiplication runs as
-    per-component integer convolutions over Z_r followed by two precomputed
-    reductions (powers of the base generator y, then powers of the
-    extension variable beyond d), so the splitting fields behind the coset
-    factorization stay fast even around degree 90.
+    (ascending powers of x).  Multiplication runs as per-component integer
+    convolutions over Z_r followed by two precomputed reductions (powers of
+    the base generator y, then x^d .. x^(2d-2) mod M), so products stay
+    vectorized even around degree 90.
     """
 
-    def __init__(self, base: FieldSpec, d: int, modulus_idx=None):
-        import numpy as np
-        from .galois import field_tables
-
-        self.np = np
-        self.base = base
-        self.d = d
-        self.alpha = base.alpha
-        self.r = base.r
+    def __init__(self, base: FieldSpec, modulus):
+        d = self.d = len(modulus) - 1
+        alpha = self.alpha = base.alpha
+        r = self.r = base.r
         self.add_t, self.mul_t, self.neg_t = field_tables(base)
         # y^s mod the base modulus, s = 0..2*alpha-2, as Z_r digit vectors
-        self.YR = np.zeros((self.alpha, 2 * self.alpha - 1), dtype=np.int64)
+        self.YR = np.zeros((alpha, 2 * alpha - 1), dtype=np.int64)
         acc = base.one
-        ygen = base.element_of_index(base.r) if self.alpha > 1 else base.one
-        for s in range(2 * self.alpha - 1):
-            for u in range(self.alpha):
-                self.YR[u, s] = acc[u]
+        ygen = base.element_of_index(r) if alpha > 1 else base.one
+        for s in range(2 * alpha - 1):
+            self.YR[:, s] = acc
             acc = base.mul(acc, ygen)
-        self._rpow = np.array([self.r ** u for u in range(self.alpha)],
-                              dtype=np.int64)
-        self.zero_el = np.zeros(d, dtype=np.int64)
+        self._rpow = np.array([r ** u for u in range(alpha)], dtype=np.int64)
         self.one = np.zeros(d, dtype=np.int64)
         self.one[0] = 1
-        if modulus_idx is None:
-            modulus_idx = self._find_modulus()
-        self.modulus = np.asarray(modulus_idx, dtype=np.int64)
-        self._build_xreduce()
-
-    # -- representation helpers ------------------------------------------
+        rows = _xpow_table(base, modulus, 2 * d - 1)[d:]
+        # TY[s, j, u, i]: component u of y^s * (x^(d+j) mod M)
+        self.TY = np.zeros((alpha, d - 1, alpha, d), dtype=np.int64)
+        ypow = base.one
+        for s in range(alpha):
+            ys = base.element_index(ypow)
+            for j in range(d - 1):
+                self.TY[s, j] = self._decode(self.mul_t[ys, rows[j]])
+            ypow = base.mul(ypow, ygen)
 
     def _decode(self, idx):
         return (idx[None, :] // self._rpow[:, None]) % self.r
@@ -385,111 +410,13 @@ class _Ext:
     def _encode(self, comp):
         return (comp * self._rpow[:, None]).sum(axis=0)
 
-    def element_of_index(self, code: int):
-        q = self.base.order
-        out = self.np.zeros(self.d, dtype=self.np.int64)
-        for t in range(self.d):
-            out[t] = code % q
-            code //= q
-        return out
-
-    # -- the reduction tables ---------------------------------------------
-
-    def _xpow_rows(self, modulus):
-        """x^(d+j) mod modulus in index form, j = 0..d-2."""
-        np = self.np
-        d = self.d
-        rows = np.zeros((max(d - 1, 1), d), dtype=np.int64)
-        t0 = self.neg_t[modulus[:d]]  # x^d = -(low part); modulus is monic
-        if d == 1:
-            return rows, t0
-        rows[0] = t0
-        for j in range(1, d - 1):
-            prev = rows[j - 1]
-            row = np.zeros(d, dtype=np.int64)
-            row[1:] = prev[:-1]
-            c = int(prev[d - 1])
-            if c:
-                row = self.add_t[row, self.mul_t[c, t0]]
-            rows[j] = row
-        return rows, t0
-
-    def _build_xreduce(self):
-        np = self.np
-        d, alpha = self.d, self.alpha
-        rows, _ = self._xpow_rows(self.modulus)
-        # TY[s, j, u, x]: component u of y^s * (x^(d+j) mod M)
-        self.TY = np.zeros((alpha, max(d - 1, 1), alpha, d), dtype=np.int64)
-        ygen = self.base.element_of_index(self.r) if alpha > 1 else self.base.one
-        ypow = self.base.one
-        for s in range(alpha):
-            ys = int(self.base.element_index(ypow))
-            for j in range(d - 1):
-                srow = self.mul_t[ys, rows[j]]
-                self.TY[s, j] = self._decode(srow)
-            ypow = self.base.mul(ypow, ygen)
-
-    def _find_modulus(self):
-        np = self.np
-        base, d = self.base, self.d
-        if d == 1:
-            return np.array([0, 1], dtype=np.int64)  # the variable itself
-        q = base.order
-        dprimes = _prime_factors(d)
-        for code in range(q ** d):
-            digits = []
-            m = code
-            for _ in range(d):
-                digits.append(m % q)
-                m //= q
-            if digits[0] == 0:
-                continue  # root at zero
-            cand = np.array(digits + [1], dtype=np.int64)
-            if self._rabin_irreducible(cand, dprimes):
-                return cand
-        raise AssertionError("no irreducible modulus exists")  # unreachable
-
-    def _rabin_irreducible(self, cand, dprimes) -> bool:
-        """y^(q^d) = y mod cand, plus gcd checks at d/p for primes p | d."""
-        np = self.np
-        d, q = self.d, self.base.order
-        probe = _Ext(self.base, d, modulus_idx=cand)
-        y = np.zeros(d, dtype=np.int64)
-        y[1] = 1
-        t = y.copy()
-        checkpoints = {d // p for p in dprimes}
-        saved = {}
-        for i in range(1, d + 1):
-            t = probe.pow(t, q)
-            if i in checkpoints:
-                saved[i] = t.copy()
-        if not np.array_equal(t, y):
-            return False
-        for _i, ti in saved.items():
-            u = probe.sub(ti, y)
-            if not u.any():
-                return False  # splits into factors of degree dividing d/p
-            if poly_gcd(self._to_poly(cand), self._to_poly(u)).degree > 0:
-                return False
-        return True
-
-    def _to_poly(self, idx) -> Poly:
-        f = self.base
-        return _trim(f, [f.element_of_index(int(v)) for v in idx])
-
-    # -- arithmetic ---------------------------------------------------------
-
     def add(self, a, b):
         return self.add_t[a, b]
 
     def sub(self, a, b):
         return self.add_t[a, self.neg_t[b]]
 
-    def neg(self, a):
-        return self.neg_t[a]
-
     def mul(self, a, b):
-        np = self.np
         d, alpha, r = self.d, self.alpha, self.r
         Ac = self._decode(a)
         Bc = self._decode(b)
@@ -501,12 +428,9 @@ class _Ext:
                 if Bc[t].any():
                     buckets[s + t] += np.convolve(Ac[s], Bc[t])
         comp = (self.YR @ (buckets % r)) % r  # (alpha, 2d-1)
-        low = comp[:, :d]
-        if d > 1:
-            high = comp[:, d:]
-            if high.any():
-                low = (low + np.tensordot(high, self.TY,
-                                          axes=([0, 1], [0, 1]))) % r
+        low, high = comp[:, :d], comp[:, d:]
+        if high.any():
+            low = low + np.tensordot(high, self.TY, axes=([0, 1], [0, 1]))
         return self._encode(low % r)
 
     def pow(self, a, e: int):
@@ -519,58 +443,56 @@ class _Ext:
             e >>= 1
         return result
 
-    def root_of_unity(self, o: int):
-        """Deterministic scan for an element of multiplicative order o."""
-        np = self.np
-        big = self.base.order ** self.d
-        assert (big - 1) % o == 0
-        cofactor = (big - 1) // o
-        primes = _prime_factors(o)
-        for code in range(2, big):
-            xi = self.element_of_index(code)
-            eta = self.pow(xi, cofactor)
-            if np.array_equal(eta, self.one):
-                continue
-            if all(not np.array_equal(self.pow(eta, o // p), self.one)
-                   for p in primes):
-                return eta
-        raise AssertionError("no root of unity found")
 
+def _one_factor(f: Poly, d: int) -> Poly:
+    """One irreducible factor of f, a product of distinct monic irreducibles
+    of degree d, by equal-degree splitting (Cantor & Zassenhaus, 1981).
 
-@functools.lru_cache(maxsize=None)
-def _get_ext(field: FieldSpec, d: int) -> _Ext:
-    return _Ext(field, d)
-
-
-def _coset_min_poly(ext: _Ext, gamma, coset: list, o: int) -> Poly:
-    """prod over i in coset of (x - gamma^i), projected down to the base."""
-    base = ext.base
-    acc = [ext.one.copy()]
-    for i in coset:
-        root = ext.pow(gamma, i % o)
-        neg_root = ext.neg(root)
-        nxt = [ext.zero_el.copy() for _ in range(len(acc) + 1)]
-        for k, c in enumerate(acc):
-            nxt[k + 1] = ext.add(nxt[k + 1], c)
-            nxt[k] = ext.add(nxt[k], ext.mul(c, neg_root))
-        acc = nxt
-    coeffs = []
-    for c in acc:
-        assert not c[1:].any(), "coefficient not in base field"
-        coeffs.append(base.element_of_index(int(c[0])))
-    return _trim(base, coeffs)
+    Each pass draws a probe a in F_q[x]/(f) and takes gcd(f, s) with
+    s = a^((q^d-1)/2) - 1 for odd q, or the trace a + a^2 + ... +
+    a^(2^(alpha d - 1)) for even q.  On each irreducible factor, s vanishes
+    for about half the probes, independently, so a pass splits f with
+    probability about 1/2; the smaller part is kept.  The probes come from
+    a fixed-seed generator, so every run returns the same factor.  They are
+    drawn at random because probes with coefficients in a subfield can have
+    the same value on every factor (the F_4 factors of Q_25 are swapped by
+    the Frobenius map over F_2, so no probe over F_2 splits them).
+    """
+    field = f.field
+    q = field.order
+    rng = np.random.default_rng(0)
+    while f.degree > d:
+        ring = _Ext(field, _indices(f))
+        a = rng.integers(0, q, size=f.degree)
+        if q % 2:
+            s = ring.sub(ring.pow(a, (q ** d - 1) // 2), ring.one)
+        else:
+            s = a
+            for _ in range(field.alpha * d - 1):
+                a = ring.mul(a, a)
+                s = ring.add(s, a)
+        g = poly_gcd(f, _poly_of_indices(field, s))
+        if 0 < g.degree < f.degree:
+            h = poly_divmod(f, g)[0]
+            f = g if g.degree <= h.degree else h
+    return f
 
 
 def _labelled_factors(n_free: int, field: FieldSpec) -> list:
-    """Irreducible factors of the squarefree x^n_free - 1, each with the
-    q-cyclotomic coset it was built from.
+    """Irreducible factors of the squarefree x^n_free - 1, each with its
+    q-cyclotomic coset.
 
     gcd(n_free, r) must be 1.  Returns [(o, coset, Poly)]: for each divisor
-    o of n_free, the factors of the o-th cyclotomic polynomial, one per
-    coset of the units mod o under multiplication by q.  The factor
-    labelled (o, C) has the roots gamma^s, s in C, for the primitive o-th
-    root of unity gamma that the splitting field picks; o = 1 gives x - 1
+    o of n_free, the factors of the o-th cyclotomic polynomial Q_o, one per
+    coset of the units mod o under multiplication by q; o = 1 gives x - 1
     labelled {0}.  The cosets of one o partition the units mod o.
+
+    No extension field is built.  _one_factor splits off one factor m_1 of
+    Q_o, labelled by the coset of 1, and gamma stands for one of its roots.
+    The factor with the roots gamma^u, u in C, is gcd(Q_o, m_1(x^t)) for
+    t = (min C)^-1 mod o: gamma^u is a root of m_1(x^t) exactly when u*t
+    lies in the powers of q mod o, that is when u lies in C.  m_1(x^t) is
+    evaluated modulo Q_o.
     """
     q = field.order
     out = []
@@ -580,14 +502,23 @@ def _labelled_factors(n_free: int, field: FieldSpec) -> list:
                         poly_sub(x_poly(field), one_poly(field))))
             continue
         cosets = _cyclotomic_cosets_of_units(q, o)
+        q_o = cyclotomic(o, field)
         if len(cosets) == 1:
-            out.append((o, frozenset(cosets[0]), cyclotomic(o, field)))
+            out.append((o, frozenset(cosets[0]), q_o))
             continue
-        ext = _get_ext(field, _multiplicative_order(q, o))
-        gamma = ext.root_of_unity(o)
-        for coset in cosets:
+        m1 = _one_factor(q_o, len(cosets[0]))
+        out.append((o, frozenset(cosets[0]), m1))
+        ring = _Ext(field, _indices(q_o))
+        x = np.zeros(q_o.degree, dtype=np.int64)
+        x[1] = 1
+        for coset in cosets[1:]:
+            y = ring.pow(x, pow(coset[0], -1, o))
+            acc = np.zeros(q_o.degree, dtype=np.int64)
+            for c in _indices(m1)[::-1]:  # Horner: m_1(y)
+                acc = ring.mul(acc, y)
+                acc[0] = ring.add(acc[0], c)
             out.append((o, frozenset(coset),
-                        _coset_min_poly(ext, gamma, coset, o)))
+                        poly_gcd(q_o, _poly_of_indices(field, acc))))
     return out
 
 

@@ -42,6 +42,7 @@ from cycperm.permutation import (
 from cycperm.polyring import (
     cyclotomic,
     factor_xn_minus_1,
+    format_poly_text,
     one_poly,
     parse_poly_text,
     poly_from_ints,
@@ -61,16 +62,21 @@ F9 = make_field(3, 2)
 G7A = poly_from_ints(F2, [1, 1, 0, 1])
 
 
-def _all_divisor_codes(field, n):
-    """C_{n,g} for every monic g | x^n - 1, g = 1 and g = x^n - 1 included."""
+def _all_divisors(field, n):
+    """Every monic g | x^n - 1, g = 1 and g = x^n - 1 included."""
     facs = factor_xn_minus_1(n, field)
     out = []
     for combo in itertools.product(*(range(m + 1) for _, m in facs)):
         g = one_poly(field)
         for (fac, _), e in zip(facs, combo):
             g = poly_mul(g, poly_pow(fac, e))
-        out.append(make_code(field, n, g))
+        out.append(g)
     return out
+
+
+def _all_divisor_codes(field, n):
+    """C_{n,g} for every monic g | x^n - 1, g = 1 and g = x^n - 1 included."""
+    return [make_code(field, n, g) for g in _all_divisors(field, n)]
 
 
 def _all_proper_divisor_codes(field, n):
@@ -315,6 +321,26 @@ def _leaf_outcome(field, p, g):
 ])
 def test_leaf_expr_large_prime_outcomes(field, p, gen, want):
     assert _leaf_outcome(field, p, parse_poly_text(gen, field)) == want
+
+
+def test_factoring_and_leaf_golden():
+    # pins the factors of x^n - 1 and _leaf_expr's outcome on every
+    # g | x^p - 1 (values recorded before factoring moved off splitting
+    # fields; _leaf_expr must not see which root of unity labels the cosets)
+    factors = [[field.describe(), n,
+                [[format_poly_text(p), m] for p, m in factor_xn_minus_1(n, field)]]
+               for field, n_max in ((F2, 60), (F3, 60), (F4, 60),
+                                    (F5, 30), (make_field(2, 3), 30), (F9, 30))
+               for n in range(1, n_max + 1)]
+    digest = hashlib.sha256(json.dumps(factors).encode()).hexdigest()
+    assert digest[:16] == "dbf590af3e2e3425"
+    leaves = [[field.describe(), p, format_poly_text(g), _leaf_outcome(field, p, g)]
+              for field, primes in ((F2, (17, 23, 31)), (F3, (13, 23)),
+                                    (F4, (13, 17)))
+              for p in primes for g in _all_divisors(field, p)]
+    assert len(leaves) == 224
+    digest = hashlib.sha256(json.dumps(leaves).encode()).hexdigest()
+    assert digest[:16] == "4a33e596f640b29f"
 
 
 def test_certify_table_n21():

@@ -192,6 +192,8 @@ def test_factors_irreducible_over_f4_by_trial_division():
     (2, 1, 7), (2, 1, 15), (2, 1, 21), (2, 1, 31),
     (3, 1, 8), (3, 1, 13), (3, 1, 20),
     (2, 2, 9), (2, 2, 15), (2, 2, 21),
+    # the F_4 factors of Q_25 are swapped by the Frobenius map over F_2
+    (2, 2, 25), (2, 3, 21), (3, 2, 20), (5, 1, 31), (2, 1, 73),
 ])
 def test_labelled_factors_carry_their_cosets(r, alpha, n_free):
     """The factor labelled (o, C) vanishes at gamma^s for s in C, where

@@ -205,6 +205,19 @@ def test_cli_bad_input_exit_code():
         assert res.returncode == 2, args
         assert res.stderr.startswith("error: --gen: "), args
         assert "Traceback" not in res.stderr, args
+    # malformed --field or --modulus, and a length that is not positive
+    for args, prefix in (
+            (["factor", "--field", "x", "--n", "3"], "error: --field: "),
+            (["factor", "--field", "2^2", "--modulus", "1,a,1", "--n", "3"],
+             "error: --modulus: "),
+            (["cyclotomic", "--field", "2^", "--n", "3"], "error: --field: "),
+            (["factor", "--n", "0"], "usage: "),
+            (["cyclotomic", "--n", "0"], "usage: ")):
+        res = _run_cli(*args)
+        assert res.returncode == 2, args
+        assert res.stderr.startswith(prefix), args
+        assert "Traceback" not in res.stderr, args
+    assert "argument --n: 0 is not a positive integer" in res.stderr
 
 
 def test_python_m_cycperm_runs_from_a_checkout():

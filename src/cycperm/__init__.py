@@ -70,6 +70,7 @@ from .autgroup import (
     exhaustive_per_group,
     falsify_by_sampling,
     predicted_group,
+    verify_claim,
 )
 from .table import RunConfig, TABLE_ROWS, TableRow, run_table, select_rows, selftest
 

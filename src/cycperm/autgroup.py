@@ -9,6 +9,9 @@ Three routes with different reach:
 * predicted_group / certify_subgroup / falsify_by_sampling - theorem-shaped
   prediction, subgroup certificates and seeded negative sampling (any n).
 
+verify_claim is the one place that combines a certificate, an order,
+sampling and an exact search into a VerificationReport.
+
 Membership checks everywhere reduce to "g(x) divides the permuted word":
 by linearity a permutation preserves the code iff it maps the k
 generator-shift basis words back into the code, which is ~q^k times
@@ -26,8 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field as dc_field, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,12 +53,14 @@ from .group_constructors import (
     Wreath,
     expr_order,
     format_group_expr,
+    materialize,
 )
 from .cyclic_code import Layout
 from .permutation import (
     PermGroup,
     Permutation,
     _StabChain,
+    groups_equal,
     reduce_generators,
 )
 from .polyring import (
@@ -581,6 +586,10 @@ def predicted_group(code: CyclicCodeSpec) -> GroupExpr:
 # certification and sampling
 
 
+# orders exceed 2^53, so JSON carries them as decimal strings
+_DECIMAL_FIELDS = ("predicted_order", "computed_order")
+
+
 @dataclass
 class VerificationReport:
     code: dict
@@ -597,41 +606,19 @@ class VerificationReport:
     elapsed_ms: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "method": self.method,
-            "predicted": self.predicted,
-            "predicted_order": None if self.predicted_order is None
-            else str(self.predicted_order),
-            "computed_order": None if self.computed_order is None
-            else str(self.computed_order),
-            "certified": self.certified,
-            "equal": self.equal,
-            "counterexamples": self.counterexamples,
-            "trials": self.trials,
-            "seed": self.seed,
-            "rng_algorithm": self.rng_algorithm,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in _DECIMAL_FIELDS:
+            if d[name] is not None:
+                d[name] = str(d[name])
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "VerificationReport":
-        return cls(
-            code=d["code"],
-            method=d["method"],
-            predicted=d.get("predicted"),
-            predicted_order=None if d.get("predicted_order") is None
-            else int(d["predicted_order"]),
-            computed_order=None if d.get("computed_order") is None
-            else int(d["computed_order"]),
-            certified=d.get("certified"),
-            equal=d.get("equal"),
-            counterexamples=d.get("counterexamples", []),
-            trials=d.get("trials"),
-            seed=d.get("seed"),
-            rng_algorithm=d.get("rng_algorithm"),
-            elapsed_ms=d.get("elapsed_ms", 0),
-        )
+        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        for name in _DECIMAL_FIELDS:
+            if kwargs.get(name) is not None:
+                kwargs[name] = int(kwargs[name])
+        return cls(**kwargs)
 
 
 def report_passed(rep: VerificationReport) -> bool:
@@ -662,22 +649,17 @@ def certify_subgroup(code: CyclicCodeSpec, gens: Sequence[Permutation],
     if engine is None:
         engine = _Engine(code)
     counterexamples = []
-    certified = True
     for p in gens:
         if p.degree != code.n:
             raise DegreeMismatch(
                 f"generator degree {p.degree} != n={code.n}")
         ok, bad = engine.perm_preserves(p.array())
         if not ok:
-            certified = False
             counterexamples.append({"images": list(p.images),
                                     "basis_index": bad})
-    report = VerificationReport(
-        code=_code_descriptor(code),
-        method="Certify",
-        certified=certified,
-        counterexamples=counterexamples,
-    )
+    report = VerificationReport(code=_code_descriptor(code), method="Certify",
+                                certified=not counterexamples,
+                                counterexamples=counterexamples)
     if claim is not None:
         report.predicted = format_group_expr(claim)
         report.predicted_order = expr_order(claim)
@@ -712,14 +694,52 @@ def falsify_by_sampling(code: CyclicCodeSpec, claimed: PermGroup,
             if not claimed.contains(p):
                 counterexamples.append({"images": list(p.images),
                                         "basis_index": None})
-    report = VerificationReport(
-        code=_code_descriptor(code),
-        method="Sample",
-        certified=None,
-        counterexamples=counterexamples,
-        trials=trials,
-        seed=seed,
+    return VerificationReport(
+        code=_code_descriptor(code), method="Sample",
+        counterexamples=counterexamples, trials=trials, seed=seed,
         rng_algorithm=RNG_ALGORITHM,
-    )
+        elapsed_ms=int((time.perf_counter() - t0) * 1000))
+
+
+def verify_claim(code: CyclicCodeSpec, claim: Optional[GroupExpr] = None,
+                 claimed: Optional[PermGroup] = None,
+                 search: Optional[Tuple[str, Callable]] = None,
+                 order_cap: int = 300, trials: int = 0,
+                 seed: int = 42) -> VerificationReport:
+    """The verdict report on Per(C) and an optional claim about it.
+
+    A claim gets a certificate of claimed's generators (materialized from
+    claim when not given), claimed's order when n <= order_cap, and
+    sampling when trials > 0.  search = (method name, function of the
+    code) runs an exact tier whose group's order and equality with the
+    claim then decide computed_order and equal.
+    """
+    t0 = time.perf_counter()
+    if claim is None:
+        report = VerificationReport(code=_code_descriptor(code),
+                                    method="Certify")
+    else:
+        if claimed is None:
+            claimed = PermGroup(code.n, materialize(claim))
+        engine = _Engine(code)
+        report = certify_subgroup(code, list(claimed.generators), claim=claim,
+                                  compute_order=False, engine=engine)
+        if code.n <= order_cap:
+            report.computed_order = claimed.order
+            report.equal = report.computed_order == report.predicted_order
+        if trials:
+            samp = falsify_by_sampling(code, claimed, trials, seed,
+                                       engine=engine)
+            report.trials = samp.trials
+            report.seed = samp.seed
+            report.rng_algorithm = samp.rng_algorithm
+            report.counterexamples += samp.counterexamples
+    if search is not None:
+        method, find = search
+        group = find(code)
+        report.method = method
+        report.computed_order = group.order
+        if claim is not None:
+            report.equal = groups_equal(group, claimed)
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report

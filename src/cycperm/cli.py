@@ -4,7 +4,8 @@ Subcommands: factor, cyclotomic, code-info, perm-group, table, selftest.
 Reports are JSON on stdout; progress lines go to stderr.  Exit status is 0
 iff every verification in the invocation passed; malformed input prints
 an error line and exits 2.  --workers (default 1) sets the worker count of
-the exhaustive search.
+the exhaustive search.  perm-group and table only choose the verification
+tier; autgroup.verify_claim builds every report.
 """
 
 from __future__ import annotations
@@ -12,29 +13,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
+from functools import partial
 
 from .autgroup import (
-    VerificationReport,
-    _Engine,
-    _code_descriptor,
     backtrack_per_group,
-    certify_subgroup,
     exhaustive_per_group,
-    falsify_by_sampling,
     predicted_group,
     report_passed,
+    verify_claim,
 )
 from .cyclic_code import make_code, min_distance
 from .errors import CycpermError
 from .galois import make_field, parse_field
-from .group_constructors import (
-    expr_order,
-    format_group_expr,
-    materialize,
-    parse_group_expr,
-)
-from .permutation import PermGroup, groups_equal
+from .group_constructors import format_group_expr, parse_group_expr
 from .polyring import (
     cyclotomic,
     factor_xn_minus_1,
@@ -63,6 +54,13 @@ def _positive_int(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
     return value
 
 
@@ -119,47 +117,29 @@ def cmd_perm_group(args) -> int:
     gen = _gen_arg(args, field)
     code = make_code(field, args.n, gen)
     claim = parse_group_expr(args.claim) if args.claim else None
-    t0 = time.perf_counter()
-    if args.mode in ("brute", "backtrack"):
-        if args.mode == "brute":
-            group = exhaustive_per_group(code, cutoff=args.cutoff,
-                                         workers=args.workers)
-            method = "Exhaustive"
-        else:
-            group = backtrack_per_group(code)
-            method = "Backtrack"
-        report = VerificationReport(code=_code_descriptor(code), method=method,
-                                    computed_order=group.order)
-        if claim is not None:
-            report.predicted = format_group_expr(claim)
-            report.predicted_order = expr_order(claim)
-            claimed = PermGroup(code.n, materialize(claim))
-            report.equal = groups_equal(group, claimed)
-    else:  # certify
-        if claim is None:
-            claim = predicted_group(code)
-            print(f"predicted: {format_group_expr(claim)}", file=sys.stderr)
-        gens = materialize(claim)
-        engine = _Engine(code)
-        report = certify_subgroup(code, gens, claim=claim,
-                                  compute_order=code.n <= args.order_cap,
-                                  engine=engine)
-        if args.trials:
-            claimed = PermGroup(code.n, gens)
-            samp = falsify_by_sampling(code, claimed, args.trials, args.seed,
-                                       engine=engine)
-            report.trials = samp.trials
-            report.seed = samp.seed
-            report.rng_algorithm = samp.rng_algorithm
-            report.counterexamples = (report.counterexamples
-                                      + samp.counterexamples)
-    report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    search = None
+    if args.mode == "brute":
+        search = ("Exhaustive", partial(exhaustive_per_group,
+                                        cutoff=args.cutoff,
+                                        workers=args.workers))
+    elif args.mode == "backtrack":
+        search = ("Backtrack", backtrack_per_group)
+    elif claim is None:
+        claim = predicted_group(code)
+        print(f"predicted: {format_group_expr(claim)}", file=sys.stderr)
+    report = verify_claim(code, claim, search=search,
+                          order_cap=args.order_cap,
+                          trials=args.trials if search is None else 0,
+                          seed=args.seed)
     _emit(report.to_json_dict())
     return 0 if report_passed(report) else 1
 
 
 def cmd_table(args) -> int:
-    rows = select_rows(args.row if args.row else None)
+    try:
+        rows = select_rows(args.row)
+    except KeyError as exc:
+        raise CycpermError(exc.args[0]) from None
     cfg = RunConfig(order_cap=args.order_cap, trials=args.trials,
                     seed=args.seed, workers=args.workers)
     if args.tier == "certify":
@@ -168,15 +148,11 @@ def cmd_table(args) -> int:
     elif args.tier == "backtrack":
         cfg.exact_cutoff = 0
     reports = run_table(rows, cfg, log=lambda s: print(s, file=sys.stderr))
-    payload = []
-    all_ok = True
-    for row, rep in zip(rows, reports):
-        ok = report_passed(rep)
-        all_ok = all_ok and ok
-        payload.append({"row": row.id, "n": row.n, "n_factored": row.n_factored,
-                        "gen": row.gen_text, "claim": row.claim,
-                        "note": row.note, "passed": ok,
-                        "report": rep.to_json_dict()})
+    payload = [{"row": row.id, "n": row.n, "n_factored": row.n_factored,
+                "gen": row.gen_text, "claim": row.claim, "note": row.note,
+                "passed": report_passed(rep), "report": rep.to_json_dict()}
+               for row, rep in zip(rows, reports)]
+    all_ok = all(entry["passed"] for entry in payload)
     doc = {"rows": payload, "all_passed": all_ok}
     if args.out:
         with open(args.out, "w") as fh:
@@ -239,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", default=None,
                    help="group expression; certify mode predicts one "
                         "when omitted")
-    p.add_argument("--trials", type=int, default=0,
-                   help="sampling falsification trials (certify mode)")
+    p.add_argument("--trials", type=_nonnegative_int, default=0,
+                   help="sampling trials, certify mode only (0: none)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--cutoff", type=int, default=12,
                    help="exhaustive cutoff on n")
@@ -260,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write JSON report here")
     p.add_argument("--csv", default=None, help="write CSV summary here")
     p.add_argument("--order-cap", type=int, default=300)
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_table)

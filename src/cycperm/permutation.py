@@ -76,9 +76,6 @@ class Permutation:
             object.__setattr__(self, "_arr", np.array(self.images, dtype=np.int32))
         return self._arr
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def __call__(self, i: int) -> int:
         return self.images[i]
 
@@ -454,7 +451,8 @@ class PermGroup:
     def __init__(self, degree: int, generators: Sequence[Permutation]):
         for g in generators:
             if g.degree != degree:
-                raise DegreeMismatch("generator degree mismatch")
+                raise DegreeMismatch(
+                    f"generator degree {g.degree} != degree {degree}")
         self.degree = degree
         self.generators = tuple(generators)
         self._chain: Optional[_StabChain] = None

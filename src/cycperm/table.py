@@ -14,6 +14,8 @@ certificate):
 * backtrack - exact Per(C) when the code (or its dual) is enumerable and
   n <= backtrack_cutoff, compared to the claim by group equality;
 * exact - exhaustive search when n <= exact_cutoff, same comparison.
+
+run_table only chooses the tier; autgroup.verify_claim builds each report.
 """
 
 from __future__ import annotations
@@ -21,16 +23,15 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence
 
 from .autgroup import (
     VerificationReport,
-    _Engine,
     backtrack_per_group,
-    certify_subgroup,
     exhaustive_per_group,
-    falsify_by_sampling,
     report_passed,
+    verify_claim,
 )
 from .cyclic_code import DEFAULT_ENUM_CAP, make_code
 from .galois import FieldSpec, make_field
@@ -271,7 +272,6 @@ class RunConfig:
     trials: int = 100_000
     seed: int = 42
     workers: int = 1
-    out_path: Optional[str] = None
 
 
 def run_table(rows: Sequence[TableRow], cfg: RunConfig,
@@ -290,35 +290,20 @@ def run_table(rows: Sequence[TableRow], cfg: RunConfig,
         code = make_code(field, row.n, row.build_gen(field))
         if expr_degree(claim) != row.n:
             raise ValueError(f"{row.id}: claim degree != n")
-        if row.claim in group_cache:
-            claimed = group_cache[row.claim]
-        else:
-            claimed = PermGroup(row.n, materialize(claim))
-            group_cache[row.claim] = claimed
-        engine = _Engine(code)
-        rep = certify_subgroup(code, list(claimed.generators), claim=claim,
-                               compute_order=False, engine=engine)
-        if row.n <= cfg.order_cap:
-            rep.computed_order = claimed.order
-            rep.equal = rep.computed_order == rep.predicted_order
-        else:
-            samp = falsify_by_sampling(code, claimed, cfg.trials, cfg.seed,
-                                       engine=engine)
-            rep.trials = samp.trials
-            rep.seed = samp.seed
-            rep.rng_algorithm = samp.rng_algorithm
-            rep.counterexamples = rep.counterexamples + samp.counterexamples
+        if row.claim not in group_cache:
+            group_cache[row.claim] = PermGroup(row.n, materialize(claim))
         enumerable = 2 ** min(code.k, code.n - code.k) <= cfg.enum_cap
+        search = None
         if row.n <= cfg.exact_cutoff:
-            exact = exhaustive_per_group(code, workers=cfg.workers)
-            rep.method = "Exhaustive"
-            rep.computed_order = exact.order
-            rep.equal = groups_equal(exact, claimed)
+            search = ("Exhaustive",
+                      partial(exhaustive_per_group, workers=cfg.workers))
         elif row.n <= cfg.backtrack_cutoff and enumerable:
-            bt = backtrack_per_group(code, cfg.enum_cap)
-            rep.method = "Backtrack"
-            rep.computed_order = bt.order
-            rep.equal = groups_equal(bt, claimed)
+            search = ("Backtrack", partial(backtrack_per_group,
+                                           cap=cfg.enum_cap))
+        rep = verify_claim(code, claim, group_cache[row.claim], search,
+                           cfg.order_cap,
+                           cfg.trials if row.n > cfg.order_cap else 0,
+                           cfg.seed)
         rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
         reports.append(rep)
         if log:

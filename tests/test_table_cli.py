@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,10 +8,12 @@ import sys
 import pytest
 
 import cycperm
+from cycperm import cli
 from cycperm.autgroup import VerificationReport, predicted_group
 from cycperm.cyclic_code import make_code
 from cycperm.galois import make_field
 from cycperm.group_constructors import expr_degree, expr_order
+from cycperm.polyring import format_poly_text
 from cycperm.table import (
     RunConfig,
     TABLE_ROWS,
@@ -218,6 +221,16 @@ def test_cli_bad_input_exit_code():
         assert res.stderr.startswith(prefix), args
         assert "Traceback" not in res.stderr, args
     assert "argument --n: 0 is not a positive integer" in res.stderr
+    # negative or zero trials, and a row id that matches nothing
+    for args, prefix in (
+            (["perm-group", "--n", "7", "--gen", "1,1,0,1", "--trials", "-1"],
+             "usage: "),
+            (["table", "--row", "T17", "--trials", "0"], "usage: "),
+            (["table", "--row", "ZZZ"], "error: no table row matches 'ZZZ'")):
+        res = _run_cli(*args)
+        assert res.returncode == 2, args
+        assert res.stderr.startswith(prefix), args
+        assert "Traceback" not in res.stderr, args
 
 
 def test_python_m_cycperm_runs_from_a_checkout():
@@ -228,3 +241,87 @@ def test_python_m_cycperm_runs_from_a_checkout():
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("usage: cycperm")
     assert "table" in res.stdout
+
+
+F4_15 = ["--field", "2^2", "--n", "15", "--gen", "1:0,0:0,0:0,0:1,0:0,0:0,1:0"]
+F4_LEAF = "per(2^2;5;1:0,0:1,1:0)"
+
+# perm-group invocations whose report must not change: searches without a
+# claim, and certify with and without a claim, with trials, with n above
+# --order-cap, over F_2 and F_4, and one over-claim
+PERM_GROUP_GOLDEN = [
+    ["--n", "7", "--gen", "1,1,0,1", "--mode", "brute"],
+    ["--n", "14", "--gen", "1,1,0,1", "--mode", "backtrack"],
+    ["--field", "2^2", "--n", "7", "--gen", "1:0,1:0,0:0,1:0", "--mode", "brute"],
+    [*F4_15, "--mode", "backtrack"],
+    ["--n", "14", "--gen", "1,1,0,1"],
+    ["--n", "14", "--gen", "1,1,0,1", "--claim", "wr(S(2), PSL2_7, rows)",
+     "--trials", "300", "--seed", "7"],
+    ["--n", "14", "--gen", "1,1,0,1", "--claim", "wr(S(2), PSL2_7, rows)",
+     "--order-cap", "10"],
+    ["--n", "14", "--gen", "1,1,0,1", "--order-cap", "10", "--trials", "200"],
+    ["--field", "2^2", "--n", "7", "--gen", "1:0,1:0,0:0,1:0"],
+    [*F4_15, "--claim", f"wr({F4_LEAF}, S(3), cols)", "--trials", "200"],
+    [*F4_15, "--claim", f"wr(S(3), {F4_LEAF}, rows)"],
+    ["--n", "7", "--gen", "1,1,0,1", "--claim", "S(7)"],
+]
+
+
+def _report_sans_time(doc: dict) -> dict:
+    return {k: v for k, v in doc.items() if k != "elapsed_ms"}
+
+
+def test_verdict_reports_golden(capsys):
+    # pins every perm-group report above and run_table's reports on rows
+    # that reach every tier (values recorded before one function built
+    # all reports)
+    outputs = []
+    for args in PERM_GROUP_GOLDEN:
+        status = cli.main(["perm-group", *args])
+        doc = json.loads(capsys.readouterr().out)
+        outputs.append([status, _report_sans_time(doc)])
+    assert [status for status, _ in outputs] == [0] * 10 + [1, 1]
+    digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+    assert digest[:16] == "2dc7f78b4ea7809a"
+    rows = select_rows(["T01a", "T02a", "T15", "T23", "T27", "T17"])
+    reports = run_table(rows, RunConfig(trials=200))
+    assert [r.method for r in reports] == \
+        ["Exhaustive", "Backtrack", "Certify", "Backtrack", "Certify", "Certify"]
+    docs = [_report_sans_time(r.to_json_dict()) for r in reports]
+    digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
+    assert digest[:16] == "8f4d261f58a4aba5"
+
+
+def _perm_group(capsys, *args):
+    status = cli.main(["perm-group", *args])
+    return status, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("mode", ["brute", "backtrack"])
+def test_exact_modes_certify_the_claim(capsys, mode):
+    code = ["--n", "7", "--gen", "1,1,0,1", "--mode", mode]
+    status, rep = _perm_group(capsys, *code, "--claim", "PSL2_7")
+    assert status == 0
+    assert rep["certified"] is True and rep["equal"] is True
+    assert rep["counterexamples"] == []
+    # the transposition (0 1) of S(7) moves basis word 1 out of the code
+    status, rep = _perm_group(capsys, *code, "--claim", "S(7)")
+    assert status == 1
+    assert rep["certified"] is False and rep["equal"] is False
+    assert rep["counterexamples"] == [
+        {"images": [1, 0, 2, 3, 4, 5, 6], "basis_index": 1}]
+
+
+@pytest.mark.parametrize("row_id, mode", [("T01a", "brute"),
+                                          ("T02a", "backtrack")])
+def test_table_and_perm_group_agree(capsys, row_id, mode):
+    row = select_rows([row_id])[0]
+    (table_rep,) = run_table([row], RunConfig())
+    gen = format_poly_text(row.build_gen(F2))
+    status, rep = _perm_group(capsys, "--n", str(row.n), "--gen", gen,
+                              "--mode", mode, "--claim", row.claim)
+    assert status == 0
+    keys = ("method", "certified", "equal", "computed_order",
+            "counterexamples")
+    want = table_rep.to_json_dict()
+    assert {k: rep[k] for k in keys} == {k: want[k] for k in keys}

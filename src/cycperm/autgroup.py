@@ -222,9 +222,8 @@ def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
         with mp.get_context("fork").Pool(workers) as pool:
             parts = pool.map(_scan_permutations, chunks)
     found = sorted(t for part in parts for t in part)
-    perms = [Permutation(sigma) for sigma in np.argsort(found, axis=1)]
-    group = PermGroup(n, reduce_generators(perms, n))
-    if group.order != len(perms):
+    group = PermGroup(n, reduce_generators(np.argsort(found, axis=1), n))
+    if group.order != len(found):
         raise AssertionError("exhaustive scan produced a non-group")
     return group
 
@@ -233,8 +232,14 @@ def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
 # backtracking with signature refinement
 
 
-def _intern(table: Dict, key) -> int:
-    return table.setdefault(key, len(table))
+_GRAM_ROWS = 4096  # codewords per indicator block of a Gram product
+
+
+def _first_occurrence_ids(rows: np.ndarray) -> np.ndarray:
+    """Equal rows get equal ids, numbered in order of first occurrence."""
+    table: Dict[bytes, int] = {}
+    return np.array([table.setdefault(key, len(table))
+                     for key in map(bytes, rows)], dtype=np.int64)
 
 
 def _coordinate_structure(code: CyclicCodeSpec, cap: int, W=None):
@@ -244,37 +249,47 @@ def _coordinate_structure(code: CyclicCodeSpec, cap: int, W=None):
     (weight, value at i, value at j).  Both are invariant under any code
     automorphism, so they are sound pruning data.  Colors are then refined
     two Weisfeiler-Leman-style rounds using the pair classes.
+
+    With E_{w,a} the 0/1 indicator (words of weight w x coordinates) of
+    value a, sig(i) sums column i of E_{w,a} and pair(i,j) is entry (i, j)
+    of E_{w,a}^T E_{w,b}, one int32 product per weight (no BLAS buffers).
+    Counts of value 0 follow from the rest, so pair classes are keyed by
+    (color(i), color(j), counts for nonzero a, b).  Ids go by first
+    occurrence in row-major order; the diagonal is -1.  A refinement round
+    sorts each row of (pair(i,j), pair(j,i), color(j)), encoded as int64.
     """
     if W is None:
         W = codeword_index_matrix(code, cap)
     n = code.n
-    q = code.field.order
-    wts = np.count_nonzero(W, axis=1).astype(np.int64)
-    wspan = n + 1
-    sig_tab: Dict = {}
-    colors = []
-    for i in range(n):
-        counts = np.bincount(wts * q + W[:, i], minlength=wspan * q)
-        colors.append(_intern(sig_tab, tuple(counts.tolist())))
-    pair_tab: Dict = {}
-    pair = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        base_i = wts * q + W[:, i]
-        for j in range(n):
-            if i == j:
-                pair[i, j] = -1
-                continue
-            counts = np.bincount(base_i * q + W[:, j], minlength=wspan * q * q)
-            pair[i, j] = _intern(pair_tab, tuple(counts.tolist()))
+    m = code.field.order - 1
+    nonzero = np.arange(1, m + 1)
+    wts = np.count_nonzero(W, axis=1)
+    weights = np.unique(wts)
+    sig = np.zeros((n, len(weights), m), dtype=np.int64)
+    keys = np.empty((n, n, 2 + len(weights) * m * m), dtype=np.int32)
+    counts = keys[:, :, 2:].reshape(n, n, len(weights), m, m)  # a view
+    for t, w in enumerate(weights):
+        rows = np.flatnonzero(wts == w)
+        gram = np.zeros((n * m, n * m), dtype=np.int32)
+        for s in range(0, len(rows), _GRAM_ROWS):
+            E = W[rows[s:s + _GRAM_ROWS], :, None] == nonzero
+            sig[:, t] += E.sum(axis=0)
+            F = E.reshape(len(E), n * m).astype(np.int32)
+            gram += F.T @ F
+        counts[:, :, t] = gram.reshape(n, m, n, m).transpose(0, 2, 1, 3)
+    colors = _first_occurrence_ids(sig.reshape(n, -1))
+    keys[:, :, 0] = colors[:, None]
+    keys[:, :, 1] = colors[None, :]
+    keys[np.arange(n), np.arange(n)] = -1  # one class, first at (0, 0)
+    pair = _first_occurrence_ids(keys.reshape(n * n, -1)).reshape(n, n) - 1
+    off = ~np.eye(n, dtype=bool)
     for _ in range(2):
-        ref_tab: Dict = {}
-        new_colors = []
-        for i in range(n):
-            nbhd = sorted((int(pair[i, j]), int(pair[j, i]), colors[j])
-                          for j in range(n) if j != i)
-            new_colors.append(_intern(ref_tab, (colors[i], tuple(nbhd))))
-        colors = new_colors
-    return np.array(colors), pair
+        nbhd = (pair * (pair.max() + 1) + pair.T) * (colors.max() + 1) \
+            + colors[None, :]
+        nbhd = np.sort(nbhd[off].reshape(n, n - 1), axis=1)
+        colors = _first_occurrence_ids(
+            np.concatenate([colors[:, None], nbhd], axis=1))
+    return colors, pair
 
 
 def backtrack_per_group(code: CyclicCodeSpec,
@@ -289,6 +304,10 @@ def backtrack_per_group(code: CyclicCodeSpec,
     maps are accepted iff every basis word maps into the code.  Found
     automorphisms feed a stabilizer chain so cosets already covered are
     skipped (orbit pruning along the first-point spine).
+
+    Up to 8192 codewords, each tracked word keeps a Python-int mask of
+    the codewords it can still map onto; pos_val[i][v], the words with
+    value v at i, is one np.packbits of a column test read as an int.
 
     Since Per(C) = Per(C^dual), the search runs against whichever of the
     two codes has fewer codewords; high-rate codes have nearly uniform
@@ -307,15 +326,10 @@ def backtrack_per_group(code: CyclicCodeSpec,
     # assigning sigma(i) = j forces (c^sigma)[i] = c[j].
     track_words = N <= 512
     if N <= 8192:
-        pos_val = [[0] * q for _ in range(n)]
-        for i in range(n):
-            col = W[:, i]
-            for v in range(q):
-                bits = np.nonzero(col == v)[0]
-                acc = 0
-                for b in bits:
-                    acc |= 1 << int(b)
-                pos_val[i][v] = acc
+        pos_val = [[int.from_bytes(np.packbits(W[:, i] == v,
+                                               bitorder="little").tobytes(),
+                                   "little") for v in range(q)]
+                   for i in range(n)]
         tracked = W if track_words else np.array(basis_codewords(code))
         full_mask = (1 << N) - 1
     else:

@@ -113,6 +113,8 @@ def cmd_code_info(args) -> int:
 
 
 def cmd_perm_group(args) -> int:
+    if args.mode != "certify" and args.trials:
+        raise CycpermError("--trials: certify mode only")
     field = _field_arg(args)
     gen = _gen_arg(args, field)
     code = make_code(field, args.n, gen)
@@ -128,8 +130,7 @@ def cmd_perm_group(args) -> int:
         claim = predicted_group(code)
         print(f"predicted: {format_group_expr(claim)}", file=sys.stderr)
     report = verify_claim(code, claim, search=search,
-                          order_cap=args.order_cap,
-                          trials=args.trials if search is None else 0,
+                          order_cap=args.order_cap, trials=args.trials,
                           seed=args.seed)
     _emit(report.to_json_dict())
     return 0 if report_passed(report) else 1

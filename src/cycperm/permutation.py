@@ -19,14 +19,16 @@ at, and rows that stall come back as residues.  Scalar sift, membership,
 batch membership and Schreier-generator sifting all run this one kernel.
 A level's pending (generator, orbit point) pairs are turned into products
 g u_a by flat gathers over a stacked generator table; the kernel's step at
-that level makes them Schreier generators.  This keeps the wreath-product
-groups of degree ~300 from Table-scale runs affordable.
+that level makes them Schreier generators, and after each insertion the
+batch's remaining residues go through the kernel again as one batch.  This
+keeps the wreath-product groups of degree ~300 from Table-scale runs
+affordable.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -418,22 +420,30 @@ class _StabChain:
                 self.levels[bb].add_gen(gi)
                 self._dirty.add(bb)
 
-    def _sift_batch(self, X: np.ndarray) -> List[np.ndarray]:
-        """Sift a fresh int32 batch in place; returns the non-member
-        residues (fully reduced)."""
-        return list(X[self._sift_rows(X) < self.n])
-
     def _complete(self):
+        """Sift pending Schreier generators a batch at a time, deepest dirty
+        level first.  After each insertion the batch's other residues are
+        sifted again as one batch, and the first non-member is inserted.
+        Transversal entries are only ever added, so a member stays one and
+        a residue sifts as its source row would: the insertions are those
+        of sifting each residue alone against the chain as it then stands.
+        """
         while self._dirty:
             b = max(self._dirty)
             target = self.levels[b]
             if target.pending <= 0:
                 self._dirty.discard(b)
                 continue
-            for res in self._sift_batch(target.collect_pending(_BATCH)):
-                r2, b2 = self.sift(res)
-                if r2 is not None:
-                    self._insert(r2, b2)
+            R = target.collect_pending(_BATCH)
+            stall = self._sift_rows(R)
+            while True:
+                out = stall < self.n
+                if not out.any():
+                    break
+                R, stall = R[out], stall[out]
+                self._insert(R[0].copy(), int(stall[0]))
+                R = R[1:]
+                stall = self._sift_rows(R)
 
     def base_points(self) -> List[int]:
         return [b for b in self.bases if self.levels[b].size > 1]
@@ -519,25 +529,30 @@ def _contains_all(chain: _StabChain, gens: Sequence[Permutation]) -> bool:
     return bool(chain.contains_batch(np.stack([g.array() for g in gens])).all())
 
 
-def reduce_generators(perms: Sequence[Permutation],
+def reduce_generators(perms: Union[Sequence[Permutation], np.ndarray],
                       degree: int) -> List[Permutation]:
     """Greedy deterministic reduction: keep elements that grow the group.
 
+    perms is a sequence of Permutations or an (m, degree) integer array of
+    images; rows of an array become Permutations only when kept.
     Membership is tested a batch at a time, and a batch is tested again
     from just after each element it keeps, so the result is the greedy one.
     """
-    perms = list(perms)
+    is_array = isinstance(perms, np.ndarray)
+    if not is_array:
+        perms = list(perms)
     chain = _StabChain(degree)
     kept: List[Permutation] = []
     i = 0
     while i < len(perms):
         batch = perms[i:i + _BATCH]
-        member = chain.contains_batch(np.stack([p.array() for p in batch]))
+        X = batch if is_array else np.stack([p.array() for p in batch])
+        member = chain.contains_batch(X)
         j = int(member.argmin())
         if member[j]:
             i += len(batch)
             continue
-        chain.extend([batch[j].array()])
-        kept.append(batch[j])
+        chain.extend([X[j]])
+        kept.append(Permutation(X[j]) if is_array else batch[j])
         i += j + 1
     return kept

@@ -9,6 +9,7 @@ import pytest
 from cycperm.autgroup import (
     VerificationReport,
     _Engine,
+    _coordinate_structure,
     _leaf_expr,
     backtrack_per_group,
     certify_subgroup,
@@ -16,7 +17,14 @@ from cycperm.autgroup import (
     falsify_by_sampling,
     predicted_group,
 )
-from cycperm.cyclic_code import Layout, basis_codewords, contains, make_code
+from cycperm.cyclic_code import (
+    DEFAULT_ENUM_CAP,
+    Layout,
+    basis_codewords,
+    codeword_index_matrix,
+    contains,
+    make_code,
+)
 from cycperm.errors import FieldMismatch, NoPattern, TooLarge
 from cycperm.galois import make_field, parse_field
 from cycperm.group_constructors import (
@@ -24,6 +32,7 @@ from cycperm.group_constructors import (
     PerOf,
     Wreath,
     crt_product_generators,
+    expr_degree,
     expr_order,
     format_group_expr,
     materialize,
@@ -129,16 +138,19 @@ def test_exhaustive_matches_per_permutation_reference(field, n_max):
             assert group.chain().contains_batch(np.array(passing)).all()
 
 
-def _exact_search_records(calls):
+def _exact_search(kind, field_text, n, gen_text, workers=1):
     from cycperm.table import parse_gen_expr
+    field = parse_field(field_text)
+    code = make_code(field, n, parse_gen_expr(gen_text, field))
+    if kind == "backtrack":
+        return backtrack_per_group(code)
+    return exhaustive_per_group(code, workers=workers)
+
+
+def _exact_search_records(calls):
     out = []
-    for kind, field_text, n, gen_text, workers in calls:
-        field = parse_field(field_text)
-        code = make_code(field, n, parse_gen_expr(gen_text, field))
-        if kind == "backtrack":
-            group = backtrack_per_group(code)
-        else:
-            group = exhaustive_per_group(code, workers=workers)
+    for call in calls:
+        group = _exact_search(*call)
         out.append([str(group.order),
                     [list(map(int, g.images)) for g in group.generators]])
     return out
@@ -162,6 +174,94 @@ def test_exact_search_golden():
     assert records[4] == records[6]
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest[:16] == "7cd539e179db2b82"
+
+
+def _chain_shape(chain):
+    base = chain.base_points()
+    return [str(chain.order()), base, [chain.orbit_at(b) for b in base],
+            len(chain.all_gens)]
+
+
+def test_chain_golden():
+    # pins order, base, fundamental orbits and strong generator count of
+    # the chains of the benchmark's certify+order claims (table-orders
+    # records and under-claim probes) and of its direct exact searches
+    # (values recorded before the batch re-sift in _StabChain._complete)
+    rows = select_rows(["T05a", "T05b", "T06a", "T06b", "T07a", "T07b",
+                        "T08a", "T08b", "T09a", "T09b", "T11a", "T15", "T16",
+                        "T22", "T25", "T26", "T27", "T28", "T29"])
+    claims = [row.claim for row in rows] + ["wr(C(6), PSL2_7, rows)",
+                                            "wr(C(31), S(2), cols)"]
+    shapes = []
+    for text in claims:
+        expr = parse_group_expr(text)
+        group = PermGroup(expr_degree(expr), materialize(expr))
+        shapes.append(_chain_shape(group.chain()))
+    for call in [("backtrack", "2", 30, "Q(3)Q(5)"),
+                 ("backtrack", "2", 105, "Q(5)Q(7)"),
+                 ("backtrack", "2^2", 14, "x^3+x+1"),
+                 ("backtrack", "2^2", 21, "x^3+x+1"),
+                 ("exhaustive", "2", 9, "x^6+x^3+1"),
+                 ("exhaustive", "2", 10, "Q(5)"),
+                 ("exhaustive", "5", 5, "(x-1)^2")]:
+        shapes.append(_chain_shape(_exact_search(*call).chain()))
+    digest = hashlib.sha256(json.dumps(shapes).encode()).hexdigest()
+    assert digest[:16] == "d86441511435c9a6"
+
+
+def _reference_coordinate_structure(code, W):
+    """The pair-by-pair bincount form of _coordinate_structure."""
+    n = code.n
+    q = code.field.order
+    wts = np.count_nonzero(W, axis=1).astype(np.int64)
+    wspan = n + 1
+
+    def intern(table, key):
+        return table.setdefault(key, len(table))
+
+    sig_tab = {}
+    colors = []
+    for i in range(n):
+        counts = np.bincount(wts * q + W[:, i], minlength=wspan * q)
+        colors.append(intern(sig_tab, tuple(counts.tolist())))
+    pair_tab = {}
+    pair = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        base_i = wts * q + W[:, i]
+        for j in range(n):
+            if i == j:
+                pair[i, j] = -1
+                continue
+            counts = np.bincount(base_i * q + W[:, j], minlength=wspan * q * q)
+            pair[i, j] = intern(pair_tab, tuple(counts.tolist()))
+    for _ in range(2):
+        ref_tab = {}
+        new_colors = []
+        for i in range(n):
+            nbhd = sorted((int(pair[i, j]), int(pair[j, i]), colors[j])
+                          for j in range(n) if j != i)
+            new_colors.append(intern(ref_tab, (colors[i], tuple(nbhd))))
+        colors = new_colors
+    return np.array(colors), pair
+
+
+def test_coordinate_structure_matches_reference():
+    from cycperm.table import parse_gen_expr
+    codes = [code for field, n_max in ((F2, 15), (F3, 10), (F4, 9))
+             for n in range(1, n_max + 1)
+             for code in _all_divisor_codes(field, n)]
+    for n, gen_text in ((30, "Q(3)Q(5)"), (105, "Q(5)Q(7)")):  # T27, T29
+        code = make_code(F2, n, parse_gen_expr(gen_text, F2))
+        if code.k > n - code.k:  # the code backtrack_per_group searches
+            code = make_code(F2, n, code.dual_gen)
+        codes.append(code)
+    for code in codes:
+        W = codeword_index_matrix(code)
+        colors, pair = _coordinate_structure(code, DEFAULT_ENUM_CAP, W)
+        ref_colors, ref_pair = _reference_coordinate_structure(code, W)
+        assert colors.dtype == pair.dtype == np.int64
+        assert np.array_equal(colors, ref_colors), code.describe()
+        assert np.array_equal(pair, ref_pair), code.describe()
 
 
 def test_backtrack_q15_crt():

@@ -239,9 +239,38 @@ def _random_generators(rng, n):
     return gens
 
 
+def _count_batch_inserts(monkeypatch) -> list:
+    """Insertions per batch of pending Schreier generators, chain-wide."""
+    per_batch = []
+    chain = permutation._StabChain
+    extend, insert = chain.extend, chain._insert
+    collect = permutation._Level.collect_pending
+
+    def counting_extend(self, gens):
+        self.batch_inserts = None  # the generators' own inserts come first
+        extend(self, gens)
+
+    def counting_collect(self, limit):
+        self.chain.batch_inserts = len(per_batch)
+        per_batch.append(0)
+        return collect(self, limit)
+
+    def counting_insert(self, g, b):
+        if getattr(self, "batch_inserts", None) is not None:
+            per_batch[self.batch_inserts] += 1
+        insert(self, g, b)
+
+    monkeypatch.setattr(chain, "extend", counting_extend)
+    monkeypatch.setattr(chain, "_insert", counting_insert)
+    monkeypatch.setattr(permutation._Level, "collect_pending",
+                        counting_collect)
+    return per_batch
+
+
 @pytest.mark.parametrize("batch", [None, 3])
 def test_chain_against_sympy(batch, monkeypatch):
     sympy_perm = pytest.importorskip("sympy.combinatorics")
+    per_batch = _count_batch_inserts(monkeypatch)
     if batch is not None:  # batches then span levels and stall off-base
         monkeypatch.setattr(permutation, "_BATCH", batch)
     rng = random.Random(2026)
@@ -267,6 +296,8 @@ def test_chain_against_sympy(batch, monkeypatch):
             expect = H.contains(sympy_perm.Permutation(list(p.images)))
             assert G.contains(p) == expect
         assert all(G.contains(p) for p in members)
+    # some batch inserts several residues, each sifted again after the last
+    assert max(per_batch) > 1
 
 
 def test_random_chain_words_are_members():
@@ -298,6 +329,25 @@ def test_reduce_generators():
     reduced = reduce_generators(gens, 5)
     assert len(reduced) == 2
     assert PermGroup(5, reduced).order == 120
+
+
+def test_reduce_generators_array_input():
+    rng = random.Random(31)
+    gens = [perm_from_cycles([[0, 1]], 6), identity_perm(6),
+            perm_from_cycles([[0, 1]], 6)]
+    for _ in range(20):
+        img = list(range(6))
+        rng.shuffle(img)
+        gens.append(Permutation(img))
+    rows = np.array([g.images for g in gens])
+    from_list = reduce_generators(gens, 6)
+    from_array = reduce_generators(rows, 6)
+    assert [p.images for p in from_array] == [p.images for p in from_list]
+    assert all(isinstance(p, Permutation) for p in from_array)
+    assert 1 < len(from_list) < len(gens)
+    assert PermGroup(6, from_array).order == PermGroup(6, gens).order
+    assert reduce_generators(np.empty((0, 6), dtype=np.int64), 6) == []
+    assert reduce_generators([], 6) == []
 
 
 def test_cycle_notation_round_trip():

@@ -226,7 +226,14 @@ def test_cli_bad_input_exit_code():
             (["perm-group", "--n", "7", "--gen", "1,1,0,1", "--trials", "-1"],
              "usage: "),
             (["table", "--row", "T17", "--trials", "0"], "usage: "),
-            (["table", "--row", "ZZZ"], "error: no table row matches 'ZZZ'")):
+            (["table", "--row", "ZZZ"], "error: no table row matches 'ZZZ'"),
+            # sampling runs in certify mode only
+            (["perm-group", "--n", "7", "--gen", "1,1,0,1", "--mode", "brute",
+              "--claim", "PSL2_7", "--trials", "50"],
+             "error: --trials: certify mode only"),
+            (["perm-group", "--n", "7", "--gen", "1,1,0,1", "--mode",
+              "backtrack", "--trials", "1"],
+             "error: --trials: certify mode only")):
         res = _run_cli(*args)
         assert res.returncode == 2, args
         assert res.stderr.startswith(prefix), args
@@ -300,9 +307,12 @@ def _perm_group(capsys, *args):
 @pytest.mark.parametrize("mode", ["brute", "backtrack"])
 def test_exact_modes_certify_the_claim(capsys, mode):
     code = ["--n", "7", "--gen", "1,1,0,1", "--mode", mode]
-    status, rep = _perm_group(capsys, *code, "--claim", "PSL2_7")
+    # --trials 0, the default, is accepted in every mode
+    status, rep = _perm_group(capsys, *code, "--claim", "PSL2_7",
+                              "--trials", "0")
     assert status == 0
     assert rep["certified"] is True and rep["equal"] is True
+    assert rep["trials"] is None
     assert rep["counterexamples"] == []
     # the transposition (0 1) of S(7) moves basis word 1 out of the code
     status, rep = _perm_group(capsys, *code, "--claim", "S(7)")

@@ -182,10 +182,11 @@ _TAIL = 7  # a scan block runs over every ordering of its last 7 images
 
 def _scan_permutations(args):
     """Worker: the rows tau = sigma^{-1} with first image v whose sigma
-    preserves the code, in lexicographic order.
+    preserves the code, as one array in lexicographic order.
 
     A block fixes tau[0] = v and a prefix, and takes every ordering of the
-    remaining points from the table of orderings.
+    remaining points from the table of orderings.  Prefixes and orderings
+    both run in lexicographic order, so the kept rows do too.
     """
     engine, orderings, v = args
     n, tail = engine.n, orderings.shape[1]
@@ -194,11 +195,12 @@ def _scan_permutations(args):
     block[:, 0] = v
     found = []
     for prefix in itertools.permutations(others, n - 1 - tail):
+        free = np.ones(n, dtype=bool)
+        free[[v, *prefix]] = False
         block[:, 1:n - tail] = prefix
-        block[:, n - tail:] = np.setdiff1d(others, prefix)[orderings]
-        keep = engine.preserving_inverses(block)
-        found.extend(map(tuple, block[keep].tolist()))
-    return found
+        block[:, n - tail:] = np.flatnonzero(free)[orderings]
+        found.append(block[engine.preserving_inverses(block)])
+    return np.concatenate(found)
 
 
 def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
@@ -221,7 +223,7 @@ def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
         import multiprocessing as mp
         with mp.get_context("fork").Pool(workers) as pool:
             parts = pool.map(_scan_permutations, chunks)
-    found = sorted(t for part in parts for t in part)
+    found = np.concatenate(list(parts))  # first images ascending
     group = PermGroup(n, reduce_generators(np.argsort(found, axis=1), n))
     if group.order != len(found):
         raise AssertionError("exhaustive scan produced a non-group")

@@ -25,7 +25,7 @@ from .errors import (
 from .galois import Element, FieldSpec, field_tables
 from .polyring import (
     Poly,
-    dual_generator,
+    _reciprocal_monic,
     make_poly,
     monic,
     poly_divmod,
@@ -76,7 +76,7 @@ def make_code(field: FieldSpec, n: int, gen: Poly) -> CyclicCodeSpec:
     if not rem.is_zero():
         raise NotADivisor(f"generator does not divide x^{n}-1")
     k = n - gen.degree
-    return CyclicCodeSpec(field, n, gen, k, quot, dual_generator(gen, n))
+    return CyclicCodeSpec(field, n, gen, k, quot, _reciprocal_monic(quot))
 
 
 def word_to_poly(code_or_field, word: Codeword) -> Poly:

@@ -265,12 +265,18 @@ def make_field(r: int, alpha: int = 1,
 
 
 def parse_field(text: str) -> FieldSpec:
-    """Parse the CLI field descriptor, e.g. "2" or "2^3"."""
+    """Parse the CLI field descriptor: "r^alpha", or a prime power q as its
+    r^alpha (e.g. "2", "2^3", "4" for 2^2)."""
     text = text.strip()
     if "^" in text:
         r_s, a_s = text.split("^", 1)
         return make_field(int(r_s), int(a_s))
-    return make_field(int(text), 1)
+    q = int(text)
+    for alpha in range(2, max(q, 2).bit_length()):
+        r = round(q ** (1 / alpha))
+        if r ** alpha == q and _is_prime(r):
+            return make_field(r, alpha)
+    return make_field(q, 1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,11 +4,21 @@ Home of the generator/check polynomial machinery: division, gcd, cyclotomic
 polynomials Q_n, the factorization of x^n - 1 by q-cyclotomic cosets, the
 dual-generator formula and power substitution g(x^t).
 
+One arithmetic serves every field.  The poly_* operations turn coefficients
+into element indices (galois element_index, through a cached element list
+and dict per field) and run two kernels on the field's add/mul/neg tables
+(galois.field_tables): _mul_idx, a product, and _divmod_idx, a division with
+remainder.  For alpha = 1 an index is the residue, so the product is an
+np.convolve mod r.  Polynomial arithmetic therefore shares the tables' cap
+q <= 4096; FieldSpec's scalar ops remain the reference they are tested
+against.
+
 x^n - 1 is factored without a splitting field: equal-degree splitting
 modulo Q_o finds one irreducible factor m_1, and every other factor of Q_o
-is a gcd of Q_o with m_1(x^t).  _Ext is the vectorized residue arithmetic
-modulo a monic polynomial behind both steps, and _xpow_table the one table
-of x^i mod M that it shares with the membership engine.
+is a gcd of Q_o with m_1(x^t).  _Ext is the residue arithmetic modulo a
+monic polynomial behind both steps, on the same kernels, with _xpow_table
+the one table of x^i mod M that it shares with the membership engine.  It
+keeps its name because perfbench traces it.
 
 A Poly stores ascending coefficients with no trailing zeros; the zero
 polynomial has an empty coefficient tuple and degree -1.
@@ -95,62 +105,100 @@ def _same_field(a: Poly, b: Poly):
         raise FieldMismatch("polynomials over different fields")
 
 
-# F_2 fast path: packed-int arithmetic carries the big table rows.
+# -- index form: coefficients as element indices, arithmetic by table -------
 
-def _to_bits(p: Poly) -> int:
-    v = 0
-    for i, c in enumerate(p.coeffs):
-        if c[0]:
-            v |= 1 << i
-    return v
+@functools.lru_cache(maxsize=None)
+def _codec(field: FieldSpec):
+    """The field's elements by index, and the dict back to indices.
 
-
-def _from_bits(field: FieldSpec, v: int) -> Poly:
-    one, zero = field.one, field.zero
-    return Poly(field, tuple(one if (v >> i) & 1 else zero
-                             for i in range(v.bit_length())))
+    Every conversion comes here before any arithmetic, so this is where the
+    tables' cap q <= 4096 is enforced, before q elements are listed."""
+    field_tables(field)
+    elements = list(field.elements())
+    return elements, {e: i for i, e in enumerate(elements)}
 
 
-def _bits_mul(a: int, b: int) -> int:
-    out = 0
-    while a:
-        low = a & -a
-        out ^= b << (low.bit_length() - 1)
-        a ^= low
-    return out
+def _indices(p: Poly):
+    index = _codec(p.field)[1]
+    return np.array([index[c] for c in p.coeffs], dtype=np.int64)
 
 
-def _bits_divmod(a: int, b: int) -> tuple:
-    db = b.bit_length() - 1
-    q = 0
-    while a.bit_length() - 1 >= db and a:
-        shift = a.bit_length() - 1 - db
-        q |= 1 << shift
-        a ^= b << shift
-    return q, a
+def _trimmed(idx):
+    """idx without its trailing zeros."""
+    nonzero = np.flatnonzero(idx)
+    return idx[:nonzero[-1] + 1] if len(nonzero) else idx[:0]
 
 
-def _is_gf2(field: FieldSpec) -> bool:
-    return field.r == 2 and field.alpha == 1
+def _poly_of_indices(field: FieldSpec, idx) -> Poly:
+    elements = _codec(field)[0]
+    return Poly(field, tuple(elements[i] for i in _trimmed(idx).tolist()))
+
+
+def _fsum(field: FieldSpec, terms):
+    """Field sum over axis 0 of a nonempty array of element indices: mod r
+    for alpha = 1, else pairwise through the add table."""
+    if field.alpha == 1:
+        return terms.sum(axis=0) % field.r
+    add = field_tables(field)[0]
+    while len(terms) > 1:
+        half = len(terms) // 2
+        terms = np.concatenate([add[terms[:half], terms[half:2 * half]],
+                                terms[2 * half:]])
+    return terms[0]
+
+
+def _mul_idx(field: FieldSpec, a, b):
+    """Product of two nonempty index arrays, of length len(a) + len(b) - 1."""
+    if field.alpha == 1:
+        return np.convolve(a, b) % field.r
+    la, lb = len(a), len(b)
+    skew = np.zeros((la, la + lb), dtype=np.int64)
+    skew[:, :lb] = field_tables(field)[1][a[:, None], b]
+    # read row-major with one column less, row i moves i places right, so
+    # each column holds the terms a_i b_j of one power x^(i+j)
+    return _fsum(field, skew.ravel()[:la * (la + lb - 1)].reshape(la, -1))
+
+
+def _divmod_idx(field: FieldSpec, a, b):
+    """Quotient and trimmed remainder of index arrays; b is trimmed and
+    nonempty."""
+    add, mul, neg = field_tables(field)
+    db = len(b) - 1
+    rem = a.copy()
+    quot = np.zeros(max(len(a) - db, 0), dtype=np.int64)
+    lead_inv = np.argmax(mul[b[-1]] == 1)  # index 1 is the field's one
+    minus_b = neg[b]
+    for s in range(len(quot) - 1, -1, -1):
+        c = mul[rem[s + db], lead_inv]
+        if c:
+            quot[s] = c
+            rem[s:s + db + 1] = add[rem[s:s + db + 1], mul[c, minus_b]]
+    return quot, _trimmed(rem[:db])
+
+
+def _add_idx(field: FieldSpec, a, b):
+    n = max(len(a), len(b))
+    return field_tables(field)[0][np.pad(a, (0, n - len(a))),
+                                  np.pad(b, (0, n - len(b)))]
 
 
 def poly_add(a: Poly, b: Poly) -> Poly:
     _same_field(a, b)
-    f = a.field
-    n = max(len(a.coeffs), len(b.coeffs))
-    return _trim(f, [f.add(a.coeff(i), b.coeff(i)) for i in range(n)])
+    return _poly_of_indices(a.field,
+                            _add_idx(a.field, _indices(a), _indices(b)))
 
 
 def poly_sub(a: Poly, b: Poly) -> Poly:
     _same_field(a, b)
-    f = a.field
-    n = max(len(a.coeffs), len(b.coeffs))
-    return _trim(f, [f.sub(a.coeff(i), b.coeff(i)) for i in range(n)])
+    neg = field_tables(a.field)[2]
+    return _poly_of_indices(a.field,
+                            _add_idx(a.field, _indices(a), neg[_indices(b)]))
 
 
 def poly_scale(a: Poly, c: Element) -> Poly:
     f = a.field
-    return _trim(f, [f.mul(x, c) for x in a.coeffs])
+    mul, index = field_tables(f)[1], _codec(f)[1]
+    return _poly_of_indices(f, mul[_indices(a), index[c]])
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
@@ -158,39 +206,16 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
     f = a.field
     if a.is_zero() or b.is_zero():
         return zero_poly(f)
-    if _is_gf2(f):
-        return _from_bits(f, _bits_mul(_to_bits(a), _to_bits(b)))
-    out = [f.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai != f.zero:
-            for j, bj in enumerate(b.coeffs):
-                out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-    return _trim(f, out)
+    return _poly_of_indices(f, _mul_idx(f, _indices(a), _indices(b)))
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple:
     """a = q*b + r with deg r < deg b."""
     _same_field(a, b)
-    f = a.field
     if b.is_zero():
         raise DivisionByZero("polynomial division by zero")
-    if _is_gf2(f):
-        q, r = _bits_divmod(_to_bits(a), _to_bits(b))
-        return _from_bits(f, q), _from_bits(f, r)
-    rem = list(a.coeffs)
-    db = b.degree
-    lead_inv = f.inv(b.coeffs[-1])
-    qlen = max(len(rem) - db, 0)
-    q = [f.zero] * qlen
-    while len(rem) - 1 >= db and rem:
-        shift = len(rem) - 1 - db
-        c = f.mul(rem[-1], lead_inv)
-        q[shift] = c
-        for i, bi in enumerate(b.coeffs):
-            rem[shift + i] = f.sub(rem[shift + i], f.mul(c, bi))
-        while rem and rem[-1] == f.zero:
-            rem.pop()
-    return Poly(f, tuple(q)), _trim(f, rem)
+    quot, rem = _divmod_idx(a.field, _indices(a), _indices(b))
+    return _poly_of_indices(a.field, quot), _poly_of_indices(a.field, rem)
 
 
 def poly_mod(a: Poly, b: Poly) -> Poly:
@@ -212,9 +237,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     _same_field(a, b)
     if a.is_zero() and b.is_zero():
         raise DivisionByZero("gcd(0, 0) undefined")
-    while not b.is_zero():
-        a, b = b, poly_mod(a, b)
-    return monic(a)
+    u, v = _indices(a), _indices(b)
+    while len(v):
+        u, v = v, _divmod_idx(a.field, u, v)[1]
+    return monic(_poly_of_indices(a.field, u))
 
 
 def poly_pow(a: Poly, e: int) -> Poly:
@@ -360,55 +386,23 @@ def _xpow_table(field: FieldSpec, modulus, count: int):
     return rows
 
 
-def _indices(p: Poly):
-    return np.array([p.field.element_index(c) for c in p.coeffs], dtype=np.int64)
-
-
-def _poly_of_indices(field: FieldSpec, idx) -> Poly:
-    return _trim(field, [field.element_of_index(int(v)) for v in idx])
-
-
 class _Ext:
     """Arithmetic in F_q[x]/(M) for a monic M of degree d >= 1 over an
     arbitrary FieldSpec; M need not be irreducible.
 
-    Elements are index-form vectors: numpy arrays of d base-element indices
-    (ascending powers of x).  Multiplication runs as per-component integer
-    convolutions over Z_r followed by two precomputed reductions (powers of
-    the base generator y, then x^d .. x^(2d-2) mod M), so products stay
-    vectorized even around degree 90.
+    Elements are index arrays of length d (ascending powers of x).  A
+    product is _mul_idx reduced with the rows x^d .. x^(2d-2) mod M of
+    _xpow_table: a matmul mod r when alpha = 1, a table product and _fsum
+    otherwise.
     """
 
     def __init__(self, base: FieldSpec, modulus):
+        self.field = base
         d = self.d = len(modulus) - 1
-        alpha = self.alpha = base.alpha
-        r = self.r = base.r
         self.add_t, self.mul_t, self.neg_t = field_tables(base)
-        # y^s mod the base modulus, s = 0..2*alpha-2, as Z_r digit vectors
-        self.YR = np.zeros((alpha, 2 * alpha - 1), dtype=np.int64)
-        acc = base.one
-        ygen = base.element_of_index(r) if alpha > 1 else base.one
-        for s in range(2 * alpha - 1):
-            self.YR[:, s] = acc
-            acc = base.mul(acc, ygen)
-        self._rpow = np.array([r ** u for u in range(alpha)], dtype=np.int64)
         self.one = np.zeros(d, dtype=np.int64)
         self.one[0] = 1
-        rows = _xpow_table(base, modulus, 2 * d - 1)[d:]
-        # TY[s, j, u, i]: component u of y^s * (x^(d+j) mod M)
-        self.TY = np.zeros((alpha, d - 1, alpha, d), dtype=np.int64)
-        ypow = base.one
-        for s in range(alpha):
-            ys = base.element_index(ypow)
-            for j in range(d - 1):
-                self.TY[s, j] = self._decode(self.mul_t[ys, rows[j]])
-            ypow = base.mul(ypow, ygen)
-
-    def _decode(self, idx):
-        return (idx[None, :] // self._rpow[:, None]) % self.r
-
-    def _encode(self, comp):
-        return (comp * self._rpow[:, None]).sum(axis=0)
+        self.high = _xpow_table(base, modulus, 2 * d - 1)[d:]
 
     def add(self, a, b):
         return self.add_t[a, b]
@@ -417,21 +411,12 @@ class _Ext:
         return self.add_t[a, self.neg_t[b]]
 
     def mul(self, a, b):
-        d, alpha, r = self.d, self.alpha, self.r
-        Ac = self._decode(a)
-        Bc = self._decode(b)
-        buckets = np.zeros((2 * alpha - 1, 2 * d - 1), dtype=np.int64)
-        for s in range(alpha):
-            if not Ac[s].any():
-                continue
-            for t in range(alpha):
-                if Bc[t].any():
-                    buckets[s + t] += np.convolve(Ac[s], Bc[t])
-        comp = (self.YR @ (buckets % r)) % r  # (alpha, 2d-1)
-        low, high = comp[:, :d], comp[:, d:]
-        if high.any():
-            low = low + np.tensordot(high, self.TY, axes=([0, 1], [0, 1]))
-        return self._encode(low % r)
+        field, d = self.field, self.d
+        prod = _mul_idx(field, a, b)
+        if field.alpha == 1:
+            return (prod[:d] + prod[d:] @ self.high) % field.r
+        return _fsum(field, np.vstack([prod[:d],
+                                       self.mul_t[prod[d:, None], self.high]]))
 
     def pow(self, a, e: int):
         result = self.one.copy()
@@ -537,22 +522,21 @@ def factor_xn_minus_1(n: int, field: FieldSpec) -> list:
         n_free //= r
         e += 1
     factors = sorted((fac for _o, _c, fac in _labelled_factors(n_free, field)),
-                     key=lambda p: (p.degree, tuple(field.element_index(c)
-                                                    for c in p.coeffs)))
+                     key=lambda p: (p.degree, _indices(p).tolist()))
     return [(p, r ** e) for p in factors]
+
+
+def _reciprocal_monic(h: Poly) -> Poly:
+    """x^deg(h) h(1/x) / h(0), the monic reciprocal of h with h(0) != 0."""
+    return poly_scale(Poly(h.field, h.coeffs[::-1]), h.field.inv(h.coeffs[0]))
 
 
 def dual_generator(g: Poly, n: int) -> Poly:
     """Generator of the dual code: monic x^k h(1/x) / h(0) for h = (x^n-1)/g."""
-    field = g.field
-    quot, rem = poly_divmod(xn_minus_1(field, n), g)
+    quot, rem = poly_divmod(xn_minus_1(g.field, n), g)
     if not rem.is_zero():
         raise NotADivisor(f"generator does not divide x^{n}-1")
-    h = quot
-    h0 = h.coeffs[0]
-    rev = list(reversed(h.coeffs))
-    inv0 = field.inv(h0)
-    return _trim(field, [field.mul(c, inv0) for c in rev])
+    return _reciprocal_monic(quot)
 
 
 # -- text encoding ------------------------------------------------------------

@@ -118,6 +118,12 @@ def test_parse_field_descriptor():
     assert parse_field("2").order == 2
     assert parse_field("2^3").order == 8
     assert parse_field(" 5 ").r == 5
+    # a plain prime power q reads as its r^alpha
+    assert parse_field("4") == parse_field("2^2") == make_field(2, 2)
+    assert parse_field("9") == make_field(3, 2)
+    for text in ("0", "1", "6"):
+        with pytest.raises(NotPrime):
+            parse_field(text)
 
 
 @pytest.mark.parametrize("r, alpha", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2),

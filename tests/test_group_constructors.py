@@ -186,6 +186,9 @@ def test_parse_per_leaf():
     assert expr_degree(e) == 7
     assert expr_order(e) == 168
     assert format_group_expr(e) == "per(2;7;1,0,1,1)"
+    f4_gen = "1:0,1:0,0:0,1:0"
+    assert parse_group_expr(f"per(4;7;{f4_gen})") \
+        == parse_group_expr(f"per(2^2;7;{f4_gen})")
 
 
 def test_expr_round_trip_1000_random():

@@ -2,13 +2,23 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 
-from cycperm.errors import CharacteristicDividesN, DivisionByZero, NotADivisor
+from cycperm.cyclic_code import make_code
+from cycperm.errors import (
+    CharacteristicDividesN,
+    DivisionByZero,
+    FieldMismatch,
+    NotADivisor,
+)
 from cycperm.galois import make_field
 from cycperm.polyring import (
+    _Ext,
+    _indices,
     _labelled_factors,
+    _poly_of_indices,
     cyclotomic,
     dual_generator,
     factor_xn_minus_1,
@@ -24,6 +34,7 @@ from cycperm.polyring import (
     poly_mod,
     poly_mul,
     poly_pow,
+    poly_scale,
     poly_sub,
     substitute_power,
     x_poly,
@@ -40,6 +51,104 @@ def _sympy_poly(p):
     x = sympy.symbols("x")
     coeffs = [int(c[0]) for c in reversed(p.coeffs)] or [0]
     return sympy.Poly(coeffs, x, modulus=p.field.r)
+
+
+# -- schoolbook reference on FieldSpec scalar ops (coefficient lists) ---------
+
+def _strip(f, coeffs):
+    while coeffs and coeffs[-1] == f.zero:
+        coeffs.pop()
+    return coeffs
+
+
+def _school_mul(f, a, b):
+    out = [f.zero] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = f.add(out[i + j], f.mul(ai, bj))
+    return _strip(f, out)
+
+
+def _school_divmod(f, a, b):
+    rem, quot = list(a), [f.zero] * max(len(a) - len(b) + 1, 0)
+    lead_inv = f.inv(b[-1])
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        c = quot[shift] = f.mul(rem[-1], lead_inv)
+        for i, bi in enumerate(b):
+            rem[shift + i] = f.sub(rem[shift + i], f.mul(c, bi))
+        _strip(f, rem)
+    return _strip(f, quot), rem
+
+
+def _school_gcd(f, a, b):
+    while b:
+        a, b = b, _school_divmod(f, a, b)[1]
+    lead_inv = f.inv(a[-1])
+    return [f.mul(c, lead_inv) for c in a]
+
+
+KERNEL_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("r, alpha", KERNEL_FIELDS)
+def test_index_kernels_match_schoolbook(r, alpha):
+    f = make_field(r, alpha)
+    els = list(f.elements())
+    rng = random.Random(r * 100 + alpha)
+
+    def rand(deg, monic=False):
+        coeffs = [rng.choice(els) for _ in range(deg)]
+        return coeffs + [f.one if monic else rng.choice(els[1:])]
+
+    pairs = [(rand(rng.randrange(41)), rand(rng.randrange(41)))
+             for _ in range(30)]
+    pairs += [([], rand(5)), (rand(5), []), ([], []),  # zero operands
+              (rand(12), rand(0)),                     # constant divisor
+              (rand(3), rand(9)),                      # deg a < deg b
+              (rand(20), [f.zero, f.zero, els[-1]]),   # non-monic unless F_2
+              (rand(7, monic=True), rand(7, monic=True))]
+    for a, b in pairs:
+        pa, pb = make_poly(f, a), make_poly(f, b)
+        span = range(max(len(a), len(b)))
+        assert list(poly_mul(pa, pb).coeffs) == _school_mul(f, a, b)
+        assert list(poly_add(pa, pb).coeffs) == _strip(
+            f, [f.add(pa.coeff(i), pb.coeff(i)) for i in span])
+        assert list(poly_sub(pa, pb).coeffs) == _strip(
+            f, [f.sub(pa.coeff(i), pb.coeff(i)) for i in span])
+        c = rng.choice(els)
+        assert list(poly_scale(pa, c).coeffs) == _strip(
+            f, [f.mul(x, c) for x in a])
+        if b:
+            quot, rem = poly_divmod(pa, pb)
+            assert (list(quot.coeffs), list(rem.coeffs)) == _school_divmod(f, a, b)
+        if a or b:  # gcd with a zero argument included
+            assert list(poly_gcd(pa, pb).coeffs) == _school_gcd(f, a, b)
+            assert list(poly_gcd(pb, pa).coeffs) == _school_gcd(f, b, a)
+
+
+@pytest.mark.parametrize("r, alpha", KERNEL_FIELDS)
+def test_ext_matches_poly_mod(r, alpha):
+    f = make_field(r, alpha)
+    rng = np.random.default_rng(r * 100 + alpha)
+    for d in range(1, 13):
+        modulus = np.append(rng.integers(0, f.order, size=d), 1)
+        ring, m = _Ext(f, modulus), _poly_of_indices(f, modulus)
+        for _ in range(3):
+            a, b = rng.integers(0, f.order, size=(2, d))
+            pa, pb = _poly_of_indices(f, a), _poly_of_indices(f, b)
+            got = _poly_of_indices(f, ring.mul(a, b))
+            assert got == poly_mod(poly_mul(pa, pb), m), (d, a, b)
+            e = int(rng.integers(0, 40))
+            got = _poly_of_indices(f, ring.pow(a, e))
+            assert got == poly_mod(poly_pow(pa, e), m), (d, a, e)
+        assert _indices(_poly_of_indices(f, modulus)).tolist() == modulus.tolist()
+
+
+def test_poly_arithmetic_shares_the_field_table_cap():
+    f = make_field(2, 13)  # q = 8192 > 4096
+    with pytest.raises(FieldMismatch):
+        poly_mul(x_poly(f), x_poly(f))
 
 
 def test_divmod_example_multiply_back():
@@ -256,6 +365,7 @@ def test_dual_involution_n_le_30():
             if g.degree in (0, n):
                 continue
             assert dual_generator(dual_generator(g, n), n) == g
+            assert make_code(F2, n, g).dual_gen == dual_generator(g, n)
 
 
 def test_substitute_power():

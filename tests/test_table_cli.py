@@ -221,6 +221,12 @@ def test_cli_bad_input_exit_code():
         assert res.stderr.startswith(prefix), args
         assert "Traceback" not in res.stderr, args
     assert "argument --n: 0 is not a positive integer" in res.stderr
+    # polynomial arithmetic shares the q <= 4096 cap of the field tables
+    one = ":".join(["1"] + ["0"] * 12)  # x - 1 = x + 1 over F_{2^13}
+    res = _run_cli("code-info", "--field", "2^13", "--n", "3",
+                   "--gen", f"{one},{one}")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
     # negative or zero trials, and a row id that matches nothing
     for args, prefix in (
             (["perm-group", "--n", "7", "--gen", "1,1,0,1", "--trials", "-1"],

@@ -21,7 +21,9 @@ table of x^i mod g over element indices, with bit-packed XOR syndromes
 over F_2 and table-accumulated syndromes over every other field.  A basis
 word whose support the permutation fixes pointwise maps to itself, so
 only the words that meet the moved points are checked; a transposition
-costs at most 2*wt(g) word checks whatever k is.
+costs at most 2*wt(g) word checks whatever k is.  The sampler checks
+basis word 0 of a whole block of trials in one gather first, and gives
+only the survivors the full check.
 """
 
 from __future__ import annotations
@@ -97,7 +99,9 @@ class _Engine:
     moves: if sigma fixes every point of supp(x^t g), the permuted word is
     x^t g itself, which lies in C over any field.  perm_preserves therefore
     checks just the rows t with (supp g + t) meeting the moved set M, or
-    all k rows when |M| * wt(g) >= k.
+    all k rows when |M| * wt(g) >= k.  _bad_rows tests a batch of
+    permuted supports of g at once: the exhaustive scan and the sampler
+    call it on blocks of permutations before any exact test.
     """
 
     def __init__(self, code: CyclicCodeSpec):
@@ -122,14 +126,11 @@ class _Engine:
             self.packed = np.packbits(bits, axis=1, bitorder="little") \
                 .view("<u8").astype(np.uint64)
 
-    def perm_preserves(self, sigma: np.ndarray,
-                       first_failure: bool = False) -> Tuple[bool, Optional[int]]:
+    def perm_preserves(self, sigma: np.ndarray) -> Tuple[bool, Optional[int]]:
         """Does sigma map every basis word back into the code?
 
         Returns (ok, failing basis index), the index being the smallest
         failing one.  Only the basis words sigma can change are checked.
-        With first_failure the first of them is checked on its own before
-        the rest are built (sampling fast path).
         """
         if self.k == 0:
             return True, None
@@ -142,12 +143,9 @@ class _Engine:
             rows = rows[(rows >= 0) & (rows < self.k)]
         inv = np.empty(self.n, dtype=np.int64)
         inv[sigma] = self._points
-        for batch in ((rows[:1], rows[1:]) if first_failure else (rows,)):
-            if batch.size == 0:
-                continue
-            bad = self._bad_rows(inv[self.g_supp[None, :] + batch[:, None]])
-            if bad.size:
-                return False, int(batch[bad[0]])
+        bad = self._bad_rows(inv[self.g_supp[None, :] + rows[:, None]])
+        if bad.size:
+            return False, int(rows[bad[0]])
         return True, None
 
     def preserving_inverses(self, taus: np.ndarray) -> np.ndarray:
@@ -687,12 +685,23 @@ def certify_subgroup(code: CyclicCodeSpec, gens: Sequence[Permutation],
     return report
 
 
+_SAMPLE_BLOCK = 1 << 16  # images per block of sampled trials
+
+
 def falsify_by_sampling(code: CyclicCodeSpec, claimed: PermGroup,
                         trials: int, seed: int,
                         engine: Optional[_Engine] = None) -> VerificationReport:
     """Seeded random search for code-preserving permutations outside the
     claimed group.  Same seed gives the identical trial stream everywhere;
     an empty counterexample list is evidence, not proof.
+
+    Trials are drawn a block at a time into one reused buffer, each row
+    shuffled in place from arange(n): the same Fisher-Yates stream as
+    rng.permutation(n).  Per(C) is a group, so sigma preserves C iff
+    sigma^{-1} does, and basis word 0 under sigma^{-1} has support
+    sigma[supp g]; one gather of the block's columns supp g rejects
+    almost every trial without building an inverse.  The survivors, in
+    trial order, get the exact test and then the membership test.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -701,15 +710,23 @@ def falsify_by_sampling(code: CyclicCodeSpec, claimed: PermGroup,
         engine = _Engine(code)
     rng = np.random.default_rng(seed)
     n = code.n
+    block = np.empty((max(1, min(trials, _SAMPLE_BLOCK // n)), n),
+                     dtype=np.int64)
     counterexamples = []
-    for _ in range(trials):
-        sigma = rng.permutation(n)
-        ok, _bad = engine.perm_preserves(sigma, first_failure=True)
-        if ok:
-            p = Permutation(sigma)
-            if not claimed.contains(p):
-                counterexamples.append({"images": list(p.images),
-                                        "basis_index": None})
+    for start in range(0, trials, len(block)):
+        draws = block[:trials - start]
+        draws[:] = engine._points
+        for row in draws:
+            rng.shuffle(row)
+        keep = np.ones(len(draws), dtype=bool)
+        if engine.k:
+            keep[engine._bad_rows(draws[:, engine.g_supp])] = False
+        for sigma in draws[keep]:
+            if engine.perm_preserves(sigma)[0]:
+                p = Permutation(sigma)
+                if not claimed.contains(p):
+                    counterexamples.append({"images": list(p.images),
+                                            "basis_index": None})
     return VerificationReport(
         code=_code_descriptor(code), method="Sample",
         counterexamples=counterexamples, trials=trials, seed=seed,

@@ -136,9 +136,12 @@ def _poly_of_indices(field: FieldSpec, idx) -> Poly:
 
 def _fsum(field: FieldSpec, terms):
     """Field sum over axis 0 of a nonempty array of element indices: mod r
-    for alpha = 1, else pairwise through the add table."""
+    for alpha = 1, XOR of the digit bits for r = 2, else pairwise through
+    the add table."""
     if field.alpha == 1:
         return terms.sum(axis=0) % field.r
+    if field.r == 2:
+        return np.bitwise_xor.reduce(terms, axis=0)
     add = field_tables(field)[0]
     while len(terms) > 1:
         half = len(terms) // 2

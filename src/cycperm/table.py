@@ -350,6 +350,7 @@ def selftest(log=print) -> int:
         ("wreath order formula", _st_wreath_orders),
         ("CRT product inside both wreaths", _st_crt_in_wreaths),
         ("group expression round-trip", _st_expr_roundtrip),
+        ("sampling filter", _st_sampling_filter),
     ]
     ok = True
     for name, fn in checks:
@@ -508,6 +509,25 @@ def _st_expr_roundtrip():
     for _ in range(300):
         e = random_group_expr(rng, depth=2)
         assert parse_group_expr(format_group_expr(e)) == e
+
+
+def _st_sampling_filter():
+    import numpy as np
+    from .autgroup import _Engine, falsify_by_sampling
+    from .permutation import identity_perm
+    from .polyring import poly_from_ints
+    trials = 20000  # several sampling blocks, the last one ragged
+    for r, n, gen in ((2, 7, [1, 1, 0, 1]), (3, 8, [2, 0, 1])):
+        f = make_field(r)
+        code = make_code(f, n, poly_from_ints(f, gen))
+        engine = _Engine(code)
+        rng = np.random.default_rng(606)
+        draws = (rng.permutation(n) for _ in range(trials))
+        want = [s.tolist() for s in draws if engine.perm_preserves(s)[0]
+                and (s != np.arange(n)).any()]  # the identity is claimed
+        rep = falsify_by_sampling(code, PermGroup(n, [identity_perm(n)]),
+                                  trials, 606, engine=engine)
+        assert want and [c["images"] for c in rep.counterexamples] == want
 
 
 def random_group_expr(rng: random.Random, depth: int) -> GroupExpr:

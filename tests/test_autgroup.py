@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cycperm import autgroup
 from cycperm.autgroup import (
     VerificationReport,
     _Engine,
@@ -562,11 +563,61 @@ def test_sparse_preserves_matches_dense(code, blocks):
     for p in perms:
         want = _dense_preserves(code, p.images)
         assert engine.perm_preserves(p.array()) == want, p
-        assert engine.perm_preserves(p.array(), first_failure=True) == want, p
         outcomes.append(want)
     assert (True, None) in outcomes
     if code.gen.degree:
         assert any(not ok and t > 0 for ok, t in outcomes)
+
+
+def _shift_group(n):
+    return PermGroup(n, [Permutation([(i + 1) % n for i in range(n)])])
+
+
+def _trivial_group(n):
+    return PermGroup(n, [identity_perm(n)])
+
+
+def _reference_sampling(code, claimed, trials, seed):
+    """Reference: one rng.permutation(n) per trial, the dense check, then
+    membership in the claim."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for _ in range(trials):
+        sigma = rng.permutation(code.n)
+        if _dense_preserves(code, sigma)[0] \
+                and not claimed.contains(Permutation(sigma)):
+            found.append({"images": sigma.tolist(), "basis_index": None})
+    return found
+
+
+SAMPLER_CASES = [
+    (make_code(F2, 7, G7A), _shift_group, 60),
+    (make_code(F2, 7, poly_from_ints(F2, [1] * 7)), _trivial_group, 60),
+    (make_code(F3, 8, poly_from_ints(F3, [2, 0, 1])), _shift_group, 300),
+    (make_code(F4, 9, poly_from_ints(F4, [1, 0, 0, 1])), _shift_group, 1500),
+    (make_code(F5, 6, poly_from_ints(F5, [1, 1, 1])), _shift_group, 300),
+    # g = x + y is not a multiple of its reciprocal: value order matters
+    (make_code(F4, 6, poly_from_ints(F4, [2, 1])), _shift_group, 300),
+    # k = 0: g = x^n - 1; and g = 1, the full space
+    (make_code(F4, 9, poly_sub(poly_pow(x_poly(F4), 9), one_poly(F4))),
+     _shift_group, 60),
+    (make_code(F5, 6, one_poly(F5)), _shift_group, 60),
+]
+
+
+@pytest.mark.parametrize("code, claim_of, trials", SAMPLER_CASES)
+def test_block_sampler_matches_per_trial_loop(monkeypatch, code, claim_of,
+                                              trials):
+    n = code.n
+    claimed = claim_of(n)
+    want = _reference_sampling(code, claimed, trials, seed=11)
+    assert want  # every case has counterexamples to compare
+    # blocks of one row (a cap below n), 7 rows (ragged last block),
+    # 12 rows (trials a multiple of it) and all trials at once
+    for cap in (1, 7 * n, 12 * n, trials * n):
+        monkeypatch.setattr(autgroup, "_SAMPLE_BLOCK", cap)
+        rep = falsify_by_sampling(code, claimed, trials, seed=11)
+        assert rep.counterexamples == want, cap
 
 
 def test_engine_shares_the_field_table_cap():

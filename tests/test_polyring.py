@@ -88,7 +88,7 @@ def _school_gcd(f, a, b):
     return [f.mul(c, lead_inv) for c in a]
 
 
-KERNEL_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2)]
+KERNEL_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (2, 4), (3, 2), (5, 2)]
 
 
 @pytest.mark.parametrize("r, alpha", KERNEL_FIELDS)

@@ -2,8 +2,10 @@
 
 Construction of C_{n,g(x)} over F_{r^alpha}, the wreath-product and
 CRT-product groups the structure theory predicts for special lengths, and
-three independent verification routes: exhaustive search, backtracking
-with signature refinement, and subgroup certificates with exact orders.
+four verification routes: exhaustive search, backtracking with signature
+refinement, Per(C) derived from the code's structure and compared with a
+claim by block membership, and subgroup certificates with exact orders or
+seeded sampling.
 """
 
 from .galois import FieldSpec, make_field, parse_field
@@ -55,6 +57,7 @@ from .group_constructors import (
     Sym,
     Wreath,
     crt_product_generators,
+    expr_contains,
     expr_degree,
     expr_order,
     format_group_expr,
@@ -67,6 +70,7 @@ from .autgroup import (
     VerificationReport,
     backtrack_per_group,
     certify_subgroup,
+    derive_per_group,
     exhaustive_per_group,
     falsify_by_sampling,
     predicted_group,

@@ -1,16 +1,22 @@
 """Computing and certifying Per(C) = {sigma in S_n | C^sigma = C}.
 
-Three routes with different reach:
+Four routes with different reach:
 
 * exhaustive_per_group - scan all of S_n (small n) in blocks, exact;
 * backtrack_per_group  - coordinate-image backtracking over a candidate
   matrix refined by pair classes, with stabilizer-chain pruning
   (enumerable codes), exact;
+* derive_per_group - Per(C) from the code's structure: repeated
+  coordinates (rows) and interleaved components (cols) reduce it to
+  wreath products over leaf codes that the exact searches solve; exact
+  whenever every leaf can be searched, at any n;
 * predicted_group / certify_subgroup / falsify_by_sampling - theorem-shaped
   prediction, subgroup certificates and seeded negative sampling (any n).
 
-verify_claim is the one place that combines a certificate, an order,
-sampling and an exact search into a VerificationReport.
+verify_claim is the one place that combines a certificate, the derived
+Per(C) and its block membership test against the claim
+(group_constructors.expr_contains), an order, sampling and an exact search
+into a VerificationReport that names its evidence.
 
 Membership checks everywhere reduce to "g(x) divides the permuted word":
 by linearity a permutation preserves the code iff it maps the k
@@ -51,8 +57,10 @@ from .group_constructors import (
     Cyclic,
     GroupExpr,
     Named,
+    PerOf,
     Sym,
     Wreath,
+    expr_contains,
     expr_order,
     format_group_expr,
     materialize,
@@ -68,6 +76,7 @@ from .permutation import (
 from .polyring import (
     Poly,
     _indices,
+    _divisors,
     _labelled_factors,
     _prime_factors,
     _xpow_table,
@@ -437,6 +446,55 @@ def backtrack_per_group(code: CyclicCodeSpec,
 
 
 # ---------------------------------------------------------------------------
+# Per(C) from the code's structure
+
+
+def derive_per_group(code: CyclicCodeSpec) -> Tuple[GroupExpr, int]:
+    """Per(C) as a group expression derived from C alone, with its order.
+
+    Tried in order; the first case that applies recurses on a shorter code:
+
+    * rows - the least divisor e < n of n with g | x^e - 1, for g and then
+      for the dual's generator (Per(C) = Per(C^dual)).  x^i mod g has
+      period e, so the coordinates of a residue class mod e have equal
+      check columns and C is the preimage of C_{e,g} under summing each
+      class: Per(C) = wr(S(n/e), Per(C_{e,g}), rows).
+    * cols - the largest m | n, m > 1, with g = f(x^m).  C is the direct
+      sum of m copies of C_{n/m,f}, one on each residue class mod m, and
+      its indecomposable summands are unique (Slepian, 1960) and permuted
+      by the shift, so no larger split exists: Per(C) =
+      wr(Per(C_{n/m,f}), S(m), cols).
+    * leaf - per(FIELD;N;GEN), searched exactly by per_of_generators
+      (TooLarge when neither the code nor its dual can be enumerated).
+
+    The zero and full codes, and rows with e = 1, give S(n).  Nothing
+    here reads a claim or the theorem patterns of predicted_group.
+    """
+    expr = _derived_expr(code)
+    return expr, expr_order(expr)
+
+
+def _derived_expr(code: CyclicCodeSpec) -> GroupExpr:
+    field, n = code.field, code.n
+    if code.k in (0, n):
+        return Sym(n)
+    divisors = _divisors(n)
+    for g in (code.gen, code.dual_gen):
+        e = next(e for e in divisors if poly_divides(g, xn_minus_1(field, e)))
+        if e == 1:
+            return Sym(n)
+        if e < n:
+            return Wreath(Sym(n // e), _derived_expr(make_code(field, e, g)),
+                          Layout.ROW_BLOCKS)
+    for m in reversed(divisors[1:]):
+        f = try_contract_power(code.gen, m)
+        if f is not None:
+            return Wreath(_derived_expr(make_code(field, n // m, f)), Sym(m),
+                          Layout.COL_BLOCKS)
+    return PerOf(field, n, code.gen)
+
+
+# ---------------------------------------------------------------------------
 # theorem-driven prediction
 
 
@@ -471,7 +529,7 @@ def _leaf_expr(field: FieldSpec, p: int, g: Poly) -> GroupExpr:
     if g.degree == p - 1:
         return Sym(p)  # repetition code
     if p <= 12:
-        from .group_constructors import PerOf, per_of_order
+        from .group_constructors import per_of_order
         order = per_of_order(field, p, g)
         if order == math.factorial(p):
             return Sym(p)
@@ -613,6 +671,8 @@ class VerificationReport:
     computed_order: Optional[int] = None
     certified: Optional[bool] = None
     equal: Optional[bool] = None
+    evidence: Optional[str] = None
+    order_match: Optional[bool] = None
     counterexamples: list = dc_field(default_factory=list)
     trials: Optional[int] = None
     seed: Optional[int] = None
@@ -656,8 +716,9 @@ def certify_subgroup(code: CyclicCodeSpec, gens: Sequence[Permutation],
     certified = all (generator, basis word) checks pass; failures are
     reported as counterexamples carrying the failing basis index.  The
     Schreier-Sims order of <gens> is included unless disabled (large
-    degrees), and the symbolic order of the claim when one is attached.
-    A caller that also samples the same code passes its engine in.
+    degrees), and the symbolic order of the claim when one is attached;
+    with both, equal = certified and the two orders agree.  A caller that
+    also samples the same code passes its engine in.
     """
     t0 = time.perf_counter()
     if engine is None:
@@ -677,10 +738,14 @@ def certify_subgroup(code: CyclicCodeSpec, gens: Sequence[Permutation],
     if claim is not None:
         report.predicted = format_group_expr(claim)
         report.predicted_order = expr_order(claim)
+        report.evidence = "subgroup"
     if compute_order and gens:
         report.computed_order = PermGroup(code.n, list(gens)).order
-        if report.predicted_order is not None:
-            report.equal = report.computed_order == report.predicted_order
+        if claim is not None:
+            report.order_match = \
+                report.computed_order == report.predicted_order
+            report.equal = report.certified and report.order_match
+            report.evidence = "subgroup+order"
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
@@ -742,10 +807,19 @@ def verify_claim(code: CyclicCodeSpec, claim: Optional[GroupExpr] = None,
     """The verdict report on Per(C) and an optional claim about it.
 
     A claim gets a certificate of claimed's generators (materialized from
-    claim when not given), claimed's order when n <= order_cap, and
-    sampling when trials > 0.  search = (method name, function of the
-    code) runs an exact tier whose group's order and equality with the
-    claim then decide computed_order and equal.
+    claim when not given), which proves claim <= Per(C), and sampling when
+    trials > 0.  search = (method name, function of the code) runs an
+    exact search whose group decides computed_order and equal.  Without
+    one, n <= order_cap decides them from derive_per_group: equal needs
+    the certificate, and every derived generator must preserve C and lie
+    in the claim (expr_contains), which proves Per(C) <= claim.  A leaf
+    too large to search falls back to claimed's chain order.
+
+    evidence names the tier that decided equal (None without a claim):
+    exhaustive-equal, backtrack-equal, decomposition-equal, subgroup+order
+    (the chain fallback), subgroup+sampling or subgroup (a certificate
+    only).  order_match says whether computed_order equals the claim's
+    symbolic order.  equal is never true for an uncertified claim.
     """
     t0 = time.perf_counter()
     if claim is None:
@@ -757,9 +831,8 @@ def verify_claim(code: CyclicCodeSpec, claim: Optional[GroupExpr] = None,
         engine = _Engine(code)
         report = certify_subgroup(code, list(claimed.generators), claim=claim,
                                   compute_order=False, engine=engine)
-        if code.n <= order_cap:
-            report.computed_order = claimed.order
-            report.equal = report.computed_order == report.predicted_order
+        if search is None and code.n <= order_cap:
+            _decide_by_structure(report, code, claim, claimed, engine)
         if trials:
             samp = falsify_by_sampling(code, claimed, trials, seed,
                                        engine=engine)
@@ -767,12 +840,38 @@ def verify_claim(code: CyclicCodeSpec, claim: Optional[GroupExpr] = None,
             report.seed = samp.seed
             report.rng_algorithm = samp.rng_algorithm
             report.counterexamples += samp.counterexamples
+            if report.evidence == "subgroup":
+                report.evidence = "subgroup+sampling"
     if search is not None:
         method, find = search
         group = find(code)
         report.method = method
         report.computed_order = group.order
         if claim is not None:
-            report.equal = groups_equal(group, claimed)
+            report.equal = report.certified and groups_equal(group, claimed)
+            report.evidence = f"{method.lower()}-equal"
+    if report.computed_order is not None \
+            and report.predicted_order is not None:
+        report.order_match = report.computed_order == report.predicted_order
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
+
+
+def _decide_by_structure(report: VerificationReport, code: CyclicCodeSpec,
+                         claim: GroupExpr, claimed: PermGroup,
+                         engine: _Engine) -> None:
+    """Set computed_order, equal and evidence from the derived Per(C)."""
+    try:
+        derived, order = derive_per_group(code)
+    except TooLarge:
+        report.computed_order = claimed.order
+        report.equal = report.certified \
+            and report.computed_order == report.predicted_order
+        report.evidence = "subgroup+order"
+        return
+    rows = np.stack([g.array() for g in materialize(derived)])
+    report.computed_order = order
+    report.equal = (report.certified
+                    and all(engine.perm_preserves(r)[0] for r in rows)
+                    and bool(expr_contains(claim, rows).all()))
+    report.evidence = "decomposition-equal"

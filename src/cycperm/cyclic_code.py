@@ -106,7 +106,13 @@ def basis_codewords(code: CyclicCodeSpec) -> list:
 def codeword_index_matrix(code: CyclicCodeSpec,
                           cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """All q^k codewords as element indices, messages in lexicographic order
-    (first message symbol most significant).  Row 0 is the zero word."""
+    (first message symbol most significant).  Row 0 is the zero word.
+
+    Filled in place from the last message symbol up: once the words of
+    the last j symbols fill the first q^j rows, block a of the next q^(j+1)
+    rows is that block plus a times the next basis word, so the only
+    temporary is one block.
+    """
     f = code.field
     q = f.order
     total = q ** code.k
@@ -115,10 +121,11 @@ def codeword_index_matrix(code: CyclicCodeSpec,
     add_t, mul_t, _ = field_tables(f)
     basis = np.array(basis_codewords(code), dtype=np.int64)
     rows = np.zeros((total, code.n), dtype=np.int64)
-    idx = np.arange(total)
-    for i in range(code.k):
-        m_col = (idx // (q ** (code.k - 1 - i))) % q
-        rows = add_t[rows, mul_t[m_col[:, None], basis[i][None, :]]]
+    size = 1
+    for word in basis[::-1]:
+        for a in range(1, q):
+            rows[a * size:(a + 1) * size] = add_t[rows[:size], mul_t[a, word]]
+        size *= q
     return rows
 
 

@@ -1,8 +1,9 @@
 """Materialize the predicted groups as explicit permutation generators.
 
 Covers wreath products in both matrix layouts, CRT direct products
-S_p x S_q inside S_pq, the named prime-length comparison groups, and a
-parser/printer for symbolic group expressions.
+S_p x S_q inside S_pq, the named prime-length comparison groups, a
+parser/printer for symbolic group expressions, and membership in an
+expression decided block by block (expr_contains).
 
 Wreath indexing.  For W = A wr H on deg(A)*deg(H) points, flat point
 (a_pt, h_pt) = a_pt * deg(H) + h_pt.  Base copies of A act on the stride
@@ -33,7 +34,8 @@ from .errors import (
     UnknownTag,
 )
 from .galois import FieldSpec, _is_prime
-from .permutation import Permutation, identity_perm, perm_from_cycles
+from .permutation import PermGroup, Permutation, identity_perm, \
+    perm_from_cycles
 from .polyring import Poly
 
 
@@ -82,16 +84,21 @@ def c31_c5_generators() -> List[Permutation]:
 
 
 _PEROF_CACHE: dict = {}  # (field, n, gen coeffs) -> (generators, order)
+_PEROF_EXHAUSTIVE = 10  # larger leaves are searched by backtracking
 
 
 def per_of_generators(field: FieldSpec, n: int, gen: Poly) -> List[Permutation]:
-    """Exhaustively computed Per(C_{n,gen}), cached by (field, n, gen)."""
-    from .autgroup import exhaustive_per_group
+    """Exactly computed Per(C_{n,gen}), cached by (field, n, gen): the
+    exhaustive scan up to 10 points, backtracking above (which raises
+    TooLarge when neither the code nor its dual can be enumerated)."""
+    from .autgroup import backtrack_per_group, exhaustive_per_group
     from .cyclic_code import make_code
 
     key = (field, n, gen.coeffs)
     if key not in _PEROF_CACHE:
-        group = exhaustive_per_group(make_code(field, n, gen))
+        code = make_code(field, n, gen)
+        group = exhaustive_per_group(code) if n <= _PEROF_EXHAUSTIVE \
+            else backtrack_per_group(code)
         _PEROF_CACHE[key] = (list(group.generators), group.order)
     return list(_PEROF_CACHE[key][0])
 
@@ -220,7 +227,7 @@ class CrtProduct:
 @dataclass(frozen=True)
 class PerOf:
     """Permutation group of a concrete code; resolved during prediction or
-    materialized through the exhaustive search."""
+    materialized through an exact search (per_of_generators)."""
     field: FieldSpec
     n: int
     gen: Poly
@@ -285,6 +292,43 @@ def materialize(e: GroupExpr) -> List[Permutation]:
     if isinstance(e, PerOf):
         return per_of_generators(e.field, e.n, e.gen)
     raise TypeError(f"not a GroupExpr: {e!r}")
+
+
+def expr_contains(e: GroupExpr, rows: np.ndarray) -> np.ndarray:
+    """Membership of each row of an (m, deg e) image array in the group e.
+
+    Decided block by block, with no chain of e (Seress, Permutation Group
+    Algorithms, 2003).  A wreath A wr H, in either layout, is the set of
+    maps (a, h) -> (alpha_h(a), pi(h)) on flat points a*deg(H) + h: a row
+    is a member iff it maps the classes mod deg(H) to classes, its induced
+    class permutation pi lies in H and each component alpha_h lies in A.
+    x(p, q) holds iff both CRT partitions (mod p and mod q) are preserved;
+    S(h) always holds.  The other leaves (degree <= 35 in the table) sift
+    the rows through a chain of their own generators.
+    """
+    rows = np.asarray(rows)
+    ok = np.ones(len(rows), dtype=bool)
+    if isinstance(e, Sym) or not len(rows):
+        return ok
+    if isinstance(e, Wreath):
+        la, lh = expr_degree(e.a), expr_degree(e.h)
+        grid = rows.reshape(len(rows), la, lh)  # [r, a, h] = row r at a*lh + h
+        pi = grid[:, 0, :] % lh
+        ok = (grid % lh == pi[:, None, :]).all(axis=(1, 2))
+        idx = np.flatnonzero(ok)
+        ok[idx] = expr_contains(e.h, pi[idx])
+        idx = np.flatnonzero(ok)
+        alpha = (grid[idx] // lh).transpose(0, 2, 1).reshape(-1, la)
+        ok[idx] = expr_contains(e.a, alpha).reshape(len(idx), lh).all(axis=1)
+        return ok
+    if isinstance(e, CrtProduct):
+        k = np.arange(e.p * e.q)
+        for m in (e.p, e.q):
+            cls = rows % m
+            ok &= (cls == cls[:, k % m]).all(axis=1)
+        return ok
+    chain = PermGroup(expr_degree(e), materialize(e)).chain()
+    return chain.contains_batch(rows)
 
 
 def format_group_expr(e: GroupExpr) -> str:

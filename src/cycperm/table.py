@@ -8,9 +8,11 @@ claimed group is a parseable expression whose degree must equal n.
 Verification tiers per row (monotone: every row gets at least a
 certificate):
 
-* certify  - every claimed-group generator preserves the code; plus the
-  Schreier-Sims order of the materialized group when n <= order_cap, or
-  seeded sampling falsification when n is beyond the cap;
+* certify  - every claimed-group generator preserves the code; plus, when
+  n <= order_cap, Per(C) derived from the code's structure and compared
+  with the claim by block membership (the claim's Schreier-Sims order
+  when a leaf is too large to search), or seeded sampling falsification
+  when n is beyond the cap;
 * backtrack - exact Per(C) when the code (or its dual) is enumerable and
   n <= backtrack_cutoff, compared to the claim by group equality;
 * exact - exhaustive search when n <= exact_cutoff, same comparison.
@@ -278,8 +280,9 @@ def run_table(rows: Sequence[TableRow], cfg: RunConfig,
               log=None) -> List[VerificationReport]:
     """Verify each row; reports align with the input order.
 
-    Materialized claim groups (and their stabilizer chains) are cached by
-    claim string, so "or" variants share the expensive order computation.
+    Materialized claim groups are cached by claim string.  Their
+    stabilizer chains are built only for the chain fallback (a leaf too
+    large to search), for sampling hits and for exact-search equality.
     """
     field = make_field(2)
     group_cache: dict = {}
@@ -309,7 +312,8 @@ def run_table(rows: Sequence[TableRow], cfg: RunConfig,
         if log:
             status = "pass" if report_passed(rep) else "FAIL"
             log(f"{row.id:5s} n={row.n:<5d} tier={rep.method:<10s} "
-                f"{status}  ({rep.elapsed_ms} ms)")
+                f"evidence={rep.evidence:<19s} {status}  "
+                f"({rep.elapsed_ms} ms)")
     return reports
 
 
@@ -317,7 +321,7 @@ def summarize_csv(rows: Sequence[TableRow],
                   reports: Sequence[VerificationReport]) -> str:
     lines = ["row,tier,certified,order_match,elapsed_ms"]
     for row, rep in zip(rows, reports):
-        eq = "" if rep.equal is None else str(rep.equal).lower()
+        eq = "" if rep.order_match is None else str(rep.order_match).lower()
         lines.append(f"{row.id},{rep.method},{str(rep.certified).lower()},"
                      f"{eq},{rep.elapsed_ms}")
     return "\n".join(lines) + "\n"
@@ -347,6 +351,7 @@ def selftest(log=print) -> int:
         ("action-composition coherence", _st_action_coherence),
         ("matrix representation round-trip", _st_matrix_roundtrip),
         ("oracle equivalence (n <= 8)", _st_oracle_equivalence),
+        ("decomposition", _st_decomposition),
         ("wreath order formula", _st_wreath_orders),
         ("CRT product inside both wreaths", _st_crt_in_wreaths),
         ("group expression round-trip", _st_expr_roundtrip),
@@ -462,6 +467,18 @@ def _st_oracle_equivalence():
             code = make_code(f, n, g)
             assert groups_equal(exhaustive_per_group(code),
                                 backtrack_per_group(code)), (n, g)
+
+
+def _st_decomposition():
+    from .autgroup import derive_per_group
+    for r, n_max in ((2, 8), (3, 6)):
+        f = make_field(r)
+        for n in range(2, n_max + 1):
+            for g in _all_divisor_polys(f, n):
+                code = make_code(f, n, g)
+                if 0 < code.k < n:
+                    assert derive_per_group(code)[1] == \
+                        exhaustive_per_group(code).order, (r, n, g)
 
 
 def _st_wreath_orders():

@@ -14,6 +14,7 @@ from cycperm.autgroup import (
     _leaf_expr,
     backtrack_per_group,
     certify_subgroup,
+    derive_per_group,
     exhaustive_per_group,
     falsify_by_sampling,
     predicted_group,
@@ -33,6 +34,7 @@ from cycperm.group_constructors import (
     PerOf,
     Wreath,
     crt_product_generators,
+    expr_contains,
     expr_degree,
     expr_order,
     format_group_expr,
@@ -465,6 +467,8 @@ def test_certify_overclaim_fails():
     rep = certify_subgroup(make_code(F2, 7, G7A), materialize(claim),
                            claim=claim)
     assert rep.certified is False
+    assert rep.computed_order == rep.predicted_order == 5040
+    assert rep.equal is False  # never true without the certificate
     bad = [tuple(c["images"]) for c in rep.counterexamples]
     assert perm_from_cycles([[0, 1]], 7).images in bad
 
@@ -642,3 +646,101 @@ def test_report_json_round_trip():
     back = VerificationReport.from_json_dict(json.loads(blob))
     assert back == rep
     assert json.loads(blob)["predicted_order"] == str(2 ** 7 * 168)
+
+
+L7A, L7B = "per(2;7;1,1,0,1)", "per(2;7;1,0,1,1)"
+L31 = "per(2;31;1,1,0,1,0,0,0,1,0,0,0,0,0,0,0,1)"
+
+# derive_per_group on every record but T25 and T26 (n = 217 leaves that
+# cannot be enumerated); the "b" rows read the same with L7B for L7A
+DERIVED_GOLDEN = {
+    "T01": L7A, "T02": f"wr(S(2), {L7A}, rows)",
+    "T03": f"wr({L7A}, S(2), cols)", "T04": f"wr(S(3), {L7A}, rows)",
+    "T05": f"wr(S(6), {L7A}, rows)", "T06": f"wr(S(7), {L7A}, rows)",
+    "T07": f"wr({L7A}, S(7), cols)",
+    "T08": f"wr(S(2), wr({L7A}, S(7), cols), rows)",
+    "T09": f"wr({L7A}, S(14), cols)",
+    "T10": f"wr(S(7), wr({L7A}, S(4), cols), rows)",
+    "T11": f"wr(S(2), wr({L7A}, S(14), cols), rows)",
+    "T12": f"wr({L7A}, S(28), cols)",
+    "T13": f"wr(S(6), wr({L7A}, S(7), cols), rows)",
+    "T14": f"wr(S(3), wr({L7A}, S(14), cols), rows)",
+    "T15": L31, "T16": f"wr({L31}, S(2), cols)",
+    "T17": f"wr({L31}, S(31), cols)",
+    "T18": f"wr(S(2), wr({L31}, S(62), cols), rows)",
+    "T19": "S(3)", "T20": "S(5)", "T21": "S(7)", "T22": "S(31)",
+    "T23": "per(2;15;1,1,1,0,0,1,1,1)", "T24": "per(2;15;1,1,0,1,1,1,0,1,1)",
+    "T27": "wr(S(2), per(2;15;1,0,1,1,1,0,1), rows)",
+    "T28": "wr(S(7), per(2;15;1,0,1,1,1,0,1), rows)",
+    "T29": "wr(S(3), per(2;35;1,0,1,0,1,1,1,0,1,0,1), rows)",
+}
+
+
+def _table_code(row):
+    return make_code(F2, row.n, row.build_gen(F2))
+
+
+def test_derived_expressions_golden():
+    got = {}
+    for row in select_rows(None):
+        if row.id in ("T25", "T26"):
+            with pytest.raises(TooLarge):
+                derive_per_group(_table_code(row))
+            continue
+        expr, order = derive_per_group(_table_code(row))
+        assert order == row.theoretical_order() == expr_order(expr), row.id
+        got[row.id] = format_group_expr(expr)
+    want = {}
+    for num, text in DERIVED_GOLDEN.items():
+        if num < "T15":  # the either-generator rows
+            want[num + "a"], want[num + "b"] = text, text.replace(L7A, L7B)
+        else:
+            want[num] = text
+    assert got == want
+
+
+@pytest.mark.parametrize("field, n_max", [(F2, 14), (F3, 9), (F4, 8),
+                                          (F5, 7)])
+def test_derived_order_matches_exact_search(field, n_max):
+    # every g | x^n - 1 with 0 < k < n: the derived |Per(C)| equals the
+    # order an exact search finds (exhaustive up to 8 points, backtracking
+    # above, so leaves of 9 and 10 points are searched both ways)
+    decomposed = 0
+    for n in range(2, n_max + 1):
+        for code in _all_divisor_codes(field, n):
+            if not 0 < code.k < n:
+                continue
+            expr, order = derive_per_group(code)
+            exact = exhaustive_per_group(code) if n <= 8 \
+                else backtrack_per_group(code)
+            assert order == exact.order, (n, format_poly_text(code.gen))
+            decomposed += not isinstance(expr, PerOf)
+    assert decomposed > 0
+
+
+def test_expr_contains_matches_chain_membership():
+    # block membership against _StabChain.contains on random members
+    # (generator words), near members (a word and one transposition) and
+    # uniform permutations of the table's claims of degree <= 217
+    rng = np.random.default_rng(2026)
+    claims = sorted({row.claim for row in select_rows(None)
+                     if row.n <= 105 or row.n == 217})
+    checked = members = 0
+    for text in claims:
+        expr = parse_group_expr(text)
+        n = expr_degree(expr)
+        gens = np.stack([g.array() for g in materialize(expr)])
+        chain = PermGroup(n, materialize(expr)).chain()
+        rows = np.tile(np.arange(n), (450, 1))
+        for _ in range(24):
+            pick = gens[rng.integers(len(gens), size=len(rows))]
+            rows = np.take_along_axis(rows, pick, axis=1)
+        for r in rows[150:300]:
+            i, j = rng.choice(n, 2, replace=False)
+            r[[i, j]] = r[[j, i]]
+        rows[300:] = rng.permuted(rows[300:], axis=1)
+        want = np.array([chain.contains(r) for r in rows])
+        assert (expr_contains(expr, rows) == want).all(), text
+        checked += len(rows)
+        members += int(want.sum())
+    assert checked >= 10_000 and members >= 4000 and checked - members >= 4000

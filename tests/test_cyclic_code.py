@@ -3,8 +3,12 @@ import random
 
 import pytest
 
+import numpy as np
+
 from cycperm.cyclic_code import (
     Layout,
+    basis_codewords,
+    codeword_index_matrix,
     contains,
     enumerate_codewords,
     flatten,
@@ -20,10 +24,11 @@ from cycperm.errors import (
     TooLarge,
     ZeroCode,
 )
-from cycperm.galois import make_field
+from cycperm.galois import field_tables, make_field
 from cycperm.permutation import Permutation, apply_perm
 from cycperm.polyring import (
     cyclotomic,
+    factor_xn_minus_1,
     one_poly,
     poly_from_ints,
     poly_mul,
@@ -90,6 +95,37 @@ def test_enumerate_lexicographic_message_order():
     assert words[0] == _w([0] * 6)
     assert words[1] == _w([0, 0, 0, 1, 1, 1])      # x^3 (1+x+x^2)
     assert words[2 ** 3] == _w([1, 1, 1, 0, 0, 0])  # message x^0
+
+
+def _reference_codeword_index_matrix(code):
+    """Every message at once: column i of the messages times basis word i."""
+    q = code.field.order
+    add_t, mul_t, _ = field_tables(code.field)
+    basis = np.array(basis_codewords(code), dtype=np.int64)
+    rows = np.zeros((q ** code.k, code.n), dtype=np.int64)
+    idx = np.arange(q ** code.k)
+    for i in range(code.k):
+        m_col = (idx // (q ** (code.k - 1 - i))) % q
+        rows = add_t[rows, mul_t[m_col[:, None], basis[i][None, :]]]
+    return rows
+
+
+@pytest.mark.parametrize("r, alpha, n", [(2, 1, 9), (2, 1, 15), (3, 1, 8),
+                                         (2, 2, 7), (5, 1, 6), (3, 2, 4)])
+def test_codeword_index_matrix_matches_reference(r, alpha, n):
+    field = make_field(r, alpha)
+    facs = factor_xn_minus_1(n, field)
+    for combo in itertools.product(*(range(m + 1) for _, m in facs)):
+        g = one_poly(field)
+        for (fac, _), e in zip(facs, combo):
+            for _ in range(e):
+                g = poly_mul(g, fac)
+        code = make_code(field, n, g)
+        if field.order ** code.k > 2 ** 14:
+            continue
+        got = codeword_index_matrix(code)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _reference_codeword_index_matrix(code))
 
 
 def test_enumerate_f3_sum_zero():

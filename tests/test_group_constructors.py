@@ -210,3 +210,32 @@ def test_materialized_perms_are_bijections():
         e = random_group_expr(rng, depth=1)
         for p in materialize(e):
             assert sorted(p.images) == list(range(expr_degree(e)))
+
+
+def test_chain_orders_match_the_order_formula():
+    # the constructors' check that left the verdict path: the Schreier-Sims
+    # order of every table claim of degree <= 300 and of every derived
+    # Per(C) expression equals expr_order (each distinct generator set once)
+    from cycperm.autgroup import derive_per_group
+    from cycperm.cyclic_code import make_code
+    from cycperm.errors import TooLarge
+    from cycperm.table import TABLE_ROWS
+
+    exprs = []
+    for row in TABLE_ROWS:
+        if row.n > 300:
+            continue
+        exprs.append(row.claim_expr())
+        try:
+            exprs.append(derive_per_group(
+                make_code(F2, row.n, row.build_gen(F2)))[0])
+        except TooLarge:  # T25 and T26: n = 217 leaves
+            pass
+    assert len(exprs) == 41 + 39
+    seen = {}
+    for e in exprs:
+        gens = materialize(e)
+        key = b"".join(g.array().tobytes() for g in gens)
+        if key not in seen:
+            seen[key] = PermGroup(expr_degree(e), gens).order
+        assert seen[key] == expr_order(e), format_group_expr(e)

@@ -12,11 +12,22 @@ from cycperm import cli
 from cycperm.autgroup import VerificationReport, predicted_group
 from cycperm.cyclic_code import make_code
 from cycperm.galois import make_field
-from cycperm.group_constructors import expr_degree, expr_order
+from cycperm.group_constructors import (
+    CrtProduct,
+    Cyclic,
+    Named,
+    PerOf,
+    Sym,
+    Wreath,
+    expr_degree,
+    expr_order,
+    format_group_expr,
+)
 from cycperm.polyring import format_poly_text
 from cycperm.table import (
     RunConfig,
     TABLE_ROWS,
+    TableRow,
     parse_gen_expr,
     run_table,
     select_rows,
@@ -280,29 +291,60 @@ PERM_GROUP_GOLDEN = [
 ]
 
 
+NEW_FIELDS = ("evidence", "order_match")
+
+# The two over-claims: computed_order is now |Per(C)| derived from the code
+# (it was the order of the claim's own chain), and equal needs the
+# certificate.  (parent computed_order, equal) -> (now computed_order, equal)
+OVER_CLAIMS = [(("77760", True), ("6000", False)),
+               (("5040", True), ("168", False))]
+
+
 def _report_sans_time(doc: dict) -> dict:
     return {k: v for k, v in doc.items() if k != "elapsed_ms"}
 
 
+def _split_new_fields(doc: dict):
+    old = {k: v for k, v in doc.items() if k not in NEW_FIELDS}
+    return old, [doc[k] for k in NEW_FIELDS]
+
+
 def test_verdict_reports_golden(capsys):
     # pins every perm-group report above and run_table's reports on rows
-    # that reach every tier (values recorded before one function built
-    # all reports)
-    outputs = []
+    # that reach every tier: the fields that predate evidence and
+    # order_match against digests recorded before one function built all
+    # reports, and the two new fields on their own
+    outputs, new_fields = [], []
     for args in PERM_GROUP_GOLDEN:
         status = cli.main(["perm-group", *args])
-        doc = json.loads(capsys.readouterr().out)
-        outputs.append([status, _report_sans_time(doc)])
+        doc, extra = _split_new_fields(
+            _report_sans_time(json.loads(capsys.readouterr().out)))
+        outputs.append([status, doc])
+        new_fields.append(extra)
     assert [status for status, _ in outputs] == [0] * 10 + [1, 1]
+    for (_, doc), (before, now) in zip(outputs[10:], OVER_CLAIMS):
+        assert doc["certified"] is False
+        assert (doc["computed_order"], doc["equal"]) == now
+        doc["computed_order"], doc["equal"] = before
     digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
     assert digest[:16] == "2dc7f78b4ea7809a"
+    assert new_fields == [[None, None]] * 4 + [
+        ["decomposition-equal", True], ["decomposition-equal", True],
+        ["subgroup", None], ["subgroup+sampling", None],
+        ["decomposition-equal", True], ["decomposition-equal", True],
+        ["decomposition-equal", False], ["decomposition-equal", False]]
     rows = select_rows(["T01a", "T02a", "T15", "T23", "T27", "T17"])
     reports = run_table(rows, RunConfig(trials=200))
     assert [r.method for r in reports] == \
         ["Exhaustive", "Backtrack", "Certify", "Backtrack", "Certify", "Certify"]
-    docs = [_report_sans_time(r.to_json_dict()) for r in reports]
+    docs, new_fields = zip(*(_split_new_fields(_report_sans_time(
+        r.to_json_dict())) for r in reports))
     digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
     assert digest[:16] == "8f4d261f58a4aba5"
+    assert list(new_fields) == [
+        ["exhaustive-equal", True], ["backtrack-equal", True],
+        ["decomposition-equal", True], ["backtrack-equal", True],
+        ["decomposition-equal", True], ["subgroup+sampling", None]]
 
 
 def _perm_group(capsys, *args):
@@ -341,3 +383,51 @@ def test_table_and_perm_group_agree(capsys, row_id, mode):
             "counterexamples")
     want = table_rep.to_json_dict()
     assert {k: rep[k] for k in keys} == {k: want[k] for k in keys}
+
+
+def _proper_subgroup(e):
+    """e with its outermost S(h >= 3), named group, x(p, q) or per leaf
+    (A before H in a wreath) replaced by the cyclic group of its degree,
+    a proper subgroup that the shift still puts inside Per(C)."""
+    if isinstance(e, Wreath):
+        a = _proper_subgroup(e.a)
+        if a is not None:
+            return Wreath(a, e.h, e.layout)
+        h = _proper_subgroup(e.h)
+        return None if h is None else Wreath(e.a, h, e.layout)
+    if isinstance(e, Sym) and e.n < 3:
+        return None
+    if isinstance(e, (Sym, Named, CrtProduct, PerOf)):
+        return Cyclic(expr_degree(e))
+    return None
+
+
+def test_proper_subgroup_mutants_rejected():
+    # one under-claim per record that the decomposition tier decides; the
+    # certificate passes, so only Per(C) <= claim can reject it
+    rows = [row for row in TABLE_ROWS if row.n <= 300]
+    reports = run_table(rows, RunConfig())
+    mutants = [TableRow(row.id + "m", row.n_factored, row.n, row.gen_text,
+                        format_group_expr(_proper_subgroup(row.claim_expr())))
+               for row, rep in zip(rows, reports)
+               if rep.evidence == "decomposition-equal"]
+    assert len(mutants) == 26
+    for mutant, rep in zip(mutants, run_table(mutants, RunConfig())):
+        assert rep.certified is True, mutant.claim
+        assert rep.evidence == "decomposition-equal", mutant.claim
+        assert rep.equal is False, mutant.claim
+        assert rep.order_match is False, mutant.claim
+
+
+@pytest.mark.parametrize("n, gen, order", [
+    (31, "1,1,0,1,0,0,0,1,0,0,0,0,0,0,0,1", 155),          # T15's code
+    (35, "1,0,1,0,1,1,1,0,1,0,1", math.factorial(5) * math.factorial(7)),
+])
+def test_per_leaves_above_the_exhaustive_cutoff_as_claims(capsys, n, gen,
+                                                          order):
+    status, rep = _perm_group(capsys, "--n", str(n), "--gen", gen,
+                              "--claim", f"per(2;{n};{gen})")
+    assert status == 0
+    assert rep["certified"] is True and rep["equal"] is True
+    assert rep["evidence"] == "decomposition-equal"
+    assert rep["computed_order"] == rep["predicted_order"] == str(order)

@@ -8,8 +8,9 @@ Four routes with different reach:
   (enumerable codes), exact;
 * derive_per_group - Per(C) from the code's structure: repeated
   coordinates (rows) and interleaved components (cols) reduce it to
-  wreath products over leaf codes that the exact searches solve; exact
-  whenever every leaf can be searched, at any n;
+  wreath products over leaf codes that the exact searches solve, and the
+  weight-4 words of a binary length-pq leaf too large to search can show
+  Per(C) = x(p, q); exact whenever every leaf is decided, at any n;
 * predicted_group / certify_subgroup / falsify_by_sampling - theorem-shaped
   prediction, subgroup certificates and seeded negative sampling (any n).
 
@@ -34,6 +35,7 @@ only the survivors the full check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -60,6 +62,7 @@ from .group_constructors import (
     PerOf,
     Sym,
     Wreath,
+    crt_product_generators,
     expr_contains,
     expr_order,
     format_group_expr,
@@ -157,27 +160,30 @@ class _Engine:
             return False, int(rows[bad[0]])
         return True, None
 
-    def preserving_inverses(self, taus: np.ndarray) -> np.ndarray:
-        """Indices of the rows tau = sigma^{-1} of taus whose sigma
+    def preserving_inverses(self, taus: np.ndarray, label) -> np.ndarray:
+        """Indices of the rows tau = label[taus] whose sigma = tau^{-1}
         preserves the code; basis word t is checked only on the rows that
         passed the words before it."""
         keep = np.arange(taus.shape[0])
         for t in range(self.k):
-            bad = self._bad_rows(taus[:, self.g_supp + t])
+            bad = self._bad_rows(taus[:, self.g_supp + t], label)
             if bad.size:
                 good = np.ones(taus.shape[0], dtype=bool)
                 good[bad] = False
                 keep, taus = keep[good], taus[good]
         return keep
 
-    def _bad_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Rows of idx (permuted-word supports, one word per row) not in C."""
+    def _bad_rows(self, idx: np.ndarray, label=None) -> np.ndarray:
+        """Rows of idx (permuted-word supports, one word per row, read
+        through label when given) not in C."""
         if self.q == 2:
-            syn = np.bitwise_xor.reduce(self.packed[idx], axis=1)
+            packed = self.packed if label is None else self.packed[label]
+            syn = np.bitwise_xor.reduce(packed[idx], axis=1)
         else:
-            syn = self._g_mul[0][self.R[idx[:, 0]]]
+            R = self.R if label is None else self.R[label]
+            syn = self._g_mul[0][R[idx[:, 0]]]
             for j in range(1, idx.shape[1]):
-                syn = self._add[syn, self._g_mul[j][self.R[idx[:, j]]]]
+                syn = self._add[syn, self._g_mul[j][R[idx[:, j]]]]
         return np.flatnonzero(syn.any(axis=1))
 
 
@@ -192,21 +198,23 @@ def _scan_permutations(args):
     preserves the code, as one array in lexicographic order.
 
     A block fixes tau[0] = v and a prefix, and takes every ordering of the
-    remaining points from the table of orderings.  Prefixes and orderings
-    both run in lexicographic order, so the kept rows do too.
+    remaining points from the table of orderings.  The block is built once,
+    over labels (ranks of the free points, then the head), and a prefix
+    only sets the labels' points.  Prefixes and orderings both run in
+    lexicographic order, so the kept rows do too.
     """
     engine, orderings, v = args
     n, tail = engine.n, orderings.shape[1]
     others = [p for p in range(n) if p != v]
     block = np.empty((len(orderings), n), dtype=np.int64)
-    block[:, 0] = v
+    block[:, :n - tail] = np.arange(tail, n)
+    block[:, n - tail:] = orderings
     found = []
     for prefix in itertools.permutations(others, n - 1 - tail):
         free = np.ones(n, dtype=bool)
         free[[v, *prefix]] = False
-        block[:, 1:n - tail] = prefix
-        block[:, n - tail:] = np.flatnonzero(free)[orderings]
-        found.append(block[engine.preserving_inverses(block)])
+        label = np.concatenate([np.flatnonzero(free), [v, *prefix]])
+        found.append(label[block[engine.preserving_inverses(block, label)]])
     return np.concatenate(found)
 
 
@@ -464,6 +472,12 @@ def derive_per_group(code: CyclicCodeSpec) -> Tuple[GroupExpr, int]:
       its indecomposable summands are unique (Slepian, 1960) and permuted
       by the shift, so no larger split exists: Per(C) =
       wr(Per(C_{n/m,f}), S(m), cols).
+    * pq words - x(p, q) for a binary leaf of length pq that neither the
+      code nor its dual can enumerate, when the pairs i = j mod p share
+      one count of weight-4 words through i and j that no other pair
+      has, likewise mod q, and x(p, q) preserves C.  Per(C) keeps those
+      counts (Leon, 1982), hence both CRT partitions, so it lies in
+      x(p, q); the generators give the reverse inclusion.
     * leaf - per(FIELD;N;GEN), searched exactly by per_of_generators
       (TooLarge when neither the code nor its dual can be enumerated).
 
@@ -491,7 +505,37 @@ def _derived_expr(code: CyclicCodeSpec) -> GroupExpr:
         if f is not None:
             return Wreath(_derived_expr(make_code(field, n // m, f)), Sym(m),
                           Layout.COL_BLOCKS)
+    if 2 ** min(code.k, n - code.k) > DEFAULT_ENUM_CAP:
+        high = min(code.gen, code.dual_gen, key=lambda g: g.degree)
+        return _crt_expr(n, high) or PerOf(field, n, code.gen)
     return PerOf(field, n, code.gen)
+
+
+@functools.lru_cache(maxsize=None)
+def _crt_expr(n: int, gen: Poly) -> Optional[CrtProduct]:
+    """The pq-words rule of derive_per_group on C_{n,gen}, or None.
+    count(i, j) is the number of pairs {k, l} != {i, j} of equal
+    check-column syndrome: weight-4 words in a leaf, and invariant under
+    Per(C) in any binary code, so the rule is sound off leaves too."""
+    primes = _prime_factors(n)
+    if gen.field.order != 2 or len(primes) != 2 or math.prod(primes) != n:
+        return None
+    engine = _Engine(make_code(gen.field, n, gen))
+    i, j = np.triu_indices(n, 1)
+    syn = engine.packed[i] ^ engine.packed[j]  # one lane sorts 20x faster
+    _, cls, size = np.unique(syn if syn.shape[1] > 1 else syn[:, 0], axis=0,
+                             return_inverse=True, return_counts=True)
+    count = np.full((n, n), -1)
+    count[i, j] = count[j, i] = size[cls.ravel()] - 1
+    for m in primes:
+        same = np.arange(n) % m == np.arange(n)[:, None] % m
+        np.fill_diagonal(same, False)
+        values = np.unique(count[same])
+        if len(values) != 1 or (count[~same] == values[0]).any():
+            return None
+    gens = crt_product_generators(*primes)
+    ok = all(engine.perm_preserves(s.array())[0] for s in gens)
+    return CrtProduct(*primes) if ok else None
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +857,7 @@ def verify_claim(code: CyclicCodeSpec, claim: Optional[GroupExpr] = None,
     one, n <= order_cap decides them from derive_per_group: equal needs
     the certificate, and every derived generator must preserve C and lie
     in the claim (expr_contains), which proves Per(C) <= claim.  A leaf
-    too large to search falls back to claimed's chain order.
+    that derive_per_group cannot decide falls back to claimed's chain order.
 
     evidence names the tier that decided equal (None without a claim):
     exhaustive-equal, backtrack-equal, decomposition-equal, subgroup+order

@@ -84,12 +84,12 @@ def c31_c5_generators() -> List[Permutation]:
 
 
 _PEROF_CACHE: dict = {}  # (field, n, gen coeffs) -> (generators, order)
-_PEROF_EXHAUSTIVE = 10  # larger leaves are searched by backtracking
+_PEROF_EXHAUSTIVE = 8  # larger leaves are searched by backtracking
 
 
 def per_of_generators(field: FieldSpec, n: int, gen: Poly) -> List[Permutation]:
     """Exactly computed Per(C_{n,gen}), cached by (field, n, gen): the
-    exhaustive scan up to 10 points, backtracking above (which raises
+    exhaustive scan up to 8 points, backtracking above (which raises
     TooLarge when neither the code nor its dual can be enumerated)."""
     from .autgroup import backtrack_per_group, exhaustive_per_group
     from .cyclic_code import make_code

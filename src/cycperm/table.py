@@ -11,7 +11,7 @@ certificate):
 * certify  - every claimed-group generator preserves the code; plus, when
   n <= order_cap, Per(C) derived from the code's structure and compared
   with the claim by block membership (the claim's Schreier-Sims order
-  when a leaf is too large to search), or seeded sampling falsification
+  when a leaf is too large to decide), or seeded sampling falsification
   when n is beyond the cap;
 * backtrack - exact Per(C) when the code (or its dual) is enumerable and
   n <= backtrack_cutoff, compared to the claim by group equality;
@@ -281,8 +281,9 @@ def run_table(rows: Sequence[TableRow], cfg: RunConfig,
     """Verify each row; reports align with the input order.
 
     Materialized claim groups are cached by claim string.  Their
-    stabilizer chains are built only for the chain fallback (a leaf too
-    large to search), for sampling hits and for exact-search equality.
+    stabilizer chains are built only for sampling hits, for exact-search
+    equality and for the chain fallback of a leaf too large to decide,
+    which no table record reaches.
     """
     field = make_field(2)
     group_cache: dict = {}
@@ -356,6 +357,7 @@ def selftest(log=print) -> int:
         ("CRT product inside both wreaths", _st_crt_in_wreaths),
         ("group expression round-trip", _st_expr_roundtrip),
         ("sampling filter", _st_sampling_filter),
+        ("pq words", _st_pq_words),
     ]
     ok = True
     for name, fn in checks:
@@ -545,6 +547,19 @@ def _st_sampling_filter():
         rep = falsify_by_sampling(code, PermGroup(n, [identity_perm(n)]),
                                   trials, 606, engine=engine)
         assert want and [c["images"] for c in rep.counterexamples] == want
+
+
+def _st_pq_words():
+    from .autgroup import _crt_expr
+    from .group_constructors import crt_product_generators
+    f = make_field(2)
+    for n, p, q in ((15, 3, 5), (21, 3, 7)):
+        crt = PermGroup(n, crt_product_generators(p, q))
+        decided = [g for g in _all_divisor_polys(f, n)
+                   if 0 < g.degree < n and _crt_expr(n, g)]
+        assert len(decided) == 2, n
+        for g in decided:
+            assert groups_equal(backtrack_per_group(make_code(f, n, g)), crt)
 
 
 def random_group_expr(rng: random.Random, depth: int) -> GroupExpr:

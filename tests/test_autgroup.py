@@ -651,8 +651,9 @@ def test_report_json_round_trip():
 L7A, L7B = "per(2;7;1,1,0,1)", "per(2;7;1,0,1,1)"
 L31 = "per(2;31;1,1,0,1,0,0,0,1,0,0,0,0,0,0,0,1)"
 
-# derive_per_group on every record but T25 and T26 (n = 217 leaves that
-# cannot be enumerated); the "b" rows read the same with L7B for L7A
+# derive_per_group on every record; the "b" rows read the same with L7B
+# for L7A.  T25 and T26 are n = 217 leaves that cannot be enumerated,
+# decided by the pair counts of their weight-4 words.
 DERIVED_GOLDEN = {
     "T01": L7A, "T02": f"wr(S(2), {L7A}, rows)",
     "T03": f"wr({L7A}, S(2), cols)", "T04": f"wr(S(3), {L7A}, rows)",
@@ -670,6 +671,7 @@ DERIVED_GOLDEN = {
     "T18": f"wr(S(2), wr({L31}, S(62), cols), rows)",
     "T19": "S(3)", "T20": "S(5)", "T21": "S(7)", "T22": "S(31)",
     "T23": "per(2;15;1,1,1,0,0,1,1,1)", "T24": "per(2;15;1,1,0,1,1,1,0,1,1)",
+    "T25": "x(7,31)", "T26": "x(7,31)",
     "T27": "wr(S(2), per(2;15;1,0,1,1,1,0,1), rows)",
     "T28": "wr(S(7), per(2;15;1,0,1,1,1,0,1), rows)",
     "T29": "wr(S(3), per(2;35;1,0,1,0,1,1,1,0,1,0,1), rows)",
@@ -683,10 +685,6 @@ def _table_code(row):
 def test_derived_expressions_golden():
     got = {}
     for row in select_rows(None):
-        if row.id in ("T25", "T26"):
-            with pytest.raises(TooLarge):
-                derive_per_group(_table_code(row))
-            continue
         expr, order = derive_per_group(_table_code(row))
         assert order == row.theoretical_order() == expr_order(expr), row.id
         got[row.id] = format_group_expr(expr)
@@ -703,19 +701,45 @@ def test_derived_expressions_golden():
                                           (F5, 7)])
 def test_derived_order_matches_exact_search(field, n_max):
     # every g | x^n - 1 with 0 < k < n: the derived |Per(C)| equals the
-    # order an exact search finds (exhaustive up to 8 points, backtracking
-    # above, so leaves of 9 and 10 points are searched both ways)
+    # order an exact search finds: exhaustive up to 8 points and for the
+    # leaves of 9 and 10 points (which derive_per_group backtracks),
+    # backtracking elsewhere, so every leaf up to 10 points is searched
+    # both ways
     decomposed = 0
     for n in range(2, n_max + 1):
         for code in _all_divisor_codes(field, n):
             if not 0 < code.k < n:
                 continue
             expr, order = derive_per_group(code)
-            exact = exhaustive_per_group(code) if n <= 8 \
+            leaf = isinstance(expr, PerOf)
+            exact = exhaustive_per_group(code) if n <= 8 or leaf and n <= 10 \
                 else backtrack_per_group(code)
             assert order == exact.order, (n, format_poly_text(code.gen))
-            decomposed += not isinstance(expr, PerOf)
+            decomposed += not leaf
     assert decomposed > 0
+
+
+def test_crt_rule_matches_backtracking():
+    # the weight-4 pair-count rule, called on both sides of every binary
+    # g | x^n - 1 with 0 < k < n whether or not it is a leaf: wherever it
+    # answers x(p, q), backtracking finds exactly that group
+    decided = []
+    for n, p, q in ((15, 3, 5), (21, 3, 7), (35, 5, 7)):
+        crt = PermGroup(n, crt_product_generators(p, q))
+        for code in _all_divisor_codes(F2, n):
+            if not 0 < code.k < n:
+                continue
+            got = {autgroup._crt_expr(n, g) for g in (code.gen, code.dual_gen)}
+            if got == {None}:
+                continue
+            assert got <= {None, CrtProduct(p, q)}
+            exact = backtrack_per_group(code)
+            assert exact.order == math.factorial(p) * math.factorial(q)
+            assert groups_equal(exact, crt), format_poly_text(code.gen)
+            decided.append(format_poly_text(code.gen))
+    t23, t24 = (format_poly_text(_table_code(row).gen)
+                for row in select_rows(["T23", "T24"]))
+    assert t23 in decided and t24 in decided and len(decided) == 12
 
 
 def test_expr_contains_matches_chain_membership():

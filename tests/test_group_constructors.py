@@ -218,7 +218,6 @@ def test_chain_orders_match_the_order_formula():
     # Per(C) expression equals expr_order (each distinct generator set once)
     from cycperm.autgroup import derive_per_group
     from cycperm.cyclic_code import make_code
-    from cycperm.errors import TooLarge
     from cycperm.table import TABLE_ROWS
 
     exprs = []
@@ -226,12 +225,9 @@ def test_chain_orders_match_the_order_formula():
         if row.n > 300:
             continue
         exprs.append(row.claim_expr())
-        try:
-            exprs.append(derive_per_group(
-                make_code(F2, row.n, row.build_gen(F2)))[0])
-        except TooLarge:  # T25 and T26: n = 217 leaves
-            pass
-    assert len(exprs) == 41 + 39
+        exprs.append(derive_per_group(
+            make_code(F2, row.n, row.build_gen(F2)))[0])
+    assert len(exprs) == 41 + 41
     seen = {}
     for e in exprs:
         gens = materialize(e)

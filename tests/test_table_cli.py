@@ -23,6 +23,7 @@ from cycperm.group_constructors import (
     expr_order,
     format_group_expr,
 )
+from cycperm.permutation import PermGroup
 from cycperm.polyring import format_poly_text
 from cycperm.table import (
     RunConfig,
@@ -411,12 +412,27 @@ def test_proper_subgroup_mutants_rejected():
                         format_group_expr(_proper_subgroup(row.claim_expr())))
                for row, rep in zip(rows, reports)
                if rep.evidence == "decomposition-equal"]
-    assert len(mutants) == 26
+    assert len(mutants) == 28
+    assert [m.claim for m in mutants if m.id in ("T25m", "T26m")] \
+        == ["C(217)", "C(217)"]
     for mutant, rep in zip(mutants, run_table(mutants, RunConfig())):
         assert rep.certified is True, mutant.claim
         assert rep.evidence == "decomposition-equal", mutant.claim
         assert rep.equal is False, mutant.claim
         assert rep.order_match is False, mutant.claim
+
+
+def test_pq_records_build_no_chain(monkeypatch):
+    # T25 and T26 are decided from the pair counts of their weight-4
+    # words, with no Schreier-Sims chain of the claim x(7,31)
+    def no_chain(self):
+        raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(PermGroup, "chain", no_chain)
+    for rep in run_table(select_rows(["T25", "T26"]), RunConfig()):
+        assert rep.evidence == "decomposition-equal"
+        assert rep.certified is True and rep.equal is True
+        assert rep.computed_order == math.factorial(7) * math.factorial(31)
 
 
 @pytest.mark.parametrize("n, gen, order", [

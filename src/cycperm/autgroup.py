@@ -28,13 +28,14 @@ table of x^i mod g over element indices, with bit-packed XOR syndromes
 over F_2 and table-accumulated syndromes over every other field.  A basis
 word whose support the permutation fixes pointwise maps to itself, so
 only the words that meet the moved points are checked; a transposition
-costs at most 2*wt(g) word checks whatever k is.  The sampler checks
-basis word 0 of a whole block of trials in one gather first, and gives
-only the survivors the full check.
+costs at most 2*wt(g) word checks whatever k is.  The sampler draws the
+images of supp g for a block of trials, checks basis word 0 on them in one
+gather, and completes and fully checks only the survivors.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -95,7 +96,7 @@ from .polyring import (
     xn_minus_1,
 )
 
-RNG_ALGORITHM = "numpy-pcg64/fisher-yates-permutation"
+RNG_ALGORITHM = "numpy-pcg64/support-first-fisher-yates"
 
 
 class _Engine:
@@ -191,6 +192,7 @@ class _Engine:
 # exhaustive search
 
 _TAIL = 7  # a scan block runs over every ordering of its last 7 images
+_HELD_ROWS = 1 << 16  # preserving rows the scan holds before it reduces them
 
 
 def _scan_permutations(args):
@@ -220,8 +222,8 @@ def _scan_permutations(args):
 
 def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
                          workers: int = 1) -> PermGroup:
-    """Per(C) by scanning all n! permutations, as blocks of their inverses
-    checked by _Engine.preserving_inverses one basis word at a time."""
+    """Per(C) by scanning all n! permutations in blocks of inverses checked
+    by _Engine.preserving_inverses, reduced about _HELD_ROWS at a time."""
     n = code.n
     if n > cutoff:
         raise TooLarge(f"n={n} exceeds the exhaustive cutoff {cutoff}")
@@ -232,15 +234,22 @@ def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
     tail = range(min(_TAIL, n - 1))
     orderings = np.array(list(itertools.permutations(tail)), dtype=np.int64)
     chunks = [(engine, orderings, v) for v in range(n)]
-    if workers <= 1:
+    chain, kept, rows, held = _StabChain(n), [], 0, []
+    with contextlib.ExitStack() as stack:
         parts = map(_scan_permutations, chunks)
-    else:
-        import multiprocessing as mp
-        with mp.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_scan_permutations, chunks)
-    found = np.concatenate(list(parts))  # first images ascending
-    group = PermGroup(n, reduce_generators(np.argsort(found, axis=1), n))
-    if group.order != len(found):
+        if workers > 1:
+            import multiprocessing as mp
+            pool = stack.enter_context(mp.get_context("fork").Pool(workers))
+            parts = pool.imap(_scan_permutations, chunks)
+        for v, found in enumerate(parts):  # first images ascending
+            held.append(found)
+            rows += len(found)
+            if v == n - 1 or sum(map(len, held)) >= _HELD_ROWS:
+                sigmas = np.argsort(np.concatenate(held), axis=1)
+                kept.extend(reduce_generators(sigmas, n, chain))
+                held = []
+    group = PermGroup(n, kept)
+    if group.order != rows:
         raise AssertionError("exhaustive scan produced a non-group")
     return group
 
@@ -721,6 +730,7 @@ class VerificationReport:
     trials: Optional[int] = None
     seed: Optional[int] = None
     rng_algorithm: Optional[str] = None
+    sampling_log10_power: Optional[float] = None  # log10 of |claim| / n!
     elapsed_ms: int = 0
 
     def to_json_dict(self) -> dict:
@@ -794,7 +804,20 @@ def certify_subgroup(code: CyclicCodeSpec, gens: Sequence[Permutation],
     return report
 
 
-_SAMPLE_BLOCK = 1 << 16  # images per block of sampled trials
+_SAMPLE_BLOCK = 1 << 14  # head images per block of sampled trials
+
+
+def _fisher_yates_heads(draws: np.ndarray) -> np.ndarray:
+    """Row-wise slots 0..w-1 of arange(n) after swaps j <-> j + draws[:, j]."""
+    pos = draws + np.arange(draws.shape[1])
+    head, moved = np.empty_like(draws), np.empty_like(draws)
+    for j in range(draws.shape[1]):
+        at_p, at_j = pos[:, j], np.full(len(draws), j)
+        for i in range(j):  # moved[:, i] is what swap i wrote to pos[:, i]
+            at_p = np.where(pos[:, i] == pos[:, j], moved[:, i], at_p)
+            at_j = np.where(pos[:, i] == j, moved[:, i], at_j)
+        head[:, j], moved[:, j] = at_p, at_j
+    return head
 
 
 def falsify_by_sampling(code: CyclicCodeSpec, claimed: PermGroup,
@@ -804,33 +827,35 @@ def falsify_by_sampling(code: CyclicCodeSpec, claimed: PermGroup,
     claimed group.  Same seed gives the identical trial stream everywhere;
     an empty counterexample list is evidence, not proof.
 
-    Trials are drawn a block at a time into one reused buffer, each row
-    shuffled in place from arange(n): the same Fisher-Yates stream as
-    rng.permutation(n).  Per(C) is a group, so sigma preserves C iff
-    sigma^{-1} does, and basis word 0 under sigma^{-1} has support
-    sigma[supp g]; one gather of the block's columns supp g rejects
-    almost every trial without building an inverse.  The survivors, in
-    trial order, get the exact test and then the membership test.
+    Two generators spawned from the seed draw sigma support first: the head
+    sigma(s), s = supp g ascending (empty if k = 0), by a partial Fisher-Yates
+    on arange(n) for a block of trials at once.  sigma preserves C iff
+    sigma^{-1} does, whose basis word 0 has support sigma(s), so one gather
+    rejects almost every head.  Only survivors, in trial order, draw the tail:
+    the points left, ascending, shuffled onto the positions outside s.  Head
+    and tail are uniform, hence sigma, and no stream depends on the block.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
     if engine is None:
         engine = _Engine(code)
-    rng = np.random.default_rng(seed)
+    head_rng, tail_rng = map(np.random.default_rng,
+                             np.random.SeedSequence(seed).spawn(2))
     n = code.n
-    block = np.empty((max(1, min(trials, _SAMPLE_BLOCK // n)), n),
-                     dtype=np.int64)
+    supp = engine.g_supp if engine.k else engine.g_supp[:0]
+    rest_at = np.delete(engine._points, supp)
+    rows = max(1, min(trials, _SAMPLE_BLOCK // max(1, supp.size)))
     counterexamples = []
-    for start in range(0, trials, len(block)):
-        draws = block[:trials - start]
-        draws[:] = engine._points
-        for row in draws:
-            rng.shuffle(row)
-        keep = np.ones(len(draws), dtype=bool)
-        if engine.k:
-            keep[engine._bad_rows(draws[:, engine.g_supp])] = False
-        for sigma in draws[keep]:
+    for start in range(0, trials, rows):
+        heads = _fisher_yates_heads(head_rng.integers(
+            0, n - np.arange(supp.size), size=(min(rows, trials - start),
+                                               supp.size)))
+        bad = engine._bad_rows(heads) if engine.k else []
+        for head in np.delete(heads, bad, axis=0):
+            tail = tail_rng.permutation(np.delete(engine._points, head))
+            sigma = np.empty(n, dtype=np.int64)
+            sigma[supp], sigma[rest_at] = head, tail
             if engine.perm_preserves(sigma)[0]:
                 p = Permutation(sigma)
                 if not claimed.contains(p):
@@ -883,6 +908,8 @@ def verify_claim(code: CyclicCodeSpec, claim: Optional[GroupExpr] = None,
             report.trials = samp.trials
             report.seed = samp.seed
             report.rng_algorithm = samp.rng_algorithm
+            report.sampling_log10_power = math.log10(report.predicted_order) \
+                - math.lgamma(code.n + 1) / math.log(10)
             report.counterexamples += samp.counterexamples
             if report.evidence == "subgroup":
                 report.evidence = "subgroup+sampling"

@@ -530,18 +530,21 @@ def _contains_all(chain: _StabChain, gens: Sequence[Permutation]) -> bool:
 
 
 def reduce_generators(perms: Union[Sequence[Permutation], np.ndarray],
-                      degree: int) -> List[Permutation]:
+                      degree: int,
+                      chain: Optional[_StabChain] = None) -> List[Permutation]:
     """Greedy deterministic reduction: keep elements that grow the group.
 
     perms is a sequence of Permutations or an (m, degree) integer array of
     images; rows of an array become Permutations only when kept.
     Membership is tested a batch at a time, and a batch is tested again
     from just after each element it keeps, so the result is the greedy one.
+    A given chain is extended in place: pieces reduced into it in turn keep
+    what their concatenation would.
     """
     is_array = isinstance(perms, np.ndarray)
     if not is_array:
         perms = list(perms)
-    chain = _StabChain(degree)
+    chain = _StabChain(degree) if chain is None else chain
     kept: List[Permutation] = []
     i = 0
     while i < len(perms):

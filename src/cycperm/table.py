@@ -35,7 +35,7 @@ from .autgroup import (
     report_passed,
     verify_claim,
 )
-from .cyclic_code import DEFAULT_ENUM_CAP, make_code
+from .cyclic_code import DEFAULT_ENUM_CAP, contains, make_code
 from .galois import FieldSpec, make_field
 from .group_constructors import (
     GroupExpr,
@@ -535,17 +535,27 @@ def _st_sampling_filter():
     from .autgroup import _Engine, falsify_by_sampling
     from .permutation import identity_perm
     from .polyring import poly_from_ints
-    trials = 20000  # several sampling blocks, the last one ragged
     for r, n, gen in ((2, 7, [1, 1, 0, 1]), (3, 8, [2, 0, 1])):
         f = make_field(r)
         code = make_code(f, n, poly_from_ints(f, gen))
         engine = _Engine(code)
-        rng = np.random.default_rng(606)
-        draws = (rng.permutation(n) for _ in range(trials))
-        want = [s.tolist() for s in draws if engine.perm_preserves(s)[0]
-                and (s != np.arange(n)).any()]  # the identity is claimed
+        head_rng, tail_rng = map(np.random.default_rng,
+                                 np.random.SeedSequence(606).spawn(2))
+        supp, want = engine.g_supp.tolist(), []
+        for _ in range(5000):  # the sampler's stream, one trial at a time
+            pts = list(range(n))
+            for j, d in enumerate(head_rng.integers(n - np.arange(len(supp)))):
+                pts[j], pts[j + d] = pts[j + d], pts[j]
+            img = dict(zip(pts, (code.gen.coeffs[i] for i in supp)))
+            if not contains(code, tuple(img.get(p, f.zero) for p in range(n))):
+                continue  # basis word 0 leaves C: no tail is drawn
+            tail = iter(tail_rng.permutation(sorted(pts[len(supp):])))
+            s = np.array([pts[supp.index(i)] if i in supp else next(tail)
+                          for i in range(n)])
+            if engine.perm_preserves(s)[0] and (s != np.arange(n)).any():
+                want.append(s.tolist())  # the identity is claimed
         rep = falsify_by_sampling(code, PermGroup(n, [identity_perm(n)]),
-                                  trials, 606, engine=engine)
+                                  5000, 606, engine=engine)
         assert want and [c["images"] for c in rep.counterexamples] == want
 
 

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -18,6 +19,7 @@ from cycperm.autgroup import (
     exhaustive_per_group,
     falsify_by_sampling,
     predicted_group,
+    verify_claim,
 )
 from cycperm.cyclic_code import (
     DEFAULT_ENUM_CAP,
@@ -504,15 +506,17 @@ def test_falsify_deterministic_stream():
 
 
 def test_falsify_golden_stream():
-    # pins the rng.permutation(n) stream and which trials pass
+    # pins the support-first stream (head and tail generators spawned from
+    # the seed) and which trials pass
     code = make_code(F2, 7, G7A)
     trivial = PermGroup(7, [identity_perm(7)])
     rep = falsify_by_sampling(code, trivial, trials=2000, seed=5)
+    assert rep.rng_algorithm == "numpy-pcg64/support-first-fisher-yates"
     images = [tuple(c["images"]) for c in rep.counterexamples]
-    assert len(images) == 77
-    assert images[:2] == [(6, 0, 4, 2, 5, 1, 3), (2, 0, 5, 6, 4, 1, 3)]
+    assert len(images) == 53
+    assert images[:2] == [(0, 6, 3, 2, 4, 5, 1), (2, 3, 1, 5, 0, 6, 4)]
     digest = hashlib.sha256(json.dumps(images).encode()).hexdigest()
-    assert digest[:16] == "1d9ff51baab2d90e"
+    assert digest[:16] == "40f884852227288c"
 
 
 def _dense_preserves(code, sigma):
@@ -582,12 +586,30 @@ def _trivial_group(n):
 
 
 def _reference_sampling(code, claimed, trials, seed):
-    """Reference: one rng.permutation(n) per trial, the dense check, then
-    membership in the claim."""
-    rng = np.random.default_rng(seed)
+    """Reference: one trial at a time, the head by a Python Fisher-Yates
+    loop over supp g, the tail only for trials whose basis word 0 maps into
+    C, then the dense check and membership in the claim."""
+    head_rng, tail_rng = (np.random.default_rng(s)
+                          for s in np.random.SeedSequence(seed).spawn(2))
+    f, n = code.field, code.n
+    supp = [i for i, c in enumerate(code.gen.coeffs)
+            if c != f.zero] if code.k else []
+    rest_at = [i for i in range(n) if i not in supp]
     found = []
     for _ in range(trials):
-        sigma = rng.permutation(code.n)
+        points = list(range(n))
+        for j, r in enumerate(head_rng.integers(0, n - np.arange(len(supp)))):
+            points[j], points[j + r] = points[j + r], points[j]
+        head = points[:len(supp)]
+        word = [f.zero] * n
+        for i, p in zip(supp, head):
+            word[p] = code.gen.coeffs[i]
+        if code.k and not contains(code, tuple(word)):
+            continue
+        tail = np.array(sorted(points[len(supp):]))
+        tail_rng.shuffle(tail)
+        sigma = np.empty(n, dtype=np.int64)
+        sigma[supp], sigma[rest_at] = head, tail
         if _dense_preserves(code, sigma)[0] \
                 and not claimed.contains(Permutation(sigma)):
             found.append({"images": sigma.tolist(), "basis_index": None})
@@ -616,12 +638,41 @@ def test_block_sampler_matches_per_trial_loop(monkeypatch, code, claim_of,
     claimed = claim_of(n)
     want = _reference_sampling(code, claimed, trials, seed=11)
     assert want  # every case has counterexamples to compare
-    # blocks of one row (a cap below n), 7 rows (ragged last block),
-    # 12 rows (trials a multiple of it) and all trials at once
-    for cap in (1, 7 * n, 12 * n, trials * n):
+    # a block holds _SAMPLE_BLOCK // w heads of w = |supp g| images (w = 0
+    # when k = 0 counts as 1): blocks of one row (a cap of 1), 7 rows
+    # (ragged last block), 12 rows (trials a multiple of it) and all trials
+    w = max(1, _Engine(code).g_supp.size if code.k else 0)
+    for cap in (1, 7 * w, 12 * w, trials * w):
         monkeypatch.setattr(autgroup, "_SAMPLE_BLOCK", cap)
         rep = falsify_by_sampling(code, claimed, trials, seed=11)
         assert rep.counterexamples == want, cap
+
+
+# chi-square quantile for 23 degrees of freedom, upper tail 1e-6
+_CHI2_23_P1E6 = 70.55
+
+
+@pytest.mark.parametrize("gen", [
+    [1, 1, 1, 1],     # repetition code: sigma is all head (|supp g| = 4)
+    [1],              # g = 1: one head image, three tail images
+    [1, 0, 0, 0, 1],  # k = 0: no filter, sigma is all tail
+])
+def test_sampled_sigma_is_uniform(gen):
+    # Per(C) = S_4 and the claim is trivial, so every trial but the
+    # identity comes back: the 24 counts of 24,000 trials, the identity's
+    # implied by the total, must pass a chi-square test at p = 1e-6
+    code = make_code(F2, 4, poly_from_ints(F2, gen))
+    trials = 24_000
+    rep = falsify_by_sampling(code, _trivial_group(4), trials, seed=2026)
+    counts = collections.Counter(tuple(c["images"])
+                                 for c in rep.counterexamples)
+    assert (0, 1, 2, 3) not in counts and len(counts) <= 23
+    observed = [counts[p] for p in itertools.permutations(range(4))
+                if p != (0, 1, 2, 3)]
+    observed.append(trials - sum(observed))
+    expected = trials / 24
+    stat = sum((o - expected) ** 2 / expected for o in observed)
+    assert stat < _CHI2_23_P1E6, (stat, observed)
 
 
 def test_engine_shares_the_field_table_cap():
@@ -646,6 +697,23 @@ def test_report_json_round_trip():
     back = VerificationReport.from_json_dict(json.loads(blob))
     assert back == rep
     assert json.loads(blob)["predicted_order"] == str(2 ** 7 * 168)
+
+
+def test_sampling_power_t17():
+    # one uniform trial lands in the claim with probability |claim| / n!
+    row = select_rows(["T17"])[0]
+    code = make_code(F2, row.n, row.build_gen(F2))
+    claim = parse_group_expr(row.claim)
+    rep = verify_claim(code, claim, trials=10)
+    assert rep.trials == 10 and rep.evidence == "subgroup+sampling"
+    assert abs(rep.sampling_log10_power - (-2349.12)) < 0.01
+    exact = math.log10(expr_order(claim)) - math.log10(math.factorial(961))
+    assert abs(rep.sampling_log10_power - exact) < 1e-6
+    back = VerificationReport.from_json_dict(
+        json.loads(json.dumps(rep.to_json_dict())))
+    assert back == rep
+    # no trials, no power
+    assert verify_claim(code, claim).sampling_log10_power is None
 
 
 L7A, L7B = "per(2;7;1,1,0,1)", "per(2;7;1,0,1,1)"

@@ -9,7 +9,11 @@ import pytest
 
 import cycperm
 from cycperm import cli
-from cycperm.autgroup import VerificationReport, predicted_group
+from cycperm.autgroup import (
+    RNG_ALGORITHM,
+    VerificationReport,
+    predicted_group,
+)
 from cycperm.cyclic_code import make_code
 from cycperm.galois import make_field
 from cycperm.group_constructors import (
@@ -292,7 +296,10 @@ PERM_GROUP_GOLDEN = [
 ]
 
 
-NEW_FIELDS = ("evidence", "order_match")
+NEW_FIELDS = ("evidence", "order_match", "sampling_log10_power")
+# the sampler's stream was re-pinned after the digests below were recorded
+# (support-first drawing); no pinned report has a sampled counterexample
+OLD_RNG_ALGORITHM = "numpy-pcg64/fisher-yates-permutation"
 
 # The two over-claims: computed_order is now |Per(C)| derived from the code
 # (it was the order of the claim's own chain), and equal needs the
@@ -307,14 +314,20 @@ def _report_sans_time(doc: dict) -> dict:
 
 def _split_new_fields(doc: dict):
     old = {k: v for k, v in doc.items() if k not in NEW_FIELDS}
-    return old, [doc[k] for k in NEW_FIELDS]
+    if old["rng_algorithm"] is not None:
+        assert old["rng_algorithm"] == RNG_ALGORITHM
+        assert old["counterexamples"] == []
+        old["rng_algorithm"] = OLD_RNG_ALGORITHM
+    power = doc["sampling_log10_power"]
+    return old, [doc["evidence"], doc["order_match"],
+                 None if power is None else round(power, 2)]
 
 
 def test_verdict_reports_golden(capsys):
     # pins every perm-group report above and run_table's reports on rows
-    # that reach every tier: the fields that predate evidence and
-    # order_match against digests recorded before one function built all
-    # reports, and the two new fields on their own
+    # that reach every tier: the fields that predate evidence, order_match
+    # and sampling_log10_power against digests recorded before one function
+    # built all reports, and the three new fields on their own
     outputs, new_fields = [], []
     for args in PERM_GROUP_GOLDEN:
         status = cli.main(["perm-group", *args])
@@ -329,11 +342,16 @@ def test_verdict_reports_golden(capsys):
         doc["computed_order"], doc["equal"] = before
     digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
     assert digest[:16] == "2dc7f78b4ea7809a"
-    assert new_fields == [[None, None]] * 4 + [
-        ["decomposition-equal", True], ["decomposition-equal", True],
-        ["subgroup", None], ["subgroup+sampling", None],
-        ["decomposition-equal", True], ["decomposition-equal", True],
-        ["decomposition-equal", False], ["decomposition-equal", False]]
+    # log10(|claim| / n!) wherever trials are recorded: 2^7 * 168 / 14! and
+    # 10^3 * 3! / 15!
+    assert new_fields == [[None, None, None]] * 4 + [
+        ["decomposition-equal", True, None],
+        ["decomposition-equal", True, -6.61],
+        ["subgroup", None, None], ["subgroup+sampling", None, -6.61],
+        ["decomposition-equal", True, None],
+        ["decomposition-equal", True, -8.34],
+        ["decomposition-equal", False, None],
+        ["decomposition-equal", False, None]]
     rows = select_rows(["T01a", "T02a", "T15", "T23", "T27", "T17"])
     reports = run_table(rows, RunConfig(trials=200))
     assert [r.method for r in reports] == \
@@ -343,9 +361,10 @@ def test_verdict_reports_golden(capsys):
     digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
     assert digest[:16] == "8f4d261f58a4aba5"
     assert list(new_fields) == [
-        ["exhaustive-equal", True], ["backtrack-equal", True],
-        ["decomposition-equal", True], ["backtrack-equal", True],
-        ["decomposition-equal", True], ["subgroup+sampling", None]]
+        ["exhaustive-equal", True, None], ["backtrack-equal", True, None],
+        ["decomposition-equal", True, None], ["backtrack-equal", True, None],
+        ["decomposition-equal", True, None],
+        ["subgroup+sampling", None, -2349.12]]
 
 
 def _perm_group(capsys, *args):

@@ -2,7 +2,7 @@
 
 Four routes with different reach:
 
-* exhaustive_per_group - scan all of S_n (small n) in blocks, exact;
+* exhaustive_per_group - scan all of S_n (small n), pruning prefixes, exact;
 * backtrack_per_group  - coordinate-image backtracking over a candidate
   matrix refined by pair classes, with stabilizer-chain pruning
   (enumerable codes), exact;
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass, field as dc_field, fields
@@ -113,8 +112,9 @@ class _Engine:
     x^t g itself, which lies in C over any field.  perm_preserves therefore
     checks just the rows t with (supp g + t) meeting the moved set M, or
     all k rows when |M| * wt(g) >= k.  _bad_rows tests a batch of
-    permuted supports of g at once: the exhaustive scan and the sampler
-    call it on blocks of permutations before any exact test.
+    permuted supports of g at once: the exhaustive scan checks its rows
+    with it one word at a time, and the sampler filters blocks of trials
+    with it before any exact test.
     """
 
     def __init__(self, code: CyclicCodeSpec):
@@ -161,27 +161,12 @@ class _Engine:
             return False, int(rows[bad[0]])
         return True, None
 
-    def preserving_inverses(self, taus: np.ndarray, label) -> np.ndarray:
-        """Indices of the rows tau = label[taus] whose sigma = tau^{-1}
-        preserves the code; basis word t is checked only on the rows that
-        passed the words before it."""
-        keep = np.arange(taus.shape[0])
-        for t in range(self.k):
-            bad = self._bad_rows(taus[:, self.g_supp + t], label)
-            if bad.size:
-                good = np.ones(taus.shape[0], dtype=bool)
-                good[bad] = False
-                keep, taus = keep[good], taus[good]
-        return keep
-
-    def _bad_rows(self, idx: np.ndarray, label=None) -> np.ndarray:
-        """Rows of idx (permuted-word supports, one word per row, read
-        through label when given) not in C."""
+    def _bad_rows(self, idx: np.ndarray) -> np.ndarray:
+        """Rows of idx (permuted-word supports, one word per row) not in C."""
         if self.q == 2:
-            packed = self.packed if label is None else self.packed[label]
-            syn = np.bitwise_xor.reduce(packed[idx], axis=1)
+            syn = np.bitwise_xor.reduce(self.packed[idx], axis=1)
         else:
-            R = self.R if label is None else self.R[label]
+            R = self.R
             syn = self._g_mul[0][R[idx[:, 0]]]
             for j in range(1, idx.shape[1]):
                 syn = self._add[syn, self._g_mul[j][R[idx[:, j]]]]
@@ -191,50 +176,55 @@ class _Engine:
 # ---------------------------------------------------------------------------
 # exhaustive search
 
-_TAIL = 7  # a scan block runs over every ordering of its last 7 images
-_HELD_ROWS = 1 << 16  # preserving rows the scan holds before it reduces them
+_REDUCE_ROWS = 1 << 16  # preserving rows reduced at a time
 
 
 def _scan_permutations(args):
-    """Worker: the rows tau = sigma^{-1} with first image v whose sigma
-    preserves the code, as one array in lexicographic order.
+    """Worker: the rows tau = sigma^{-1} with tau[0] = v whose sigma
+    preserves the code, as one array of the smallest unsigned dtype that
+    holds n - 1, in lexicographic order.
 
-    A block fixes tau[0] = v and a prefix, and takes every ordering of the
-    remaining points from the table of orderings.  The block is built once,
-    over labels (ranks of the free points, then the head), and a prefix
-    only sets the labels' points.  Prefixes and orderings both run in
-    lexicographic order, so the kept rows do too.
+    The rows grow one position at a time, each row's candidates ascending,
+    so they stay in lexicographic order.  Under sigma, basis word t has
+    support tau[supp g + t], which is placed once position t + deg g is;
+    a row that word rejects is dropped there, with all its extensions.
     """
-    engine, orderings, v = args
-    n, tail = engine.n, orderings.shape[1]
-    others = [p for p in range(n) if p != v]
-    block = np.empty((len(orderings), n), dtype=np.int64)
-    block[:, :n - tail] = np.arange(tail, n)
-    block[:, n - tail:] = orderings
-    found = []
-    for prefix in itertools.permutations(others, n - 1 - tail):
-        free = np.ones(n, dtype=bool)
-        free[[v, *prefix]] = False
-        label = np.concatenate([np.flatnonzero(free), [v, *prefix]])
-        found.append(label[block[engine.preserving_inverses(block, label)]])
-    return np.concatenate(found)
+    engine, v = args
+    n, m = engine.n, engine.code.gen.degree
+    dtype = np.min_scalar_type(n - 1)
+    taus = np.full((1, 1), v, dtype=dtype)
+    for i in range(n):
+        if i:
+            free = np.ones((len(taus), n), dtype=bool)
+            free[np.arange(len(taus))[:, None], taus] = False
+            parent, point = np.nonzero(free)
+            taus = np.concatenate(
+                [taus[parent], point[:, None].astype(dtype)], axis=1)
+        if 0 <= i - m < engine.k:
+            bad = engine._bad_rows(taus[:, engine.g_supp + i - m])
+            if bad.size:
+                taus = np.delete(taus, bad, axis=0)
+    return taus
 
 
 def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
                          workers: int = 1) -> PermGroup:
-    """Per(C) by scanning all n! permutations in blocks of inverses checked
-    by _Engine.preserving_inverses, reduced about _HELD_ROWS at a time."""
+    """Per(C) by a prefix-pruned scan of all n! permutations
+    (_scan_permutations), one first image at a time, its rows reduced
+    _REDUCE_ROWS at a time.  The scan runs on C or C-dual, whichever
+    generator has the lower degree: Per(C) = Per(C-dual), and a low degree
+    lets the first words prune early."""
     n = code.n
     if n > cutoff:
         raise TooLarge(f"n={n} exceeds the exhaustive cutoff {cutoff}")
     if code.k == 0:
         from .group_constructors import sym_generators
         return PermGroup(n, sym_generators(n))
+    if code.dual_gen.degree < code.gen.degree:
+        code = make_code(code.field, n, code.dual_gen)
     engine = _Engine(code)
-    tail = range(min(_TAIL, n - 1))
-    orderings = np.array(list(itertools.permutations(tail)), dtype=np.int64)
-    chunks = [(engine, orderings, v) for v in range(n)]
-    chain, kept, rows, held = _StabChain(n), [], 0, []
+    chunks = [(engine, v) for v in range(n)]
+    chain, kept, rows = _StabChain(n), [], 0
     with contextlib.ExitStack() as stack:
         parts = map(_scan_permutations, chunks)
         if workers > 1:
@@ -242,12 +232,15 @@ def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
             pool = stack.enter_context(mp.get_context("fork").Pool(workers))
             parts = pool.imap(_scan_permutations, chunks)
         for v, found in enumerate(parts):  # first images ascending
-            held.append(found)
             rows += len(found)
-            if v == n - 1 or sum(map(len, held)) >= _HELD_ROWS:
-                sigmas = np.argsort(np.concatenate(held), axis=1)
+            # the sigmas of v, which map v to 0, are one coset of the
+            # stabilizer of 0, and the chain holds that stabilizer once
+            # v = 0 is reduced: one member means all are, and none is kept
+            if not len(found) or v and chain.contains(np.argsort(found[0])):
+                continue
+            for start in range(0, len(found), _REDUCE_ROWS):
+                sigmas = np.argsort(found[start:start + _REDUCE_ROWS], axis=1)
                 kept.extend(reduce_generators(sigmas, n, chain))
-                held = []
     group = PermGroup(n, kept)
     if group.order != rows:
         raise AssertionError("exhaustive scan produced a non-group")

@@ -144,12 +144,34 @@ def named_group_generators(tag: str, degree: int) -> List[Permutation]:
     raise UnknownTag(f"unknown group tag {tag!r}")
 
 
+def _orbit_representatives(gens: List[Permutation]) -> List[int]:
+    """The least point of each orbit of <gens>, ascending."""
+    arrays = [g.array() for g in gens]
+    seen = np.zeros(gens[0].degree, dtype=bool)
+    reps = []
+    for p in range(len(seen)):
+        if seen[p]:
+            continue
+        reps.append(p)
+        seen[p] = True
+        front = np.array([p])
+        while front.size:  # forward images close an orbit of a finite group
+            front = np.unique(np.concatenate([a[front] for a in arrays]))
+            front = front[~seen[front]]
+            seen[front] = True
+    return reps
+
+
 def wreath_generators(a_gens: List[Permutation], h_gens: List[Permutation],
                       layout: Layout) -> List[Permutation]:
     """Generators of A wr H on deg(A)*deg(H) points.
 
-    deg(H) base copies of A (one per stride class) plus the lifted top
-    generators; generator count = deg(H)*|a_gens| + |h_gens|.
+    One base copy of A per orbit of H (on the stride class of the orbit's
+    least point) plus the lifted top generators: a top element carrying
+    class j to h(j) conjugates the copy on j onto the copy on h(j), so the
+    copies on one orbit generate each other (Dixon & Mortimer, Permutation
+    Groups, 1996, section 2.6).  Generator count = orbits(H)*|a_gens| +
+    |h_gens|, which is |a_gens| + |h_gens| for a transitive H.
     """
     if not a_gens or not h_gens:
         raise EmptyGenerators("wreath product needs generators on both sides")
@@ -158,7 +180,7 @@ def wreath_generators(a_gens: List[Permutation], h_gens: List[Permutation],
     n = la * lh
     grid = np.arange(n, dtype=np.int32).reshape(la, lh)
     out: List[Permutation] = []
-    for j in range(lh):
+    for j in _orbit_representatives(h_gens):
         for ga in a_gens:
             img = np.arange(n, dtype=np.int32)
             img[j::lh] = ga.array() * lh + j

@@ -67,6 +67,7 @@ from cycperm.polyring import (
     x_poly,
 )
 from cycperm.table import select_rows
+from wreath_reference import per_block_materialize
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -187,21 +188,44 @@ def _chain_shape(chain):
             len(chain.all_gens)]
 
 
+# strong generator counts of the claim chains below, from materialize's
+# generators (one base copy per top orbit) and from the one-copy-per-block
+# generators the first digest was recorded with
+CHAIN_GENS = [39, 39, 46, 46, 30, 30, 75, 75, 58, 58, 145, 2, 5, 30, 36, 36,
+              19, 94, 76, 11, 3]
+PER_BLOCK_CHAIN_GENS = [39, 39, 46, 46, 34, 34, 83, 83, 69, 69, 167, 2, 5, 30,
+                        36, 36, 21, 96, 80, 11, 3]
+
+
 def test_chain_golden():
     # pins order, base, fundamental orbits and strong generator count of
     # the chains of the benchmark's certify+order claims (table-orders
     # records and under-claim probes) and of its direct exact searches
-    # (values recorded before the batch re-sift in _StabChain._complete)
+    # (values recorded before the batch re-sift in _StabChain._complete).
+    # Fewer wreath generators change the claim chains' strong generator
+    # counts and the order in which orbit points are listed, not their
+    # groups, bases or orbit sets: the claims are pinned as materialized by
+    # a digest of their own and, built one copy per block, by the first
     rows = select_rows(["T05a", "T05b", "T06a", "T06b", "T07a", "T07b",
                         "T08a", "T08b", "T09a", "T09b", "T11a", "T15", "T16",
                         "T22", "T25", "T26", "T27", "T28", "T29"])
     claims = [row.claim for row in rows] + ["wr(C(6), PSL2_7, rows)",
                                             "wr(C(31), S(2), cols)"]
-    shapes = []
+    shapes, per_block = [], []
     for text in claims:
         expr = parse_group_expr(text)
-        group = PermGroup(expr_degree(expr), materialize(expr))
-        shapes.append(_chain_shape(group.chain()))
+        n = expr_degree(expr)
+        new = _chain_shape(PermGroup(n, materialize(expr)).chain())
+        old = _chain_shape(PermGroup(n, per_block_materialize(expr)).chain())
+        assert new[:2] == old[:2], text
+        assert list(map(sorted, new[2])) == list(map(sorted, old[2])), text
+        shapes.append(new)
+        per_block.append(old)
+    assert [shape[3] for shape in shapes] == CHAIN_GENS
+    assert [shape[3] for shape in per_block] == PER_BLOCK_CHAIN_GENS
+    digest = hashlib.sha256(json.dumps(shapes).encode()).hexdigest()
+    assert digest[:16] == "265bd6394ef34c9d"
+    shapes = per_block
     for call in [("backtrack", "2", 30, "Q(3)Q(5)"),
                  ("backtrack", "2", 105, "Q(5)Q(7)"),
                  ("backtrack", "2^2", 14, "x^3+x+1"),

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cycperm.cyclic_code import Layout
@@ -22,6 +23,7 @@ from cycperm.group_constructors import (
     Sym,
     Wreath,
     crt_product_generators,
+    cyclic_generators,
     expr_degree,
     expr_order,
     format_group_expr,
@@ -37,10 +39,12 @@ from cycperm.permutation import (
     Permutation,
     compose,
     groups_equal,
+    identity_perm,
     perm_from_cycles,
 )
 from cycperm.polyring import poly_from_ints
-from cycperm.table import random_group_expr
+from cycperm.table import random_group_expr, select_rows
+from wreath_reference import per_block_wreath_generators
 
 F2 = make_field(2)
 
@@ -48,8 +52,8 @@ F2 = make_field(2)
 def test_wreath_example_s2_by_s3():
     gens = wreath_generators(sym_generators(2), sym_generators(3),
                              Layout.ROW_BLOCKS)
-    expect = [perm_from_cycles([[0, 3]], 6), perm_from_cycles([[1, 4]], 6),
-              perm_from_cycles([[2, 5]], 6),
+    # S_3 is transitive: one copy of S_2, on the class of point 0
+    expect = [perm_from_cycles([[0, 3]], 6),
               perm_from_cycles([[0, 1], [3, 4]], 6),
               perm_from_cycles([[0, 1, 2], [3, 4, 5]], 6)]
     assert gens == expect
@@ -60,9 +64,48 @@ def test_wreath_generator_count():
     a = sym_generators(4)
     h = sym_generators(5)
     gens = wreath_generators(a, h, Layout.COL_BLOCKS)
-    assert len(gens) == 5 * len(a) + len(h)
+    assert len(gens) == 1 * len(a) + len(h)  # orbits(H) * |a| + |h|
+    # <(0 1)> on 3 points has the orbits {0, 1} and {2}
+    h = [perm_from_cycles([[0, 1]], 3)]
+    assert len(wreath_generators(a, h, Layout.ROW_BLOCKS)) == 2 * len(a) + 1
     with pytest.raises(EmptyGenerators):
         wreath_generators([], h, Layout.ROW_BLOCKS)
+
+
+def _random_generators(rng, degree):
+    return [Permutation(rng.sample(range(degree), degree))
+            for _ in range(rng.randrange(1, 3))]
+
+
+def test_wreath_generators_match_one_copy_per_block():
+    # one copy of A per orbit of H generates the group that one copy per
+    # block does, A^deg(H) semidirect H, whether H is transitive or not
+    rng = random.Random(14)
+    cases = [(sym_generators(3), [perm_from_cycles([[0, 1]], 3)]),
+             (cyclic_generators(3), [identity_perm(4)]),
+             (sym_generators(2), [identity_perm(1)])]
+    for _ in range(12):
+        cases.append((_random_generators(rng, rng.randrange(2, 5)),
+                      _random_generators(rng, rng.randrange(1, 5))))
+    for a, h in cases:
+        la, lh = a[0].degree, h[0].degree
+        gens = wreath_generators(a, h, rng.choice(list(Layout)))
+        chain = PermGroup(la * lh, gens).chain()
+        assert chain.order() == \
+            PermGroup(la, a).order ** lh * PermGroup(lh, h).order
+        old = per_block_wreath_generators(a, h)
+        assert chain.contains_batch(np.stack([g.array() for g in old])).all()
+        old_chain = PermGroup(la * lh, old).chain()
+        assert old_chain.contains_batch(
+            np.stack([g.array() for g in gens])).all()
+
+
+def test_table_wreath_claims_stay_small():
+    # the table's largest wreath claims materialize a handful of generators
+    # (one base copy per top orbit), not one copy per block: T18 had 2,048
+    counts = {row.id: len(materialize(row.claim_expr()))
+              for row in select_rows(["T17", "T18", "T11a", "T13a"])}
+    assert counts == {"T17": 4, "T18": 5, "T11a": 7, "T13a": 8}
 
 
 def test_wreath_order_formula_random():

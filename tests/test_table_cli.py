@@ -12,10 +12,11 @@ from cycperm import cli
 from cycperm.autgroup import (
     RNG_ALGORITHM,
     VerificationReport,
+    certify_subgroup,
     predicted_group,
 )
 from cycperm.cyclic_code import make_code
-from cycperm.galois import make_field
+from cycperm.galois import make_field, parse_field
 from cycperm.group_constructors import (
     CrtProduct,
     Cyclic,
@@ -26,9 +27,10 @@ from cycperm.group_constructors import (
     expr_degree,
     expr_order,
     format_group_expr,
+    parse_group_expr,
 )
 from cycperm.permutation import PermGroup
-from cycperm.polyring import format_poly_text
+from cycperm.polyring import format_poly_text, parse_poly_text
 from cycperm.table import (
     RunConfig,
     TABLE_ROWS,
@@ -38,6 +40,7 @@ from cycperm.table import (
     select_rows,
     summarize_csv,
 )
+from wreath_reference import per_block_materialize
 
 F2 = make_field(2)
 
@@ -307,6 +310,29 @@ OLD_RNG_ALGORITHM = "numpy-pcg64/fisher-yates-permutation"
 OVER_CLAIMS = [(("77760", True), ("6000", False)),
                (("5040", True), ("168", False))]
 
+# wr(S(3), per(...), rows) over F_4 now materializes one copy of S(3) (on the
+# class of point 0) and the leaf's generators: 4 failing generators, where
+# the one-copy-per-block set the digest was recorded with had 12
+F4_OVER_CLAIM_COUNTEREXAMPLES = [
+    {"images": [5, 1, 2, 3, 4, 0, 6, 7, 8, 9, 10, 11, 12, 13, 14],
+     "basis_index": 0},
+    {"images": [5, 1, 2, 3, 4, 10, 6, 7, 8, 9, 0, 11, 12, 13, 14],
+     "basis_index": 0},
+    {"images": [0, 4, 3, 2, 1, 5, 9, 8, 7, 6, 10, 14, 13, 12, 11],
+     "basis_index": 0},
+    {"images": [1, 0, 4, 3, 2, 6, 5, 9, 8, 7, 11, 10, 14, 13, 12],
+     "basis_index": 0}]
+
+
+def _per_block_counterexamples(args):
+    """The claim generators, built one copy per block, that fail."""
+    field = parse_field(args[args.index("--field") + 1])
+    code = make_code(field, int(args[args.index("--n") + 1]),
+                     parse_poly_text(args[args.index("--gen") + 1], field))
+    claim = parse_group_expr(args[args.index("--claim") + 1])
+    return certify_subgroup(code, per_block_materialize(claim),
+                            compute_order=False).counterexamples
+
 
 def _report_sans_time(doc: dict) -> dict:
     return {k: v for k, v in doc.items() if k != "elapsed_ms"}
@@ -340,6 +366,11 @@ def test_verdict_reports_golden(capsys):
         assert doc["certified"] is False
         assert (doc["computed_order"], doc["equal"]) == now
         doc["computed_order"], doc["equal"] = before
+    f4_over_claim = outputs[10][1]
+    assert f4_over_claim["counterexamples"] == F4_OVER_CLAIM_COUNTEREXAMPLES
+    per_block = _per_block_counterexamples(PERM_GROUP_GOLDEN[10])
+    assert len(per_block) == 12
+    f4_over_claim["counterexamples"] = per_block
     digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
     assert digest[:16] == "2dc7f78b4ea7809a"
     # log10(|claim| / n!) wherever trials are recorded: 2^7 * 168 / 14! and

@@ -176,44 +176,72 @@ class _Engine:
 # ---------------------------------------------------------------------------
 # exhaustive search
 
+_SCAN_ROWS = 1 << 12  # prefix rows the scan extends at a time
 _REDUCE_ROWS = 1 << 16  # preserving rows reduced at a time
 
 
 def _scan_permutations(args):
     """Worker: the rows tau = sigma^{-1} with tau[0] = v whose sigma
     preserves the code, as one array of the smallest unsigned dtype that
-    holds n - 1, in lexicographic order.
+    holds n - 1, in lexicographic order; with first set, only the first.
 
     The rows grow one position at a time, each row's candidates ascending,
-    so they stay in lexicographic order.  Under sigma, basis word t has
-    support tau[supp g + t], which is placed once position t + deg g is;
-    a row that word rejects is dropped there, with all its extensions.
+    and a block whose extension would pass _SCAN_ROWS rows is split, its
+    pieces finished in turn, so the rows come out in lexicographic order.
+    Under sigma, basis word t has support tau[supp g + t], which is placed
+    once position t + deg g is; a row that word rejects is dropped there,
+    with all its extensions.
     """
-    engine, v = args
+    engine, v, first = args
     n, m = engine.n, engine.code.gen.degree
     dtype = np.min_scalar_type(n - 1)
-    taus = np.full((1, 1), v, dtype=dtype)
-    for i in range(n):
-        if i:
-            free = np.ones((len(taus), n), dtype=bool)
-            free[np.arange(len(taus))[:, None], taus] = False
-            parent, point = np.nonzero(free)
-            taus = np.concatenate(
-                [taus[parent], point[:, None].astype(dtype)], axis=1)
-        if 0 <= i - m < engine.k:
-            bad = engine._bad_rows(taus[:, engine.g_supp + i - m])
+
+    def pruned(taus):
+        t = taus.shape[1] - 1 - m  # the basis word the last position ends
+        if 0 <= t < engine.k:
+            bad = engine._bad_rows(taus[:, engine.g_supp + t])
             if bad.size:
                 taus = np.delete(taus, bad, axis=0)
-    return taus
+        return taus
+
+    found = []
+    stack = [pruned(np.full((1, 1), v, dtype=dtype))]
+    while stack:
+        taus = stack.pop()
+        i = taus.shape[1]  # the next position to place
+        if not len(taus):
+            continue
+        if i == n:
+            if first:
+                return taus[:1]
+            found.append(taus)
+            continue
+        per = max(1, _SCAN_ROWS // (n - i))
+        if len(taus) > per:
+            stack.extend(taus[s:s + per]
+                         for s in reversed(range(0, len(taus), per)))
+            continue
+        free = np.ones((len(taus), n), dtype=bool)
+        free[np.arange(len(taus))[:, None], taus] = False
+        parent, point = np.nonzero(free)
+        stack.append(pruned(np.concatenate(
+            [taus[parent], point[:, None].astype(dtype)], axis=1)))
+    return np.concatenate(found) if found else np.empty((0, n), dtype=dtype)
 
 
 def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
                          workers: int = 1) -> PermGroup:
     """Per(C) by a prefix-pruned scan of all n! permutations
-    (_scan_permutations), one first image at a time, its rows reduced
-    _REDUCE_ROWS at a time.  The scan runs on C or C-dual, whichever
-    generator has the lower degree: Per(C) = Per(C-dual), and a low degree
-    lets the first words prune early."""
+    (_scan_permutations), one first image at a time.  The scan runs on C
+    or C-dual, whichever generator has the lower degree: Per(C) =
+    Per(C-dual), and a low degree lets the first words prune early.
+
+    The rows of first image 0 are the stabilizer of 0, reduced
+    _REDUCE_ROWS at a time.  The rows of another first image v are one
+    coset of it, so only v's first row is scanned for and reduced; the
+    group's order is then |Stab(0)| times the number of first images with
+    a row, which must equal the order of the kept generators' group.
+    """
     n = code.n
     if n > cutoff:
         raise TooLarge(f"n={n} exceeds the exhaustive cutoff {cutoff}")
@@ -223,8 +251,8 @@ def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
     if code.dual_gen.degree < code.gen.degree:
         code = make_code(code.field, n, code.dual_gen)
     engine = _Engine(code)
-    chunks = [(engine, v) for v in range(n)]
-    chain, kept, rows = _StabChain(n), [], 0
+    chunks = [(engine, v, v > 0) for v in range(n)]
+    chain, kept, orbit = _StabChain(n), [], 0
     with contextlib.ExitStack() as stack:
         parts = map(_scan_permutations, chunks)
         if workers > 1:
@@ -232,17 +260,14 @@ def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
             pool = stack.enter_context(mp.get_context("fork").Pool(workers))
             parts = pool.imap(_scan_permutations, chunks)
         for v, found in enumerate(parts):  # first images ascending
-            rows += len(found)
-            # the sigmas of v, which map v to 0, are one coset of the
-            # stabilizer of 0, and the chain holds that stabilizer once
-            # v = 0 is reduced: one member means all are, and none is kept
-            if not len(found) or v and chain.contains(np.argsort(found[0])):
-                continue
+            if not v:
+                stabilizer = len(found)
+            orbit += bool(len(found))
             for start in range(0, len(found), _REDUCE_ROWS):
                 sigmas = np.argsort(found[start:start + _REDUCE_ROWS], axis=1)
                 kept.extend(reduce_generators(sigmas, n, chain))
     group = PermGroup(n, kept)
-    if group.order != rows:
+    if group.order != stabilizer * orbit:
         raise AssertionError("exhaustive scan produced a non-group")
     return group
 

@@ -67,7 +67,7 @@ from cycperm.polyring import (
     x_poly,
 )
 from cycperm.table import select_rows
-from wreath_reference import per_block_materialize
+from wreath_reference import per_block_materialize, per_block_wreath_generators
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -142,6 +142,25 @@ def test_exhaustive_matches_per_permutation_reference(field, n_max):
             group = exhaustive_per_group(code)
             assert group.order == len(passing), (field, n, code.gen)
             assert group.chain().contains_batch(np.array(passing)).all()
+
+
+@pytest.mark.parametrize("scan_rows", [1, 1 << 12])
+def test_scan_rows_are_the_passing_inverses_in_order(monkeypatch, scan_rows):
+    # however the scan splits its blocks, the rows with first image v are
+    # the inverses of the passing sigmas in lexicographic order, and the
+    # first-row scan gives the first of them
+    monkeypatch.setattr(autgroup, "_SCAN_ROWS", scan_rows)
+    codes = [make_code(F2, 7, G7A)] + _all_divisor_codes(F3, 6)
+    for code in codes:
+        n, engine = code.n, _Engine(code)
+        taus = [list(tau) for tau in itertools.permutations(range(n))
+                if engine.perm_preserves(np.argsort(tau))[0]]
+        for v in range(n):
+            want = [tau for tau in taus if tau[0] == v]
+            got = autgroup._scan_permutations((engine, v, False))
+            assert got.tolist() == want, (code.gen, v)
+            got = autgroup._scan_permutations((engine, v, True))
+            assert got.tolist() == want[:1], (code.gen, v)
 
 
 def _exact_search(kind, field_text, n, gen_text, workers=1):
@@ -359,8 +378,14 @@ def test_dual_per_lemma_small():
                           (F2, 9, substitute_power(cyclotomic(3, F2), 3))]:
         code = make_code(field, n, gen)
         dual = make_code(field, n, code.dual_gen)
-        assert groups_equal(exhaustive_per_group(code),
-                            exhaustive_per_group(dual))
+        # both searches switch sides: the scan runs on the higher-rate code
+        # (lower-degree generator), the backtrack on the lower-rate one
+        assert code.k != dual.k
+        group = exhaustive_per_group(code)
+        assert groups_equal(group, backtrack_per_group(dual))
+        for g in group.generators:
+            assert _dense_preserves(code, g.images) == (True, None)
+            assert _dense_preserves(dual, g.images) == (True, None)
 
 
 def test_inclu_per_lemma():
@@ -586,8 +611,8 @@ def test_sparse_preserves_matches_dense(code, blocks):
              Permutation([(i + 1) % n for i in range(n)])]
     perms += sym_generators(n)
     for la, lh in blocks:
-        perms += wreath_generators(sym_generators(la), sym_generators(lh),
-                                   Layout.ROW_BLOCKS)
+        perms += per_block_wreath_generators(sym_generators(la),
+                                             sym_generators(lh))
     rng = np.random.default_rng(2024)
     perms += [Permutation(rng.permutation(n)) for _ in range(6)]
     engine = _Engine(code)

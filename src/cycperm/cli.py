@@ -5,7 +5,9 @@ Reports are JSON on stdout; progress lines go to stderr.  Exit status is 0
 iff every verification in the invocation passed; malformed input prints
 an error line and exits 2.  --workers (default 1) sets the worker count of
 the exhaustive search.  perm-group and table only choose the verification
-tier; autgroup.verify_claim builds every report.
+tier; autgroup.verify_claim builds every report.  main is reentrant: the
+parser is built once, on first use, and each call parses into a fresh
+Namespace.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 from .autgroup import (
     backtrack_per_group,
@@ -173,6 +175,7 @@ def cmd_selftest(args) -> int:
     return selftest(log=print)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cycperm",

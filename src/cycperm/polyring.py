@@ -15,10 +15,12 @@ against.
 
 x^n - 1 is factored without a splitting field: equal-degree splitting
 modulo Q_o finds one irreducible factor m_1, and every other factor of Q_o
-is a gcd of Q_o with m_1(x^t).  _Ext is the residue arithmetic modulo a
-monic polynomial behind both steps, on the same kernels, with _xpow_table
-the one table of x^i mod M that it shares with the membership engine.  It
-keeps its name because perfbench traces it.
+is a gcd of Q_o with m_1(x^t), folded to exponents mod o and divided by
+Q_o once (fold-and-divide).  The factors of each Q_o are memoized per
+(o, field), so x^n - 1 for many n factors each Q_o once.  _Ext is the
+residue arithmetic modulo a monic polynomial behind the splitting, on the
+same kernels, with _xpow_table the one table of x^i mod M that it shares
+with the membership engine.  It keeps its name because perfbench traces it.
 
 A Poly stores ascending coefficients with no trailing zeros; the zero
 polynomial has an empty coefficient tuple and degree -1.
@@ -466,48 +468,45 @@ def _one_factor(f: Poly, d: int) -> Poly:
     return f
 
 
-def _labelled_factors(n_free: int, field: FieldSpec) -> list:
-    """Irreducible factors of the squarefree x^n_free - 1, each with its
-    q-cyclotomic coset.
-
-    gcd(n_free, r) must be 1.  Returns [(o, coset, Poly)]: for each divisor
-    o of n_free, the factors of the o-th cyclotomic polynomial Q_o, one per
-    coset of the units mod o under multiplication by q; o = 1 gives x - 1
-    labelled {0}.  The cosets of one o partition the units mod o.
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_factors(o: int, field: FieldSpec) -> tuple:
+    """The irreducible factors of Q_o as ((o, coset, Poly), ...), one per
+    q-coset of the units mod o, by the cosets' minima; o = 1 gives x - 1
+    labelled {0}.  gcd(o, r) must be 1.  Memoized per (o, field), so each
+    Q_o is factored once however many n it serves.
 
     No extension field is built.  _one_factor splits off one factor m_1 of
     Q_o, labelled by the coset of 1, and gamma stands for one of its roots.
     The factor with the roots gamma^u, u in C, is gcd(Q_o, m_1(x^t)) for
     t = (min C)^-1 mod o: gamma^u is a root of m_1(x^t) exactly when u*t
-    lies in the powers of q mod o, that is when u lies in C.  m_1(x^t) is
-    evaluated modulo Q_o.
+    lies in the powers of q mod o, that is when u lies in C.  As Q_o
+    divides x^o - 1, m_1(x^t) folds to sum c_i x^(i*t mod o), at distinct
+    positions since deg m_1 < o, and one division by Q_o reduces it.
     """
-    q = field.order
-    out = []
-    for o in _divisors(n_free):
-        if o == 1:
-            out.append((1, frozenset({0}),
-                        poly_sub(x_poly(field), one_poly(field))))
-            continue
-        cosets = _cyclotomic_cosets_of_units(q, o)
-        q_o = cyclotomic(o, field)
-        if len(cosets) == 1:
-            out.append((o, frozenset(cosets[0]), q_o))
-            continue
-        m1 = _one_factor(q_o, len(cosets[0]))
-        out.append((o, frozenset(cosets[0]), m1))
-        ring = _Ext(field, _indices(q_o))
-        x = np.zeros(q_o.degree, dtype=np.int64)
-        x[1] = 1
-        for coset in cosets[1:]:
-            y = ring.pow(x, pow(coset[0], -1, o))
-            acc = np.zeros(q_o.degree, dtype=np.int64)
-            for c in _indices(m1)[::-1]:  # Horner: m_1(y)
-                acc = ring.mul(acc, y)
-                acc[0] = ring.add(acc[0], c)
-            out.append((o, frozenset(coset),
-                        poly_gcd(q_o, _poly_of_indices(field, acc))))
-    return out
+    if o == 1:
+        return ((1, frozenset({0}), poly_sub(x_poly(field), one_poly(field))),)
+    cosets = _cyclotomic_cosets_of_units(field.order, o)
+    q_o = cyclotomic(o, field)
+    if len(cosets) == 1:
+        return ((o, frozenset(cosets[0]), q_o),)
+    m1 = _one_factor(q_o, len(cosets[0]))
+    out = [(o, frozenset(cosets[0]), m1)]
+    m1_idx, q_o_idx = _indices(m1), _indices(q_o)
+    for coset in cosets[1:]:
+        folded = np.zeros(o, dtype=np.int64)
+        folded[np.arange(len(m1_idx)) * pow(coset[0], -1, o) % o] = m1_idx
+        rem = _divmod_idx(field, folded, q_o_idx)[1]
+        out.append((o, frozenset(coset),
+                    poly_gcd(q_o, _poly_of_indices(field, rem))))
+    return tuple(out)
+
+
+def _labelled_factors(n_free: int, field: FieldSpec) -> list:
+    """Irreducible factors of the squarefree x^n_free - 1, gcd(n_free, r) = 1,
+    as a fresh list [(o, coset, Poly)] of the _cyclotomic_factors of each
+    divisor o in turn.  The cosets of one o partition the units mod o."""
+    return [entry for o in _divisors(n_free)
+            for entry in _cyclotomic_factors(o, field)]
 
 
 def factor_xn_minus_1(n: int, field: FieldSpec) -> list:

@@ -348,6 +348,7 @@ def selftest(log=print) -> int:
     checks = [
         ("field axioms", _st_field_axioms),
         ("factorization identities", _st_factorization),
+        ("factor memo", _st_factor_memo),
         ("dual round-trip", _st_dual_roundtrip),
         ("action-composition coherence", _st_action_coherence),
         ("matrix representation round-trip", _st_matrix_roundtrip),
@@ -400,6 +401,16 @@ def _st_factorization():
                                     cyclotomic(p, f)),
                            poly_mul(cyclotomic(q, f), cyclotomic(p * q, f)))
             assert lhs == rhs, (f, p, q)
+
+
+def _st_factor_memo():
+    from .polyring import _cyclotomic_factors, factor_xn_minus_1
+    for f in (make_field(2), make_field(3), make_field(2, 2)):
+        runs = []
+        for order in (range(30, 0, -1), range(1, 31)):
+            _cyclotomic_factors.cache_clear()
+            runs.append({n: factor_xn_minus_1(n, f) for n in order})
+        assert runs[0] == runs[1], f
 
 
 def _st_dual_roundtrip():

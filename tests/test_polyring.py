@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -16,6 +18,7 @@ from cycperm.errors import (
 from cycperm.galois import make_field
 from cycperm.polyring import (
     _Ext,
+    _cyclotomic_factors,
     _indices,
     _labelled_factors,
     _poly_of_indices,
@@ -325,6 +328,55 @@ def test_labelled_factors_carry_their_cosets(r, alpha, n_free):
             for s in coset:
                 # m_1 | f(x^s)  <=>  f(gamma^s) = 0
                 assert poly_divides(m1, substitute_power(fac, s or o)), (o, s)
+
+
+def test_factor_memo_is_invisible():
+    """The per-(o, field) memo of Q_o's factors changes no result, in
+    whatever order n is visited, and hands out no shared mutable state."""
+    for field in (F2, F3, make_field(2, 2)):
+        cold = {}
+        for n in range(1, 61):
+            _cyclotomic_factors.cache_clear()
+            cold[n] = factor_xn_minus_1(n, field)
+        for order in (range(60, 0, -1), range(1, 61)):
+            _cyclotomic_factors.cache_clear()
+            warm = {n: factor_xn_minus_1(n, field) for n in order}
+            assert warm == cold, field
+    first = _labelled_factors(21, F2)
+    expect = list(first)
+    first.clear()
+    assert _labelled_factors(21, F2) == expect
+
+
+def test_factor_memo_keeps_moduli_apart():
+    # x^2 + 1 and x^2 + x + 2 both define F_9; equal (o, field) keys would
+    # hand one field's polynomials to the other
+    fields = [make_field(3, 2, [1, 0, 1]), make_field(3, 2, [2, 1, 1])]
+    assert fields[0] != fields[1]
+    _cyclotomic_factors.cache_clear()
+    for n in range(1, 41):
+        for field in fields:
+            assert all(fac.field == field
+                       for fac, _ in factor_xn_minus_1(n, field))
+            assert _product_of_factors(field, n) == xn_minus_1(field, n)
+    assert _cyclotomic_factors.cache_info().currsize \
+        == 2 * len([o for o in range(1, 41) if o % 3])
+
+
+def test_large_n_factoring_golden():
+    # guards the fold-and-divide conjugate step at large o; the digest was
+    # recorded with the earlier ring.pow-and-Horner evaluation of m_1(x^t)
+    cases = [(F2, 961, 13), (F2, 1023, 107), (make_field(2, 2), 255, 69)]
+    record = []
+    for field, n, count in cases:
+        factors = factor_xn_minus_1(n, field)
+        assert len(factors) == count, n
+        assert _product_of_factors(field, n) == xn_minus_1(field, n)
+        record.append([field.describe(), n,
+                       [[format_poly_text(p), m] for p, m in factors]])
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == ("aa59702c68855ab76eab8ba76ee6086b"
+                      "80965c1d6d00769a90b95eb539a3242b")
 
 
 def test_dual_generator_examples():

@@ -133,6 +133,28 @@ def test_cli_factor_json():
     assert [d["poly"] for d in data] == ["1,1", "1,0,1,1", "1,1,0,1"]
 
 
+def test_cli_main_is_reentrant(capsys):
+    """One process, many main calls: one parser, and each call prints what
+    a fresh interpreter prints."""
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (["factor", "--field", "2", "--n", "7"],
+                 ["factor", "--n", "0"],
+                 ["cyclotomic", "--field", "2", "--n", "15"],
+                 ["factor", "--field", "2^2", "--n", "5"]):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+        out, err = capsys.readouterr()
+        res = _run_cli(*argv)
+        assert (status, out, err) == (res.returncode, res.stdout, res.stderr)
+        if argv[-1] == "0":
+            assert status == 2 and err.startswith("usage:")
+    parser = cli.build_parser()
+    assert parser.parse_args(["table", "--row", "T01a"]).row == ["T01a"]
+    assert parser.parse_args(["table"]).row is None
+
+
 def test_cli_cyclotomic():
     res = _run_cli("cyclotomic", "--field", "2", "--n", "15")
     assert res.returncode == 0

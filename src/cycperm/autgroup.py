@@ -336,6 +336,16 @@ def _coordinate_structure(code: CyclicCodeSpec, cap: int, W=None):
     return colors, pair
 
 
+def _word_masks(W: np.ndarray, q: int) -> np.ndarray:
+    """masks[i, v]: the set of rows of W (codewords) with value v at
+    coordinate i, as ceil(N/64) uint64 words, bit k of the set in bit k % 64
+    of word k // 64.  The padding bits past N are zero."""
+    N, n = W.shape
+    E = np.zeros((n, q, -(-N // 64) * 64), dtype=bool)
+    E[:, :, :N] = W.T[:, None, :] == np.arange(q)[:, None]
+    return np.packbits(E, axis=-1, bitorder="little").view("<u8")
+
+
 def backtrack_per_group(code: CyclicCodeSpec,
                         cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
     """Exact Per(C) via backtracking over coordinate images.
@@ -349,9 +359,17 @@ def backtrack_per_group(code: CyclicCodeSpec,
     automorphisms feed a stabilizer chain so cosets already covered are
     skipped (orbit pruning along the first-point spine).
 
-    Up to 8192 codewords, each tracked word keeps a Python-int mask of
-    the codewords it can still map onto; pos_val[i][v], the words with
-    value v at i, is one np.packbits of a column test read as an int.
+    generate(d) finds the automorphisms fixing 0..d-1 after generate(d+1)
+    has put all of Per(C) fixing 0..d into the chain (deepest level first,
+    as in Leon's partition backtrack).  Every element the chain can build
+    lies in Per(C), so a Schreier generator that fixes 0..d while an
+    automorphism found at level d is added is already a member, and the
+    chain's sifts stop at point d for that extend.
+
+    Up to 8192 codewords, each tracked word keeps a bit set of the
+    codewords it can still map onto, packed in uint64 words (_word_masks
+    gives pos_val[i, v], the words with value v at i); one AND of the
+    tracked words' rows filters them all.
 
     Since Per(C) = Per(C^dual), the search runs against whichever of the
     two codes has fewer codewords; high-rate codes have nearly uniform
@@ -368,26 +386,24 @@ def backtrack_per_group(code: CyclicCodeSpec,
 
     # word-image masks: tracked word c must map onto some codeword, and
     # assigning sigma(i) = j forces (c^sigma)[i] = c[j].
-    track_words = N <= 512
     if N <= 8192:
-        pos_val = [[int.from_bytes(np.packbits(W[:, i] == v,
-                                               bitorder="little").tobytes(),
-                                   "little") for v in range(q)]
-                   for i in range(n)]
-        tracked = W if track_words else np.array(basis_codewords(code))
-        full_mask = (1 << N) - 1
+        pos_val = _word_masks(W, q)
+        tracked = W if N <= 512 else np.array(basis_codewords(code))
+        cols = np.ascontiguousarray(tracked.T)  # the tracked words' values
+        # every word has some value at coordinate 0: all N words
+        masks0 = np.tile(np.bitwise_or.reduce(pos_val[0], axis=0),
+                         (len(tracked), 1))
     else:
         pos_val = None
-        tracked = np.empty((0, n), dtype=np.int64)
-        full_mask = 0
+        masks0 = np.zeros((0, 0), dtype=np.uint64)
 
     chain = _StabChain(n)
     found: List[Permutation] = []
 
-    def note(perm_images) -> None:
+    def note(perm_images, bound: Optional[int] = None) -> None:
         p = Permutation(perm_images)
         if not chain.contains(p.array()):
-            chain.extend([p.array()])
+            chain.extend([p.array()], bound=bound)
             found.append(p)
 
     # seed with the cyclic shift, and the multiplier when gcd(n, q) = 1
@@ -410,21 +426,16 @@ def backtrack_per_group(code: CyclicCodeSpec,
         out[:, j0] = False
         return out
 
-    def filter_masks(masks: List[int], i: int, j: int) -> Optional[List[int]]:
+    def filter_masks(masks: np.ndarray, i: int, j: int) -> Optional[np.ndarray]:
         if pos_val is None:
             return masks
-        out = []
-        for t in range(len(masks)):
-            m = masks[t] & pos_val[i][int(tracked[t][j])]
-            if not m:
-                return None
-            out.append(m)
-        return out
+        out = masks & pos_val[i].take(cols[j], axis=0)
+        return out if out.any(axis=1).all() else None
 
     images = np.arange(n, dtype=np.int64)  # rows below generate's d: identity
 
     def dfs_complete(cands: np.ndarray, open_rows: np.ndarray,
-                     masks: List[int]) -> Optional[List[int]]:
+                     masks: np.ndarray) -> Optional[List[int]]:
         if open_rows.size == 0:
             ok, _ = engine.perm_preserves(images)
             return images.tolist() if ok else None
@@ -444,24 +455,22 @@ def backtrack_per_group(code: CyclicCodeSpec,
                 return res
         return None
 
-    # prefixes[d]: the candidate matrix after the identity on 0..d-1
-    prefixes = [colors[:, None] == colors[None, :]]
+    # prefixes[d]: the candidate matrix and the word masks after the
+    # identity on 0..d-1; the identity keeps every tracked word (a
+    # codeword) in its own mask, so none of these masks runs empty
+    prefixes = [(colors[:, None] == colors[None, :], masks0)]
     for i in range(n - 2):
-        prefixes.append(place(prefixes[-1], i, i))
+        cands, masks = prefixes[-1]
+        prefixes.append((place(cands, i, i), filter_masks(masks, i, i)))
 
     def generate(d: int):
         """Ensure the chain holds all of Per(C) fixing 0..d-1 pointwise."""
         if d >= n - 1:
             return
         generate(d + 1)
-        base_masks = [full_mask] * len(tracked) if pos_val is not None else []
-        for i in range(d):
-            nxt = filter_masks(base_masks, i, i)
-            if nxt is None:
-                return
-            base_masks = nxt
+        cands, base_masks = prefixes[d]
         open_rows = np.arange(d + 1, n)
-        for j in np.flatnonzero(prefixes[d][d]).tolist():
+        for j in np.flatnonzero(cands[d]).tolist():
             if j == d:
                 continue
             if j in chain.orbit_at(d):
@@ -470,9 +479,9 @@ def backtrack_per_group(code: CyclicCodeSpec,
             if masks is None:
                 continue
             images[d] = j
-            res = dfs_complete(place(prefixes[d], d, j), open_rows, masks)
+            res = dfs_complete(place(cands, d, j), open_rows, masks)
             if res is not None:
-                note(res)
+                note(res, bound=d + 1)
 
     generate(0)
     group = PermGroup(n, found or [Permutation(range(n))])

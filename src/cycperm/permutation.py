@@ -23,6 +23,14 @@ that level makes them Schreier generators, and after each insertion the
 batch's remaining residues go through the kernel again as one batch.  This
 keeps the wreath-product groups of degree ~300 from Table-scale runs
 affordable.
+
+Two facts a caller may know skip sifts whose answer is known, without
+changing any insertion, base, orbit or strong generator.  A bound b says
+the chain already holds every element of the group being built that fixes
+0..b-1 (a backtrack that builds deepest level first knows this), so a row
+fixing those points is a member.  A target at least the group's order (an
+overgroup's order) stops the build once the orbit product reaches it:
+every transversal is then whole.  groups_equal uses the second.
 """
 
 from __future__ import annotations
@@ -221,16 +229,18 @@ class _Level:
     __slots__ = ("chain", "base", "slot", "orbit", "rows", "size", "gens",
                  "processed", "pending")
 
-    def __init__(self, chain: "_StabChain", base: int, slot: int):
+    def __init__(self, chain: "_StabChain", base: int, slot: int,
+                 gens: Sequence[int] = ()):
+        """gens must fix base: they join without an orbit check."""
         self.chain = chain
         self.base = base
         self.slot = slot
         self.orbit = np.full(4, base, dtype=np.int32)
         self.rows = np.zeros(4, dtype=np.int32)  # pool row 0 is the identity
         self.size = 1
-        self.gens: List[int] = []       # indices into the chain's gen table
-        self.processed: List[int] = []  # per-gen count of orbit points done
-        self.pending = 0                # unprocessed (gen, point) pairs
+        self.gens = list(gens)          # indices into the chain's gen table
+        self.processed = [0] * len(self.gens)  # per-gen orbit points done
+        self.pending = len(self.gens)   # unprocessed (gen, point) pairs
 
     def orbit_points(self) -> np.ndarray:
         return self.orbit[:self.size]
@@ -339,7 +349,8 @@ class _StabChain:
             out *= self.levels[b].size
         return out
 
-    def _sift_rows(self, X: np.ndarray) -> np.ndarray:
+    def _sift_rows(self, X: np.ndarray, bound: Optional[int] = None
+                   ) -> np.ndarray:
         """The sift kernel: reduce every row of X through the chain at once.
 
         Each step looks up, for every live row, the transversal at its first
@@ -349,14 +360,16 @@ class _StabChain:
         (or mapping a base outside its orbit) stalls right there.  This keeps
         the invariant that a generator inserted at level b fixes every point
         below b.  Stalled rows of X are overwritten with their residues;
-        returns each row's stall point, n for members.
+        returns each row's stall point, n for members.  With extend's bound,
+        a row that fixes 0..bound-1 counts as a member.
         """
         stall = np.full(len(X), self.n)
         if not self.n:  # the one permutation of nothing is the identity
             return stall
+        bound = self.n if bound is None else bound
         live, Y = np.arange(len(X)), X
         while True:
-            neq = Y != self.arange
+            neq = Y[:, :bound] != self.arange[:bound]
             f = neq.argmax(axis=1)
             at = np.arange(len(f))
             moved = neq[at, f]  # False only for the identity
@@ -373,10 +386,10 @@ class _StabChain:
                 live, Y, r = live[ok], Y[ok], r[ok]
             Y = _gather(self.inv, r, Y)
 
-    def sift(self, x: np.ndarray):
+    def sift(self, x: np.ndarray, bound: Optional[int] = None):
         """Returns (residue, stall_point); (None, None) when x is a member."""
         X = np.array(x, dtype=np.int32).reshape(1, self.n)
-        b = int(self._sift_rows(X)[0])
+        b = int(self._sift_rows(X, bound)[0])
         return (None, None) if b == self.n else (X[0], b)
 
     def contains(self, x: np.ndarray) -> bool:
@@ -389,12 +402,21 @@ class _StabChain:
 
     # -- construction ---------------------------------------------------------
 
-    def extend(self, gens: Iterable[np.ndarray]):
+    def extend(self, gens: Iterable[np.ndarray], bound: Optional[int] = None,
+               target: Optional[int] = None):
+        """Add gens and sift Schreier generators until the chain is complete.
+
+        bound: the chain already holds every element of the group being
+        built that fixes 0..bound-1, so a row fixing them is a member.
+        target: at least the order of the group being built; the build
+        stops once the orbit product reaches it.  Both hold for this call
+        only, and neither changes what the chain becomes.
+        """
         for g in gens:
-            residue, b = self.sift(g)
+            residue, b = self.sift(g, bound)
             if residue is not None:
                 self._insert(residue, b)
-        self._complete()
+        self._complete(bound, target)
 
     def _insert(self, g: np.ndarray, b: int):
         gi = len(self.all_gens)
@@ -405,14 +427,12 @@ class _StabChain:
             self.rowmap = _grown(self.rowmap, slot + 1, fill=-1)
             self.rowmap[slot, b] = 0
             self.slot_of[b] = slot
-            lev = _Level(self, b, slot)
-            self.levels[b] = lev
+            # generators living strictly below become active here too; they
+            # fix b, so the orbit {b} stays as it is
+            self.levels[b] = _Level(self, b, slot, [
+                gi0 for gi0, (_, lvl0) in enumerate(self.all_gens) if lvl0 > b])
             self.bases.append(b)
             self.bases.sort()
-            # generators living strictly below become active here too
-            for gi0, (_, lvl0) in enumerate(self.all_gens):
-                if lvl0 > b:
-                    lev.add_gen(gi0)
             self._dirty.add(b)
         self.all_gens.append((g, b))
         for bb in self.bases:
@@ -420,22 +440,25 @@ class _StabChain:
                 self.levels[bb].add_gen(gi)
                 self._dirty.add(bb)
 
-    def _complete(self):
+    def _complete(self, bound: Optional[int] = None,
+                  target: Optional[int] = None):
         """Sift pending Schreier generators a batch at a time, deepest dirty
         level first.  After each insertion the batch's other residues are
         sifted again as one batch, and the first non-member is inserted.
         Transversal entries are only ever added, so a member stays one and
         a residue sifts as its source row would: the insertions are those
         of sifting each residue alone against the chain as it then stands.
+        bound and target are extend's; a stop at target leaves the rest
+        pending, where a later extend sifts them as members.
         """
-        while self._dirty:
+        while self._dirty and (target is None or self.order() != target):
             b = max(self._dirty)
-            target = self.levels[b]
-            if target.pending <= 0:
+            level = self.levels[b]
+            if level.pending <= 0:
                 self._dirty.discard(b)
                 continue
-            R = target.collect_pending(_BATCH)
-            stall = self._sift_rows(R)
+            R = level.collect_pending(_BATCH)
+            stall = self._sift_rows(R, bound)
             while True:
                 out = stall < self.n
                 if not out.any():
@@ -443,7 +466,7 @@ class _StabChain:
                 R, stall = R[out], stall[out]
                 self._insert(R[0].copy(), int(stall[0]))
                 R = R[1:]
-                stall = self._sift_rows(R)
+                stall = self._sift_rows(R, bound)
 
     def base_points(self) -> List[int]:
         return [b for b in self.bases if self.levels[b].size > 1]
@@ -467,10 +490,14 @@ class PermGroup:
         self.generators = tuple(generators)
         self._chain: Optional[_StabChain] = None
 
-    def chain(self) -> _StabChain:
+    def chain(self, target: Optional[int] = None) -> _StabChain:
+        """The stabilizer chain, built on first use.  A target must be at
+        least the group's order (an overgroup's order, say): the build then
+        stops once the orbit product reaches it, with the chain a full build
+        gives."""
         if self._chain is None:
             ch = _StabChain(self.degree)
-            ch.extend([g.array() for g in self.generators])
+            ch.extend([g.array() for g in self.generators], target=target)
             self._chain = ch
         return self._chain
 
@@ -513,13 +540,20 @@ def group_contains(group: PermGroup, sigma: Permutation) -> bool:
 
 
 def groups_equal(g1: PermGroup, g2: PermGroup) -> bool:
-    """Equal as permutation groups: same order, mutual generator membership."""
+    """Equal as permutation groups.
+
+    g2's generators are checked against g1's complete chain: if one is
+    outside, g2 is not a subgroup of g1.  Otherwise g2 <= g1, so
+    |g2| <= |g1|, and g2's chain is built with target |g1|.  Reaching it
+    shows |g2| >= |g1|, so g2 = g1; a full build that falls short shows g2
+    is a proper subgroup.
+    """
     if g1.degree != g2.degree:
         raise DegreeMismatch("groups of different degrees")
-    if g1.order != g2.order:
+    order = g1.order
+    if not _contains_all(g1.chain(), g2.generators):
         return False
-    return (_contains_all(g2.chain(), g1.generators)
-            and _contains_all(g1.chain(), g2.generators))
+    return g2.chain(target=order).order() == order
 
 
 def _contains_all(chain: _StabChain, gens: Sequence[Permutation]) -> bool:

@@ -359,6 +359,7 @@ def selftest(log=print) -> int:
         ("group expression round-trip", _st_expr_roundtrip),
         ("sampling filter", _st_sampling_filter),
         ("pq words", _st_pq_words),
+        ("chain shortcuts", _st_chain_shortcuts),
     ]
     ok = True
     for name, fn in checks:
@@ -581,6 +582,26 @@ def _st_pq_words():
         assert len(decided) == 2, n
         for g in decided:
             assert groups_equal(backtrack_per_group(make_code(f, n, g)), crt)
+
+
+def _st_chain_shortcuts():
+    # the backtrack's bounded sifts and groups_equal's target stop leave
+    # chains that answer like fresh ones, and a subgroup claim stays unequal
+    import numpy as np
+    from .group_constructors import cyclic_generators
+    rng, words = np.random.default_rng(707), random.Random(707)
+    for f, n, text in ((make_field(2), 15, "Q(15)"),
+                       (make_field(2, 2), 14, "x^3+x+1")):
+        group = backtrack_per_group(make_code(f, n, parse_gen_expr(text, f)))
+        fresh = PermGroup(n, group.generators)
+        assert group.order == fresh.order, n
+        perms = [rng.permutation(n) for _ in range(20)]
+        perms += [group.sample(words).array() for _ in range(20)]
+        perms += [np.r_[np.arange(n - 2), n - 1, n - 2]]
+        assert [group.chain().contains(p) for p in perms] == \
+            [fresh.chain().contains(p) for p in perms], n
+        shifts = PermGroup(n, cyclic_generators(n))
+        assert not groups_equal(group, shifts), n
 
 
 def random_group_expr(rng: random.Random, depth: int) -> GroupExpr:

@@ -257,6 +257,66 @@ def test_chain_golden():
     assert digest[:16] == "d86441511435c9a6"
 
 
+@pytest.mark.parametrize("N", [1, 63, 64, 65, 512, 1024])
+def test_word_masks_match_the_big_int_form(N):
+    # bit for bit the int.from_bytes(np.packbits(...)) masks the backtrack
+    # used before the packed form; a set padding bit past N would keep
+    # every mask nonempty and switch pruning off unseen
+    q, n = 4, 7
+    W = np.random.default_rng(N).integers(q, size=(N, n))
+    W[0] = 0
+    masks = autgroup._word_masks(W, q)
+    assert masks.shape == (n, q, -(-N // 64)) and masks.dtype == np.uint64
+    for i in range(n):
+        for v in range(q):
+            want = int.from_bytes(
+                np.packbits(W[:, i] == v, bitorder="little").tobytes(),
+                "little")
+            got = int.from_bytes(masks[i, v].astype("<u8").tobytes(),
+                                 "little")
+            assert got == want, (i, v)
+            assert got >> N == 0  # padding bits are zero
+    # every word has some value at each coordinate
+    full = np.bitwise_or.reduce(masks[0], axis=0)
+    assert int.from_bytes(full.astype("<u8").tobytes(), "little") == \
+        (1 << N) - 1
+
+
+@pytest.mark.parametrize("call", [("2", 30, "Q(3)Q(5)"),
+                                  ("2", 105, "Q(5)Q(7)"),
+                                  ("2^2", 21, "x^3+x+1")])
+def test_backtrack_sift_bound_stays_inside_the_search(call):
+    # the backtrack's sifts stop at the points below which its chain is
+    # known to hold all of Per(C); the chain it returns must still answer
+    # membership in full, for permutations fixing a long prefix too
+    from cycperm.table import parse_gen_expr
+    field_text, n, gen_text = call
+    field = parse_field(field_text)
+    code = make_code(field, n, parse_gen_expr(gen_text, field))
+    group = backtrack_per_group(code)
+    fresh = PermGroup(n, group.generators)
+    engine = _Engine(code)
+    rng = np.random.default_rng(16)
+    gens = [g.array() for g in group.generators]
+    tail = np.arange(n)
+    tail[[n - 2, n - 1]] = [n - 1, n - 2]  # fixes 0..n-3 pointwise
+    perms = [tail]
+    for _ in range(80):  # products of the found generators
+        acc = np.arange(n)
+        for k in rng.integers(len(gens), size=rng.integers(1, 7)):
+            acc = acc[gens[k]]
+        perms += [acc, acc[tail]]
+    for _ in range(40):  # random, and fixing 0..d-1 for a deep d
+        perms.append(rng.permutation(n))
+        d = int(rng.integers(n // 2, n - 1))
+        perms.append(np.concatenate([np.arange(d), d + rng.permutation(n - d)]))
+    assert len(perms) >= 200
+    member = [group.contains(Permutation(p)) for p in perms]
+    assert member == [fresh.contains(Permutation(p)) for p in perms]
+    assert member == [engine.perm_preserves(p)[0] for p in perms]
+    assert not member[0] and sum(member) >= 80
+
+
 def _reference_coordinate_structure(code, W):
     """The pair-by-pair bincount form of _coordinate_structure."""
     n = code.n

@@ -137,6 +137,65 @@ def test_groups_equal():
         groups_equal(a, s6)
 
 
+def _sym(points, n):
+    """Sym(points) inside S_n: a transposition and a cycle of the points."""
+    return [perm_from_cycles([points[:2]], n),
+            perm_from_cycles([points], n)]
+
+
+def _chain_shape(group):
+    ch = group.chain()
+    base = ch.base_points()
+    return (group.order, base, [sorted(ch.orbit_at(b)) for b in base],
+            len(ch.all_gens))
+
+
+def _t29_groups():
+    from cycperm.autgroup import backtrack_per_group
+    from cycperm.cyclic_code import make_code
+    from cycperm.galois import make_field
+    from cycperm.table import parse_gen_expr
+    f2 = make_field(2)
+    found = backtrack_per_group(make_code(f2, 105,
+                                          parse_gen_expr("Q(5)Q(7)", f2)))
+    claim = materialize(parse_group_expr("wr(S(3), x(5,7), rows)"))
+    return found, claim
+
+
+def test_groups_equal_builds_the_chains_a_full_build_gives():
+    # groups_equal checks g2's generators against g1's chain and builds
+    # g2's chain only up to |g1|; each case is tried in both argument
+    # orders on fresh groups, and every chain it leaves must have the base,
+    # orbits and strong generator count of a chain built from scratch
+    n = 6
+    s6 = _sym(list(range(6)), n)
+    s6_adjacent = [perm_from_cycles([[i, i + 1]], n) for i in range(5)]
+    a6 = [perm_from_cycles([[0, 1, 2]], n),
+          perm_from_cycles([[1, 2, 3, 4, 5]], n)]
+    fix0 = _sym([1, 2, 3, 4, 5], n)
+    fix5 = _sym([0, 1, 2, 3, 4], n)
+    t29_found, t29_claim = _t29_groups()
+    cases = [(n, s6, s6_adjacent, True),
+             (105, t29_found.generators, t29_claim, True),
+             (n, s6, a6, False),        # a proper subgroup
+             (n, fix0, fix5, False),    # order 120 each, neither inside
+             (n, [], [], True),
+             (n, [], [identity_perm(n)], True),
+             (n, [], s6, False)]
+    assert PermGroup(n, a6).order == 360
+    for degree, gens1, gens2, equal in cases:
+        for a, b in ((gens1, gens2), (gens2, gens1)):
+            g1, g2 = PermGroup(degree, a), PermGroup(degree, b)
+            assert groups_equal(g1, g2) is equal
+            for g in (g1, g2):
+                assert _chain_shape(g) == \
+                    _chain_shape(PermGroup(degree, g.generators))
+    # the backtrack's own group, whose chain it built with sift bounds
+    claimed = PermGroup(105, t29_claim)
+    assert groups_equal(t29_found, claimed)
+    assert _chain_shape(claimed) == _chain_shape(PermGroup(105, t29_claim))
+
+
 def _closure(gens, n):
     """Every element of <gens>, as image tuples, by breadth-first search."""
     seen = {tuple(range(n))}
@@ -246,9 +305,9 @@ def _count_batch_inserts(monkeypatch) -> list:
     extend, insert = chain.extend, chain._insert
     collect = permutation._Level.collect_pending
 
-    def counting_extend(self, gens):
+    def counting_extend(self, gens, **known):
         self.batch_inserts = None  # the generators' own inserts come first
-        extend(self, gens)
+        extend(self, gens, **known)
 
     def counting_collect(self, limit):
         self.chain.batch_inserts = len(per_batch)

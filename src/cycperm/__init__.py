@@ -4,8 +4,8 @@ Construction of C_{n,g(x)} over F_{r^alpha}, the wreath-product and
 CRT-product groups the structure theory predicts for special lengths, and
 four verification routes: exhaustive search, backtracking with signature
 refinement, Per(C) derived from the code's structure and compared with a
-claim by block membership, and subgroup certificates with exact orders or
-seeded sampling.
+claim by block membership, and subgroup certificates with seeded
+sampling.
 """
 
 from .galois import FieldSpec, make_field, parse_field
@@ -40,7 +40,6 @@ from .permutation import (
     apply_perm,
     compose,
     format_permutation,
-    group_contains,
     group_from_generators,
     groups_equal,
     identity_perm,

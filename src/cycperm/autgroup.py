@@ -16,8 +16,8 @@ Four routes with different reach:
 
 verify_claim is the one place that combines a certificate, the derived
 Per(C) and its block membership test against the claim
-(group_constructors.expr_contains), an order, sampling and an exact search
-into a VerificationReport that names its evidence.
+(group_constructors.expr_contains), sampling and an exact search into a
+VerificationReport that names its evidence.
 
 Membership checks everywhere reduce to "g(x) divides the permuted word":
 by linearity a permutation preserves the code iff it maps the k
@@ -176,6 +176,7 @@ class _Engine:
 # ---------------------------------------------------------------------------
 # exhaustive search
 
+_SCAN_MAX_N = 12  # longest code the exhaustive scan accepts
 _SCAN_ROWS = 1 << 12  # prefix rows the scan extends at a time
 _REDUCE_ROWS = 1 << 16  # preserving rows reduced at a time
 
@@ -229,7 +230,7 @@ def _scan_permutations(args):
     return np.concatenate(found) if found else np.empty((0, n), dtype=dtype)
 
 
-def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
+def exhaustive_per_group(code: CyclicCodeSpec,
                          workers: int = 1) -> PermGroup:
     """Per(C) by a prefix-pruned scan of all n! permutations
     (_scan_permutations), one first image at a time.  The scan runs on C
@@ -243,8 +244,8 @@ def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
     a row, which must equal the order of the kept generators' group.
     """
     n = code.n
-    if n > cutoff:
-        raise TooLarge(f"n={n} exceeds the exhaustive cutoff {cutoff}")
+    if n > _SCAN_MAX_N:
+        raise TooLarge(f"n={n} exceeds the exhaustive cutoff {_SCAN_MAX_N}")
     if code.k == 0:
         from .group_constructors import sym_generators
         return PermGroup(n, sym_generators(n))
@@ -267,6 +268,7 @@ def exhaustive_per_group(code: CyclicCodeSpec, cutoff: int = 12,
                 sigmas = np.argsort(found[start:start + _REDUCE_ROWS], axis=1)
                 kept.extend(reduce_generators(sigmas, n, chain))
     group = PermGroup(n, kept)
+    group._chain = chain  # complete for <kept>: reduce_generators built it
     if group.order != stabilizer * orbit:
         raise AssertionError("exhaustive scan produced a non-group")
     return group
@@ -790,15 +792,14 @@ def _code_descriptor(code: CyclicCodeSpec) -> dict:
 
 def certify_subgroup(code: CyclicCodeSpec, gens: Sequence[Permutation],
                      claim: Optional[GroupExpr] = None,
-                     compute_order: bool = True,
                      engine: Optional[_Engine] = None) -> VerificationReport:
-    """Check that every generator preserves the code (basis-word test).
+    """The certificate <gens> <= Per(C): every generator preserves the code
+    (basis-word test).
 
     certified = all (generator, basis word) checks pass; failures are
-    reported as counterexamples carrying the failing basis index.  The
-    Schreier-Sims order of <gens> is included unless disabled (large
-    degrees), and the symbolic order of the claim when one is attached;
-    with both, equal = certified and the two orders agree.  A caller that
+    reported as counterexamples carrying the failing basis index.  An
+    attached claim sets predicted, its symbolic order and evidence
+    "subgroup"; the certificate alone never decides equal.  A caller that
     also samples the same code passes its engine in.
     """
     t0 = time.perf_counter()
@@ -820,13 +821,6 @@ def certify_subgroup(code: CyclicCodeSpec, gens: Sequence[Permutation],
         report.predicted = format_group_expr(claim)
         report.predicted_order = expr_order(claim)
         report.evidence = "subgroup"
-    if compute_order and gens:
-        report.computed_order = PermGroup(code.n, list(gens)).order
-        if claim is not None:
-            report.order_match = \
-                report.computed_order == report.predicted_order
-            report.equal = report.certified and report.order_match
-            report.evidence = "subgroup+order"
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
@@ -896,42 +890,53 @@ def falsify_by_sampling(code: CyclicCodeSpec, claimed: PermGroup,
 
 
 def verify_claim(code: CyclicCodeSpec, claim: Optional[GroupExpr] = None,
-                 claimed: Optional[PermGroup] = None,
                  search: Optional[Tuple[str, Callable]] = None,
                  order_cap: int = 300, trials: int = 0,
                  seed: int = 42) -> VerificationReport:
     """The verdict report on Per(C) and an optional claim about it.
 
-    A claim gets a certificate of claimed's generators (materialized from
-    claim when not given), which proves claim <= Per(C), and sampling when
-    trials > 0.  search = (method name, function of the code) runs an
-    exact search whose group decides computed_order and equal.  Without
-    one, n <= order_cap decides them from derive_per_group: equal needs
-    the certificate, and every derived generator must preserve C and lie
-    in the claim (expr_contains), which proves Per(C) <= claim.  A leaf
-    that derive_per_group cannot decide falls back to claimed's chain order.
+    A claim is materialized once.  Its generators get a certificate, which
+    proves claim <= Per(C), and sampling when trials > 0.  search =
+    (method name, function of the code) runs an exact search whose group
+    decides computed_order and equal (by group equality with the claim).
+    Without one, n <= order_cap decides them from derive_per_group: equal
+    needs the certificate, and every derived generator must preserve C and
+    lie in the claim (expr_contains), which proves Per(C) <= claim.  A
+    leaf that derive_per_group cannot decide (TooLarge) decides nothing:
+    the report keeps the certificate alone.
 
     evidence names the tier that decided equal (None without a claim):
-    exhaustive-equal, backtrack-equal, decomposition-equal, subgroup+order
-    (the chain fallback), subgroup+sampling or subgroup (a certificate
-    only).  order_match says whether computed_order equals the claim's
-    symbolic order.  equal is never true for an uncertified claim.
+    exhaustive-equal, backtrack-equal, decomposition-equal,
+    subgroup+sampling or subgroup (a certificate only; equal,
+    computed_order and order_match stay None).  order_match says whether
+    computed_order equals the claim's symbolic order.  equal is never true
+    for an uncertified claim.  The claim's stabilizer chain is built only
+    for a sampling hit and for the exact tiers' group equality.
     """
     t0 = time.perf_counter()
     if claim is None:
         report = VerificationReport(code=_code_descriptor(code),
                                     method="Certify")
     else:
-        if claimed is None:
-            claimed = PermGroup(code.n, materialize(claim))
+        gens = materialize(claim)
         engine = _Engine(code)
-        report = certify_subgroup(code, list(claimed.generators), claim=claim,
-                                  compute_order=False, engine=engine)
+        report = certify_subgroup(code, gens, claim=claim, engine=engine)
         if search is None and code.n <= order_cap:
-            _decide_by_structure(report, code, claim, claimed, engine)
+            try:
+                derived, order = derive_per_group(code)
+            except TooLarge:
+                pass  # an undecided leaf: the certificate is all there is
+            else:
+                rows = np.stack([g.array() for g in materialize(derived)])
+                report.computed_order = order
+                report.equal = (report.certified
+                                and all(engine.perm_preserves(r)[0]
+                                        for r in rows)
+                                and bool(expr_contains(claim, rows).all()))
+                report.evidence = "decomposition-equal"
         if trials:
-            samp = falsify_by_sampling(code, claimed, trials, seed,
-                                       engine=engine)
+            samp = falsify_by_sampling(code, PermGroup(code.n, gens), trials,
+                                       seed, engine=engine)
             report.trials = samp.trials
             report.seed = samp.seed
             report.rng_algorithm = samp.rng_algorithm
@@ -946,30 +951,11 @@ def verify_claim(code: CyclicCodeSpec, claim: Optional[GroupExpr] = None,
         report.method = method
         report.computed_order = group.order
         if claim is not None:
-            report.equal = report.certified and groups_equal(group, claimed)
+            report.equal = report.certified \
+                and groups_equal(group, PermGroup(code.n, gens))
             report.evidence = f"{method.lower()}-equal"
     if report.computed_order is not None \
             and report.predicted_order is not None:
         report.order_match = report.computed_order == report.predicted_order
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
-
-
-def _decide_by_structure(report: VerificationReport, code: CyclicCodeSpec,
-                         claim: GroupExpr, claimed: PermGroup,
-                         engine: _Engine) -> None:
-    """Set computed_order, equal and evidence from the derived Per(C)."""
-    try:
-        derived, order = derive_per_group(code)
-    except TooLarge:
-        report.computed_order = claimed.order
-        report.equal = report.certified \
-            and report.computed_order == report.predicted_order
-        report.evidence = "subgroup+order"
-        return
-    rows = np.stack([g.array() for g in materialize(derived)])
-    report.computed_order = order
-    report.equal = (report.certified
-                    and all(engine.perm_preserves(r)[0] for r in rows)
-                    and bool(expr_contains(claim, rows).all()))
-    report.evidence = "decomposition-equal"

@@ -34,7 +34,7 @@ from .polyring import (
     format_poly_text,
     parse_poly_text,
 )
-from .table import RunConfig, run_table, select_rows, selftest, \
+from .table import TIERS, RunConfig, run_table, select_rows, selftest, \
     summarize_csv
 
 
@@ -124,7 +124,6 @@ def cmd_perm_group(args) -> int:
     search = None
     if args.mode == "brute":
         search = ("Exhaustive", partial(exhaustive_per_group,
-                                        cutoff=args.cutoff,
                                         workers=args.workers))
     elif args.mode == "backtrack":
         search = ("Backtrack", backtrack_per_group)
@@ -143,13 +142,8 @@ def cmd_table(args) -> int:
         rows = select_rows(args.row)
     except KeyError as exc:
         raise CycpermError(exc.args[0]) from None
-    cfg = RunConfig(order_cap=args.order_cap, trials=args.trials,
-                    seed=args.seed, workers=args.workers)
-    if args.tier == "certify":
-        cfg.exact_cutoff = 0
-        cfg.backtrack_cutoff = 0
-    elif args.tier == "backtrack":
-        cfg.exact_cutoff = 0
+    cfg = RunConfig(tier=args.tier, order_cap=args.order_cap,
+                    trials=args.trials, seed=args.seed, workers=args.workers)
     reports = run_table(rows, cfg, log=lambda s: print(s, file=sys.stderr))
     payload = [{"row": row.id, "n": row.n, "n_factored": row.n_factored,
                 "gen": row.gen_text, "claim": row.claim, "note": row.note,
@@ -222,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_nonnegative_int, default=0,
                    help="sampling trials, certify mode only (0: none)")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--cutoff", type=int, default=12,
-                   help="exhaustive cutoff on n")
     p.add_argument("--order-cap", type=int, default=300)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_perm_group)
@@ -233,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="row id or prefix (repeatable); default all rows")
     p.add_argument("--all", action="store_true", dest="all_rows",
                    help="verify every row (the default)")
-    p.add_argument("--tier", choices=["exact", "backtrack", "certify"],
-                   default="exact",
+    p.add_argument("--tier", choices=TIERS, default="exact",
                    help="deepest verification tier to attempt (rows always "
                         "get at least a certificate)")
     p.add_argument("--out", default=None, help="write JSON report here")

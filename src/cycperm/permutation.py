@@ -535,10 +535,6 @@ def group_from_generators(gens: Sequence[Permutation]) -> PermGroup:
     return PermGroup(degree, gens)
 
 
-def group_contains(group: PermGroup, sigma: Permutation) -> bool:
-    return group.contains(sigma)
-
-
 def groups_equal(g1: PermGroup, g2: PermGroup) -> bool:
     """Equal as permutation groups.
 

@@ -10,14 +10,15 @@ certificate):
 
 * certify  - every claimed-group generator preserves the code; plus, when
   n <= order_cap, Per(C) derived from the code's structure and compared
-  with the claim by block membership (the claim's Schreier-Sims order
-  when a leaf is too large to decide), or seeded sampling falsification
-  when n is beyond the cap;
+  with the claim by block membership (nothing more when a leaf is too
+  large to decide), or seeded sampling falsification when n is beyond
+  the cap;
 * backtrack - exact Per(C) when the code (or its dual) is enumerable and
-  n <= backtrack_cutoff, compared to the claim by group equality;
-* exact - exhaustive search when n <= exact_cutoff, same comparison.
+  n <= BACKTRACK_CUTOFF, compared to the claim by group equality;
+* exact - exhaustive search when n <= EXACT_CUTOFF, same comparison.
 
-run_table only chooses the tier; autgroup.verify_claim builds each report.
+RunConfig.tier is the deepest tier a row may get.  run_table only
+chooses the tier; autgroup.verify_claim builds each report.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .group_constructors import (
     expr_degree,
     expr_order,
     format_group_expr,
-    materialize,
     parse_group_expr,
 )
 from .permutation import PermGroup, groups_equal
@@ -265,11 +265,14 @@ def select_rows(tokens: Optional[Sequence[str]]) -> List[TableRow]:
     return out
 
 
+TIERS = ("exact", "backtrack", "certify")  # deepest first
+EXACT_CUTOFF = 10  # exhaustive search up to this n
+BACKTRACK_CUTOFF = 24  # backtracking up to this n, on enumerable codes
+
+
 @dataclass
 class RunConfig:
-    exact_cutoff: int = 10
-    backtrack_cutoff: int = 24
-    enum_cap: int = DEFAULT_ENUM_CAP
+    tier: str = "exact"  # the deepest tier to attempt, one of TIERS
     order_cap: int = 300
     trials: int = 100_000
     seed: int = 42
@@ -280,13 +283,12 @@ def run_table(rows: Sequence[TableRow], cfg: RunConfig,
               log=None) -> List[VerificationReport]:
     """Verify each row; reports align with the input order.
 
-    Materialized claim groups are cached by claim string.  Their
-    stabilizer chains are built only for sampling hits, for exact-search
-    equality and for the chain fallback of a leaf too large to decide,
-    which no table record reaches.
+    Each claim is materialized once per row.  Its stabilizer chain is
+    built only for sampling hits and for exact-search equality.
     """
+    if cfg.tier not in TIERS:
+        raise ValueError(f"unknown tier {cfg.tier!r}; expected one of {TIERS}")
     field = make_field(2)
-    group_cache: dict = {}
     reports = []
     for row in rows:
         t0 = time.perf_counter()
@@ -294,18 +296,15 @@ def run_table(rows: Sequence[TableRow], cfg: RunConfig,
         code = make_code(field, row.n, row.build_gen(field))
         if expr_degree(claim) != row.n:
             raise ValueError(f"{row.id}: claim degree != n")
-        if row.claim not in group_cache:
-            group_cache[row.claim] = PermGroup(row.n, materialize(claim))
-        enumerable = 2 ** min(code.k, code.n - code.k) <= cfg.enum_cap
+        enumerable = 2 ** min(code.k, code.n - code.k) <= DEFAULT_ENUM_CAP
         search = None
-        if row.n <= cfg.exact_cutoff:
+        if cfg.tier == "exact" and row.n <= EXACT_CUTOFF:
             search = ("Exhaustive",
                       partial(exhaustive_per_group, workers=cfg.workers))
-        elif row.n <= cfg.backtrack_cutoff and enumerable:
-            search = ("Backtrack", partial(backtrack_per_group,
-                                           cap=cfg.enum_cap))
-        rep = verify_claim(code, claim, group_cache[row.claim], search,
-                           cfg.order_cap,
+        elif cfg.tier != "certify" and row.n <= BACKTRACK_CUTOFF \
+                and enumerable:
+            search = ("Backtrack", backtrack_per_group)
+        rep = verify_claim(code, claim, search, cfg.order_cap,
                            cfg.trials if row.n > cfg.order_cap else 0,
                            cfg.seed)
         rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)

@@ -120,6 +120,23 @@ def test_exhaustive_cutoff():
         exhaustive_per_group(make_code(F2, 15, cyclotomic(15, F2)))
 
 
+def test_exhaustive_non_group_check(monkeypatch):
+    # the group keeps reduce_generators' chain, which is complete for the
+    # kept generators: a scan that loses first image 1 still counts one
+    # first image too few against that group's order
+    scan = autgroup._scan_permutations
+
+    def lose_first_image_1(args):
+        found = scan(args)
+        return found[:0] if args[1] == 1 else found
+
+    code = make_code(F2, 10, cyclotomic(5, F2))
+    assert exhaustive_per_group(code).order == 3840
+    monkeypatch.setattr(autgroup, "_scan_permutations", lose_first_image_1)
+    with pytest.raises(AssertionError, match="non-group"):
+        exhaustive_per_group(code)
+
+
 def test_exhaustive_workers_agree():
     code = make_code(F2, 9, substitute_power(cyclotomic(3, F2), 3))
     g1 = exhaustive_per_group(code)
@@ -559,8 +576,8 @@ def test_factoring_and_leaf_golden():
 
 def test_certify_table_n21():
     claim = parse_group_expr("wr(S(3), PSL2_7, rows)")
-    rep = certify_subgroup(make_code(F2, 21, G7A), materialize(claim),
-                           claim=claim)
+    rep = verify_claim(make_code(F2, 21, G7A), claim)
+    assert rep.evidence == "decomposition-equal"
     assert rep.certified is True
     assert rep.predicted_order == math.factorial(3) ** 7 * 168 == 47029248
     assert rep.computed_order == rep.predicted_order
@@ -570,7 +587,6 @@ def test_certify_table_n21():
 def test_certify_identity_only():
     rep = certify_subgroup(make_code(F2, 7, G7A), [identity_perm(7)])
     assert rep.certified is True
-    assert rep.computed_order == 1
 
 
 def test_certify_overclaim_fails():
@@ -578,8 +594,9 @@ def test_certify_overclaim_fails():
     rep = certify_subgroup(make_code(F2, 7, G7A), materialize(claim),
                            claim=claim)
     assert rep.certified is False
-    assert rep.computed_order == rep.predicted_order == 5040
-    assert rep.equal is False  # never true without the certificate
+    assert rep.predicted_order == 5040
+    # the certificate alone decides no order and no equality
+    assert rep.computed_order is None and rep.equal is None
     bad = [tuple(c["images"]) for c in rep.counterexamples]
     assert perm_from_cycles([[0, 1]], 7).images in bad
 

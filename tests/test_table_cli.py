@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,9 +15,12 @@ from cycperm.autgroup import (
     RNG_ALGORITHM,
     VerificationReport,
     certify_subgroup,
+    derive_per_group,
     predicted_group,
+    verify_claim,
 )
 from cycperm.cyclic_code import make_code
+from cycperm.errors import TooLarge
 from cycperm.galois import make_field, parse_field
 from cycperm.group_constructors import (
     CrtProduct,
@@ -219,11 +224,21 @@ def test_cli_table_row_with_outputs(tmp_path):
     assert len(lines) == 4
 
 
-def test_cli_table_tier_cap():
-    res = _run_cli("table", "--row", "T01a", "--tier", "certify")
-    assert res.returncode == 0
-    doc = json.loads(res.stdout)
-    assert doc["rows"][0]["report"]["method"] == "Certify"
+def test_cli_table_tier_cap(capsys):
+    for tier, method in (("exact", "Exhaustive"), ("backtrack", "Backtrack"),
+                         ("certify", "Certify")):
+        assert cli.main(["table", "--row", "T01a", "--tier", tier]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["rows"][0]["report"]["method"] == method, tier
+        (rep,) = run_table(select_rows(["T01a"]), RunConfig(tier=tier))
+        assert rep.method == method, tier
+
+
+def test_run_config_fields():
+    assert [f.name for f in dataclasses.fields(RunConfig)] == \
+        ["tier", "order_cap", "trials", "seed", "workers"]
+    with pytest.raises(ValueError, match="unknown tier"):
+        run_table(select_rows(["T01a"]), RunConfig(tier="brute"))
 
 
 def test_cli_extension_field_with_modulus():
@@ -352,8 +367,7 @@ def _per_block_counterexamples(args):
     code = make_code(field, int(args[args.index("--n") + 1]),
                      parse_poly_text(args[args.index("--gen") + 1], field))
     claim = parse_group_expr(args[args.index("--claim") + 1])
-    return certify_subgroup(code, per_block_materialize(claim),
-                            compute_order=False).counterexamples
+    return certify_subgroup(code, per_block_materialize(claim)).counterexamples
 
 
 def _report_sans_time(doc: dict) -> dict:
@@ -476,20 +490,27 @@ def _proper_subgroup(e):
 
 
 def test_proper_subgroup_mutants_rejected():
-    # one under-claim per record that the decomposition tier decides; the
-    # certificate passes, so only Per(C) <= claim can reject it
+    # one under-claim per record that an exact or the decomposition tier
+    # decides; the certificate passes, so only Per(C) <= claim can reject it
     rows = [row for row in TABLE_ROWS if row.n <= 300]
     reports = run_table(rows, RunConfig())
-    mutants = [TableRow(row.id + "m", row.n_factored, row.n, row.gen_text,
-                        format_group_expr(_proper_subgroup(row.claim_expr())))
-               for row, rep in zip(rows, reports)
-               if rep.evidence == "decomposition-equal"]
-    assert len(mutants) == 28
+    mutants, evidence = [], []
+    for row, rep in zip(rows, reports):
+        if rep.evidence in ("exhaustive-equal", "backtrack-equal",
+                            "decomposition-equal"):
+            claim = format_group_expr(_proper_subgroup(row.claim_expr()))
+            mutants.append(TableRow(row.id + "m", row.n_factored, row.n,
+                                    row.gen_text, claim))
+            evidence.append(rep.evidence)
+    assert collections.Counter(evidence) == {"exhaustive-equal": 5,
+                                             "backtrack-equal": 8,
+                                             "decomposition-equal": 28}
     assert [m.claim for m in mutants if m.id in ("T25m", "T26m")] \
         == ["C(217)", "C(217)"]
-    for mutant, rep in zip(mutants, run_table(mutants, RunConfig())):
+    for mutant, want, rep in zip(mutants, evidence,
+                                 run_table(mutants, RunConfig())):
         assert rep.certified is True, mutant.claim
-        assert rep.evidence == "decomposition-equal", mutant.claim
+        assert rep.evidence == want, mutant.claim
         assert rep.equal is False, mutant.claim
         assert rep.order_match is False, mutant.claim
 
@@ -519,3 +540,24 @@ def test_per_leaves_above_the_exhaustive_cutoff_as_claims(capsys, n, gen,
     assert rep["certified"] is True and rep["equal"] is True
     assert rep["evidence"] == "decomposition-equal"
     assert rep["computed_order"] == rep["predicted_order"] == str(order)
+
+
+QR47 = "1,0,0,0,1,1,0,0,0,1,1,1,0,1,1,0,1,1,1,0,1,1,1,1"
+
+
+def test_undecided_leaf_reports_the_certificate_only(capsys):
+    # the binary QR code of length 47 is a leaf derive_per_group cannot
+    # decide; its Per(C) is PSL(2,47), of order 51,888, so the true
+    # certificate of C(47) must not become an equality by the claim's order
+    code = make_code(F2, 47, parse_poly_text(QR47, F2))
+    with pytest.raises(TooLarge):
+        derive_per_group(code)
+    rep = verify_claim(code, parse_group_expr("C(47)")).to_json_dict()
+    _, cli_rep = _perm_group(capsys, "--n", "47", "--gen", QR47,
+                             "--mode", "certify", "--claim", "C(47)")
+    for doc in (rep, cli_rep):
+        assert doc["certified"] is True
+        assert doc["evidence"] == "subgroup"
+        assert doc["equal"] is None
+        assert doc["computed_order"] is None
+        assert doc["order_match"] is None

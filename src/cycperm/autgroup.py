@@ -288,8 +288,8 @@ def _first_occurrence_ids(rows: np.ndarray) -> np.ndarray:
                      for key in map(bytes, rows)], dtype=np.int64)
 
 
-def _coordinate_structure(code: CyclicCodeSpec, cap: int, W=None):
-    """Colors and pair classes from codeword statistics.
+def _coordinate_structure(code: CyclicCodeSpec, W: np.ndarray):
+    """Colors and pair classes from the codewords W of code.
 
     sig(i) counts codewords by (weight, value at i); pair(i,j) counts by
     (weight, value at i, value at j).  Both are invariant under any code
@@ -304,8 +304,6 @@ def _coordinate_structure(code: CyclicCodeSpec, cap: int, W=None):
     occurrence in row-major order; the diagonal is -1.  A refinement round
     sorts each row of (pair(i,j), pair(j,i), color(j)), encoded as int64.
     """
-    if W is None:
-        W = codeword_index_matrix(code, cap)
     n = code.n
     m = code.field.order - 1
     nonzero = np.arange(1, m + 1)
@@ -348,8 +346,15 @@ def _word_masks(W: np.ndarray, q: int) -> np.ndarray:
     return np.packbits(E, axis=-1, bitorder="little").view("<u8")
 
 
-def backtrack_per_group(code: CyclicCodeSpec,
-                        cap: int = DEFAULT_ENUM_CAP) -> PermGroup:
+def enumerable(code: CyclicCodeSpec) -> bool:
+    """Whether 2^min(k, n-k) is within DEFAULT_ENUM_CAP: the size of the
+    smaller of C and C^dual when C is binary, a lower bound over larger
+    fields.  run_table sends such codes to backtrack_per_group, and
+    derive_per_group tries the pq-words rule only on the others."""
+    return 2 ** min(code.k, code.n - code.k) <= DEFAULT_ENUM_CAP
+
+
+def backtrack_per_group(code: CyclicCodeSpec) -> PermGroup:
     """Exact Per(C) via backtracking over coordinate images.
 
     The open choices are an n x n candidate matrix: sigma(i) = j stays
@@ -381,8 +386,8 @@ def backtrack_per_group(code: CyclicCodeSpec,
     if code.k > n - code.k:
         code = make_code(code.field, n, code.dual_gen)
     engine = _Engine(code)
-    W = codeword_index_matrix(code, cap)
-    colors, pair = _coordinate_structure(code, cap, W)
+    W = codeword_index_matrix(code)
+    colors, pair = _coordinate_structure(code, W)
     q = code.field.order
     N = W.shape[0]
 
@@ -543,7 +548,7 @@ def _derived_expr(code: CyclicCodeSpec) -> GroupExpr:
         if f is not None:
             return Wreath(_derived_expr(make_code(field, n // m, f)), Sym(m),
                           Layout.COL_BLOCKS)
-    if 2 ** min(code.k, n - code.k) > DEFAULT_ENUM_CAP:
+    if not enumerable(code):
         high = min(code.gen, code.dual_gen, key=lambda g: g.degree)
         return _crt_expr(n, high) or PerOf(field, n, code.gen)
     return PerOf(field, n, code.gen)

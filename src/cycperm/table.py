@@ -32,11 +32,12 @@ from typing import List, Optional, Sequence
 from .autgroup import (
     VerificationReport,
     backtrack_per_group,
+    enumerable,
     exhaustive_per_group,
     report_passed,
     verify_claim,
 )
-from .cyclic_code import DEFAULT_ENUM_CAP, contains, make_code
+from .cyclic_code import contains, make_code
 from .galois import FieldSpec, make_field
 from .group_constructors import (
     GroupExpr,
@@ -296,13 +297,12 @@ def run_table(rows: Sequence[TableRow], cfg: RunConfig,
         code = make_code(field, row.n, row.build_gen(field))
         if expr_degree(claim) != row.n:
             raise ValueError(f"{row.id}: claim degree != n")
-        enumerable = 2 ** min(code.k, code.n - code.k) <= DEFAULT_ENUM_CAP
         search = None
         if cfg.tier == "exact" and row.n <= EXACT_CUTOFF:
             search = ("Exhaustive",
                       partial(exhaustive_per_group, workers=cfg.workers))
         elif cfg.tier != "certify" and row.n <= BACKTRACK_CUTOFF \
-                and enumerable:
+                and enumerable(code):
             search = ("Backtrack", backtrack_per_group)
         rep = verify_claim(code, claim, search, cfg.order_cap,
                            cfg.trials if row.n > cfg.order_cap else 0,

@@ -14,6 +14,7 @@ from cycperm.autgroup import (
     _coordinate_structure,
     _leaf_expr,
     backtrack_per_group,
+    enumerable,
     certify_subgroup,
     derive_per_group,
     exhaustive_per_group,
@@ -382,11 +383,21 @@ def test_coordinate_structure_matches_reference():
         codes.append(code)
     for code in codes:
         W = codeword_index_matrix(code)
-        colors, pair = _coordinate_structure(code, DEFAULT_ENUM_CAP, W)
+        colors, pair = _coordinate_structure(code, W)
         ref_colors, ref_pair = _reference_coordinate_structure(code, W)
         assert colors.dtype == pair.dtype == np.int64
         assert np.array_equal(colors, ref_colors), code.describe()
         assert np.array_equal(pair, ref_pair), code.describe()
+
+
+def test_enumerable_bound():
+    # k = n - k = 20 enumerates 2^20 = DEFAULT_ENUM_CAP words; 21 does not
+    for half, want in ((20, True), (21, False)):
+        code = make_code(F2, 2 * half, poly_from_ints(
+            F2, [1] + [0] * (half - 1) + [1]))
+        assert code.k == half
+        assert (2 ** half <= DEFAULT_ENUM_CAP) is want
+        assert enumerable(code) is want
 
 
 def test_backtrack_q15_crt():

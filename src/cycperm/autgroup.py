@@ -152,8 +152,10 @@ class _Engine:
         if np.count_nonzero(moved) * self.g_supp.size >= self.k:
             rows = self._rows
         else:
-            rows = np.unique(np.flatnonzero(moved)[:, None] - self.g_supp[None, :])
-            rows = rows[(rows >= 0) & (rows < self.k)]
+            t = np.flatnonzero(moved)[:, None] - self.g_supp[None, :]
+            hit = np.zeros(self.k, dtype=bool)
+            hit[t[(t >= 0) & (t < self.k)]] = True
+            rows = np.flatnonzero(hit)
         inv = np.empty(self.n, dtype=np.int64)
         inv[sigma] = self._points
         bad = self._bad_rows(inv[self.g_supp[None, :] + rows[:, None]])
@@ -278,7 +280,7 @@ def exhaustive_per_group(code: CyclicCodeSpec,
 # backtracking with signature refinement
 
 
-_GRAM_ROWS = 4096  # codewords per indicator block of a Gram product
+_GRAM_ROWS = 4096  # codewords per Gram block; < 2^24 keeps float32 exact
 
 
 def _first_occurrence_ids(rows: np.ndarray) -> np.ndarray:
@@ -298,17 +300,22 @@ def _coordinate_structure(code: CyclicCodeSpec, W: np.ndarray):
 
     With E_{w,a} the 0/1 indicator (words of weight w x coordinates) of
     value a, sig(i) sums column i of E_{w,a} and pair(i,j) is entry (i, j)
-    of E_{w,a}^T E_{w,b}, one int32 product per weight (no BLAS buffers).
-    Counts of value 0 follow from the rest, so pair classes are keyed by
-    (color(i), color(j), counts for nonzero a, b).  Ids go by first
-    occurrence in row-major order; the diagonal is -1.  A refinement round
-    sorts each row of (pair(i,j), pair(j,i), color(j)), encoded as int64.
+    of E_{w,a}^T E_{w,b}, summed in int32 over blocks of _GRAM_ROWS words.
+    Each block's product is a float32 BLAS product, which is exact: its
+    entries are integers <= _GRAM_ROWS < 2^24, float32's 24-bit
+    significand, whatever order BLAS adds in.  An int32 product would save
+    BLAS's buffers (about 0.3 MB of RSS) but numpy computes it without
+    BLAS, four times slower on T15's 32,768-word leaf.  Counts of value 0
+    follow from the rest, so pair classes are keyed by (color(i), color(j),
+    counts for nonzero a, b).  Ids go by first occurrence in row-major
+    order; the diagonal is -1.  A refinement round sorts each row of
+    (pair(i,j), pair(j,i), color(j)), encoded as int64.
     """
     n = code.n
     m = code.field.order - 1
     nonzero = np.arange(1, m + 1)
     wts = np.count_nonzero(W, axis=1)
-    weights = np.unique(wts)
+    weights = np.flatnonzero(np.bincount(wts))
     sig = np.zeros((n, len(weights), m), dtype=np.int64)
     keys = np.empty((n, n, 2 + len(weights) * m * m), dtype=np.int32)
     counts = keys[:, :, 2:].reshape(n, n, len(weights), m, m)  # a view
@@ -318,8 +325,8 @@ def _coordinate_structure(code: CyclicCodeSpec, W: np.ndarray):
         for s in range(0, len(rows), _GRAM_ROWS):
             E = W[rows[s:s + _GRAM_ROWS], :, None] == nonzero
             sig[:, t] += E.sum(axis=0)
-            F = E.reshape(len(E), n * m).astype(np.int32)
-            gram += F.T @ F
+            F = E.reshape(len(E), n * m).astype(np.float32)
+            gram += (F.T @ F).astype(np.int32)
         counts[:, :, t] = gram.reshape(n, m, n, m).transpose(0, 2, 1, 3)
     colors = _first_occurrence_ids(sig.reshape(n, -1))
     keys[:, :, 0] = colors[:, None]
@@ -573,8 +580,8 @@ def _crt_expr(n: int, gen: Poly) -> Optional[CrtProduct]:
     for m in primes:
         same = np.arange(n) % m == np.arange(n)[:, None] % m
         np.fill_diagonal(same, False)
-        values = np.unique(count[same])
-        if len(values) != 1 or (count[~same] == values[0]).any():
+        v = count[same]
+        if (v != v[0]).any() or (count[~same] == v[0]).any():
             return None
     gens = crt_product_generators(*primes)
     ok = all(engine.perm_preserves(s.array())[0] for s in gens)

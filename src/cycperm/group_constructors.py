@@ -18,6 +18,7 @@ the layout tag records which matrix representation justified the claim.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Union
@@ -34,7 +35,7 @@ from .errors import (
     UnknownTag,
 )
 from .galois import FieldSpec, _is_prime
-from .permutation import PermGroup, Permutation, identity_perm, \
+from .permutation import PermGroup, Permutation, _StabChain, identity_perm, \
     perm_from_cycles
 from .polyring import Poly
 
@@ -113,17 +114,17 @@ def psl27_generators() -> List[Permutation]:
 
     Rather than hardcoding a transcription, run the exhaustive search on
     C_{7, x^3+x+1} once per process and cache the reduced generator list;
-    the order is validated on every load.
+    the order is validated once per process, against the order that search
+    computed and cached (per_of_order), so a later call builds no chain.
     """
     from .galois import make_field
     from .polyring import poly_from_ints
 
     f2 = make_field(2)
-    gens = per_of_generators(f2, 7, poly_from_ints(f2, [1, 1, 0, 1]))
-    from .permutation import group_from_generators
-    if group_from_generators(gens).order != 168:
+    gen = poly_from_ints(f2, [1, 1, 0, 1])
+    if per_of_order(f2, 7, gen) != 168:
         raise AssertionError("PSL(2,7) bootstrap failed order validation")
-    return gens
+    return per_of_generators(f2, 7, gen)
 
 
 def named_group_generators(tag: str, degree: int) -> List[Permutation]:
@@ -156,8 +157,9 @@ def _orbit_representatives(gens: List[Permutation]) -> List[int]:
         seen[p] = True
         front = np.array([p])
         while front.size:  # forward images close an orbit of a finite group
-            front = np.unique(np.concatenate([a[front] for a in arrays]))
-            front = front[~seen[front]]
+            hit = np.zeros_like(seen)
+            hit[np.concatenate([a[front] for a in arrays])] = True
+            front = np.flatnonzero(hit & ~seen)
             seen[front] = True
     return reps
 
@@ -326,7 +328,8 @@ def expr_contains(e: GroupExpr, rows: np.ndarray) -> np.ndarray:
     class permutation pi lies in H and each component alpha_h lies in A.
     x(p, q) holds iff both CRT partitions (mod p and mod q) are preserved;
     S(h) always holds.  The other leaves (degree <= 35 in the table) sift
-    the rows through a chain of their own generators.
+    the rows through a chain of their own generators, built once per leaf
+    expression and process (_leaf_chain).
     """
     rows = np.asarray(rows)
     ok = np.ones(len(rows), dtype=bool)
@@ -349,8 +352,14 @@ def expr_contains(e: GroupExpr, rows: np.ndarray) -> np.ndarray:
             cls = rows % m
             ok &= (cls == cls[:, k % m]).all(axis=1)
         return ok
-    chain = PermGroup(expr_degree(e), materialize(e)).chain()
-    return chain.contains_batch(rows)
+    return _leaf_chain(e).contains_batch(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _leaf_chain(e: GroupExpr) -> _StabChain:
+    """The stabilizer chain of a leaf of expr_contains, memoized per
+    expression; contains_batch only reads it."""
+    return PermGroup(expr_degree(e), materialize(e)).chain()
 
 
 def format_group_expr(e: GroupExpr) -> str:

@@ -348,6 +348,7 @@ def selftest(log=print) -> int:
         ("field axioms", _st_field_axioms),
         ("factorization identities", _st_factorization),
         ("factor memo", _st_factor_memo),
+        ("leaf memo", _st_leaf_memo),
         ("dual round-trip", _st_dual_roundtrip),
         ("action-composition coherence", _st_action_coherence),
         ("matrix representation round-trip", _st_matrix_roundtrip),
@@ -411,6 +412,35 @@ def _st_factor_memo():
             _cyclotomic_factors.cache_clear()
             runs.append({n: factor_xn_minus_1(n, f) for n in order})
         assert runs[0] == runs[1], f
+
+
+def _st_leaf_memo():
+    # memoized leaf chains answer expr_contains as cold ones do: each claim
+    # runs once on cleared memos, then all again on warm ones
+    import numpy as np
+    from .group_constructors import _leaf_chain, expr_contains, materialize
+    rng = np.random.default_rng(808)
+    cases = {}
+    for row in TABLE_ROWS:
+        claim = row.claim_expr()
+        if row.n > 300 or claim in cases:
+            continue
+        gens = np.array([g.array() for g in materialize(claim)])
+        members = np.tile(np.arange(row.n), (32, 1))  # words of 16 generators
+        for letters in rng.integers(len(gens), size=(16, 32)):
+            members = np.take_along_axis(members, gens[letters], axis=1)
+        swapped = members.copy()  # each composed with a random transposition
+        at, (i, j) = np.arange(32), rng.integers(row.n, size=(2, 32))
+        swapped[at, i], swapped[at, j] = members[at, j], members[at, i]
+        cases[claim] = np.concatenate([members, swapped])
+    cold = {}
+    for claim, rows in cases.items():
+        _leaf_chain.cache_clear()
+        cold[claim] = expr_contains(claim, rows)
+        assert cold[claim][:32].all(), format_group_expr(claim)
+    for claim, rows in reversed(list(cases.items())):
+        assert np.array_equal(expr_contains(claim, rows), cold[claim]), \
+            format_group_expr(claim)
 
 
 def _st_dual_roundtrip():

@@ -11,6 +11,7 @@ from cycperm import autgroup
 from cycperm.autgroup import (
     VerificationReport,
     _Engine,
+    _GRAM_ROWS,
     _coordinate_structure,
     _leaf_expr,
     backtrack_per_group,
@@ -376,11 +377,18 @@ def test_coordinate_structure_matches_reference():
     codes = [code for field, n_max in ((F2, 15), (F3, 10), (F4, 9))
              for n in range(1, n_max + 1)
              for code in _all_divisor_codes(field, n)]
-    for n, gen_text in ((30, "Q(3)Q(5)"), (105, "Q(5)Q(7)")):  # T27, T29
+    # T27, T29, and T15, whose searched code is the one with Gram products
+    # of several blocks: 32,768 words in 10 weight classes, 16 blocks
+    for n, gen_text in ((30, "Q(3)Q(5)"), (105, "Q(5)Q(7)"),
+                        (31, "(x^5+x^2+1)(x^5+x^3+1)(x^5+x^3+x^2+x+1)")):
         code = make_code(F2, n, parse_gen_expr(gen_text, F2))
         if code.k > n - code.k:  # the code backtrack_per_group searches
             code = make_code(F2, n, code.dual_gen)
         codes.append(code)
+    codes.append(make_code(F3, 10, poly_from_ints(F3, [1, 1])))  # 3^9 words
+    # the float32 Gram blocks are exact while every entry, at most
+    # _GRAM_ROWS, fits float32's 24-bit significand
+    assert _GRAM_ROWS < 2 ** 24
     for code in codes:
         W = codeword_index_matrix(code)
         colors, pair = _coordinate_structure(code, W)
@@ -388,6 +396,12 @@ def test_coordinate_structure_matches_reference():
         assert colors.dtype == pair.dtype == np.int64
         assert np.array_equal(colors, ref_colors), code.describe()
         assert np.array_equal(pair, ref_pair), code.describe()
+    t15, f3 = (np.bincount(np.count_nonzero(codeword_index_matrix(c), axis=1))
+               for c in codes[-2:])
+    t15 = t15[t15 > 0]
+    assert t15.sum() == 2 ** 15 and len(t15) == 10
+    assert (-(-t15 // _GRAM_ROWS)).sum() == 16
+    assert f3.max() > _GRAM_ROWS  # one weight's words span two blocks
 
 
 def test_enumerable_bound():

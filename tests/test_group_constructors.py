@@ -24,6 +24,7 @@ from cycperm.group_constructors import (
     Wreath,
     crt_product_generators,
     cyclic_generators,
+    expr_contains,
     expr_degree,
     expr_order,
     format_group_expr,
@@ -189,6 +190,48 @@ def test_named_groups():
         named_group_generators("PSL2_7", 8)
     with pytest.raises(BadDegree):
         named_group_generators("AGL1", 4)
+
+
+def test_leaf_chains_are_memoized(monkeypatch):
+    # expr_contains builds one chain per leaf and process, which answers as
+    # a fresh chain does; psl27_generators builds none once its search ran
+    from cycperm import group_constructors, permutation
+    from cycperm.table import parse_gen_expr
+
+    t15 = parse_gen_expr("(x^5+x^2+1)(x^5+x^3+1)(x^5+x^3+x^2+x+1)", F2)
+    leaves = [Named("PSL2_7"), AGL1(11), PerOf(F2, 31, t15)]
+    for e in leaves:
+        materialize(e)  # runs the leaf searches, whose chains are not counted
+    built = []
+    init = permutation._StabChain.__init__
+
+    def counting_init(self, n):
+        built.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(permutation._StabChain, "__init__", counting_init)
+    assert group_constructors.psl27_generators() == materialize(leaves[0])
+    assert built == []
+    rng, words = np.random.default_rng(18), random.Random(18)
+    cases = []
+    for e in leaves:
+        n = expr_degree(e)
+        group = PermGroup(n, materialize(e))
+        rows = np.array([group.sample(words).array() for _ in range(500)]
+                        + [rng.permutation(n) for _ in range(500)])
+        want = group.chain().contains_batch(rows)
+        assert want[:500].all() and not want[500:].all()
+        cases.append((e, rows, want))
+    group_constructors._leaf_chain.cache_clear()
+    del built[:]
+    for _ in range(3):
+        for e, rows, want in cases:
+            assert np.array_equal(expr_contains(e, rows), want), e
+    assert built == [7, 11, 31]
+    group_constructors._leaf_chain.cache_clear()
+    for e, rows, want in cases:
+        assert np.array_equal(expr_contains(e, rows), want), e
+    assert built == [7, 11, 31] * 2
 
 
 def test_per_of_copies_differ():

@@ -528,6 +528,25 @@ def test_pq_records_build_no_chain(monkeypatch):
         assert rep.computed_order == math.factorial(7) * math.factorial(31)
 
 
+def test_verify_paths_do_not_import_numpy_ma():
+    # np.unique without return_* flags imports numpy.ma (numpy >= 2.3),
+    # which costs every process about 10 ms
+    script = """
+import contextlib, io, sys
+from cycperm import cli
+from cycperm.table import RunConfig, run_table, select_rows
+reports = run_table(select_rows(["T15", "T26", "T29"]), RunConfig())
+assert all(rep.equal for rep in reports)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["factor", "--field", "3", "--n", "40"]) == 0
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    src = os.path.dirname(os.path.dirname(cycperm.__file__))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert res.returncode == 0, res.stderr
+
+
 @pytest.mark.parametrize("n, gen, order", [
     (31, "1,1,0,1,0,0,0,1,0,0,0,0,0,0,0,1", 155),          # T15's code
     (35, "1,0,1,0,1,1,1,0,1,0,1", math.factorial(5) * math.factorial(7)),

@@ -102,9 +102,11 @@ class _Engine:
     """Fast membership tests for one code, over any field with q <= 4096.
 
     The reduction table R[i] = x^i mod g is precomputed over element indices
-    with the field's add/mul/neg tables.  Over F_2 its rows are bit-packed
-    so a whole permuted basis is syndrome-checked with vectorized XOR
-    reductions; over every other field the syndromes are accumulated with
+    with the field's add/mul/neg tables (polyring._xpow_table, one byte per
+    entry up to q = 256).  Over F_2 only its rows packed into uint64 lanes
+    are kept, so a whole permuted basis is syndrome-checked with vectorized
+    XOR reductions; over every other field R is kept, widened to int64 as
+    every check gathers through it, and the syndromes are accumulated with
     the same tables.
 
     A permutation sigma only changes the basis words whose support it
@@ -129,15 +131,15 @@ class _Engine:
         self.g_supp = np.flatnonzero(gidx)
         self.g_vals = gidx[self.g_supp]
         self._g_mul = mul[self.g_vals]  # row j: times the j-th nonzero g_i
-        m = code.gen.degree
-        self.R = R = _xpow_table(f, gidx, n)
+        R = _xpow_table(f, gidx, n)
         if self.q == 2:
             # bit b of lane b >> 6 holds column b
-            lanes = (m + 63) // 64
-            bits = np.zeros((n, 64 * lanes), dtype=np.uint8)
-            bits[:, :m] = R
-            self.packed = np.packbits(bits, axis=1, bitorder="little") \
+            packed = np.packbits(R, axis=1, bitorder="little")
+            pad = -packed.shape[1] % 8
+            self.packed = np.pad(packed, ((0, 0), (0, pad))) \
                 .view("<u8").astype(np.uint64)
+        else:
+            self.R = R.astype(np.int64)
 
     def perm_preserves(self, sigma: np.ndarray) -> Tuple[bool, Optional[int]]:
         """Does sigma map every basis word back into the code?
@@ -544,7 +546,8 @@ def _derived_expr(code: CyclicCodeSpec) -> GroupExpr:
         return Sym(n)
     divisors = _divisors(n)
     for g in (code.gen, code.dual_gen):
-        e = next(e for e in divisors if poly_divides(g, xn_minus_1(field, e)))
+        R = _xpow_table(field, _indices(g), n + 1)
+        e = next(e for e in divisors if (R[e] == R[0]).all())  # g | x^e - 1
         if e == 1:
             return Sym(n)
         if e < n:

@@ -249,13 +249,19 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_pow(a: Poly, e: int) -> Poly:
-    result = one_poly(a.field)
+    """a^e by squaring on index arrays; 0^0 = 1."""
+    f = a.field
+    if e and a.is_zero():
+        return zero_poly(f)
+    result = np.ones(1, dtype=np.int64)  # index 1 is the field's one
+    acc = _indices(a)
     while e:
         if e & 1:
-            result = poly_mul(result, a)
-        a = poly_mul(a, a)
+            result = _mul_idx(f, result, acc)
         e >>= 1
-    return result
+        if e:
+            acc = _mul_idx(f, acc, acc)
+    return _poly_of_indices(f, result)
 
 
 def substitute_power(g: Poly, t: int) -> Poly:
@@ -373,14 +379,15 @@ def _xpow_table(field: FieldSpec, modulus, count: int):
     """x^0 .. x^(count-1) mod a monic M, as rows of element indices.
 
     modulus holds M's ascending coefficient indices and each row has deg M
-    columns.  Row i is row i-1 shifted up, with its top column folded back
-    in through x^m = -(M_0 + ... + M_{m-1} x^(m-1)); M = 1 gives rows with
-    no columns.
+    columns, in np.min_scalar_type(q - 1): uint8 up to q = 256, uint16 up
+    to the tables' cap.  Row i is row i-1 shifted up, with its top column
+    folded back in through x^m = -(M_0 + ... + M_{m-1} x^(m-1)); M = 1
+    gives rows with no columns.
     """
     add, mul, neg = field_tables(field)
     m = len(modulus) - 1
     low = neg[modulus[:m]]
-    rows = np.zeros((count, m), dtype=np.int64)
+    rows = np.zeros((count, m), dtype=np.min_scalar_type(field.order - 1))
     for i in range(min(m, count)):
         rows[i, i] = 1
     for i in range(m, count if m else 0):
@@ -407,7 +414,8 @@ class _Ext:
         self.add_t, self.mul_t, self.neg_t = field_tables(base)
         self.one = np.zeros(d, dtype=np.int64)
         self.one[0] = 1
-        self.high = _xpow_table(base, modulus, 2 * d - 1)[d:]
+        # int64: every product gathers or multiplies through these rows
+        self.high = _xpow_table(base, modulus, 2 * d - 1)[d:].astype(np.int64)
 
     def add(self, a, b):
         return self.add_t[a, b]

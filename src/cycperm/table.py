@@ -348,6 +348,7 @@ def selftest(log=print) -> int:
         ("field axioms", _st_field_axioms),
         ("factorization identities", _st_factorization),
         ("factor memo", _st_factor_memo),
+        ("engine tables", _st_engine_tables),
         ("leaf memo", _st_leaf_memo),
         ("dual round-trip", _st_dual_roundtrip),
         ("action-composition coherence", _st_action_coherence),
@@ -412,6 +413,29 @@ def _st_factor_memo():
             _cyclotomic_factors.cache_clear()
             runs.append({n: factor_xn_minus_1(n, f) for n in order})
         assert runs[0] == runs[1], f
+
+
+def _st_engine_tables():
+    # the engine's rows are x^i mod g by poly_mod: packed into 64-bit lanes
+    # over F_2 (deg g = 72 takes two), kept as R over F_3
+    import numpy as np
+    from .autgroup import _Engine
+    from .polyring import _indices, poly_mod
+    for r, n, text in ((2, 7, "x^3+x+1"), (2, 15, "Q(15)"), (2, 73, "Q(73)"),
+                       (3, 8, "x^2+1"), (3, 13, "Q(13)")):
+        f = make_field(r)
+        code = make_code(f, n, parse_gen_expr(text, f))
+        m, engine = code.gen.degree, _Engine(code)
+        want = np.zeros((n, -(-m // 64) * 64 if r == 2 else m), dtype=np.uint8)
+        for i in range(n):
+            rem = _indices(poly_mod(poly_pow(x_poly(f), i), code.gen))
+            want[i, :len(rem)] = rem
+        if r == 2:
+            got, want = engine.packed, \
+                np.packbits(want, axis=1, bitorder="little").view("<u8")
+        else:
+            got = engine.R
+        assert np.array_equal(got, want), (r, n, text)
 
 
 def _st_leaf_memo():

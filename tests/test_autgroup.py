@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,7 @@ from cycperm.permutation import (
     perm_from_cycles,
 )
 from cycperm.polyring import (
+    _indices,
     cyclotomic,
     factor_xn_minus_1,
     format_poly_text,
@@ -830,6 +832,33 @@ def test_engine_shares_the_field_table_cap():
     f = make_field(2, 13)  # q = 8192 > 4096
     with pytest.raises(FieldMismatch):
         _Engine(make_code(f, 3, poly_sub(x_poly(f), one_poly(f))))
+
+
+def test_f2_engine_keeps_only_the_packed_table():
+    # T18 (n = 3844, deg g = 930): an int64 R would be 28.6 MB alone
+    row = select_rows(["T18"])[0]
+    code = make_code(F2, row.n, row.build_gen(F2))
+    tracemalloc.start()
+    try:
+        engine = _Engine(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    assert not hasattr(engine, "R")
+    m = code.gen.degree
+    low = _indices(code.gen)[:m]
+    ref = np.zeros((code.n, m), dtype=np.int64)  # x^i mod g, row by row
+    ref[0, 0] = 1
+    for i in range(1, code.n):
+        ref[i, 1:] = ref[i - 1, :-1]
+        if ref[i - 1, -1]:
+            ref[i] ^= low
+    packed = np.packbits(ref, axis=1, bitorder="little")
+    want = np.zeros((code.n, 8 * -(-m // 64)), dtype=np.uint8)  # whole lanes
+    want[:, :packed.shape[1]] = packed
+    assert engine.packed.dtype == np.uint64
+    assert np.array_equal(engine.packed, want.view("<u8"))
 
 
 def test_groups_equal_without_generators():

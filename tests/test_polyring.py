@@ -15,13 +15,14 @@ from cycperm.errors import (
     FieldMismatch,
     NotADivisor,
 )
-from cycperm.galois import make_field
+from cycperm.galois import field_tables, make_field
 from cycperm.polyring import (
     _Ext,
     _cyclotomic_factors,
     _indices,
     _labelled_factors,
     _poly_of_indices,
+    _xpow_table,
     cyclotomic,
     dual_generator,
     factor_xn_minus_1,
@@ -42,6 +43,7 @@ from cycperm.polyring import (
     substitute_power,
     x_poly,
     xn_minus_1,
+    zero_poly,
 )
 
 F2 = make_field(2)
@@ -146,6 +148,57 @@ def test_ext_matches_poly_mod(r, alpha):
             got = _poly_of_indices(f, ring.pow(a, e))
             assert got == poly_mod(poly_pow(pa, e), m), (d, a, e)
         assert _indices(_poly_of_indices(f, modulus)).tolist() == modulus.tolist()
+
+
+def _xpow_reference(f, modulus, count):
+    """x^i mod M, i < count, by the int64 recurrence x^i = x * x^(i-1) over
+    the field tables, one coefficient at a time."""
+    add, mul, neg = field_tables(f)
+    m = len(modulus) - 1
+    rows = np.zeros((count, m), dtype=np.int64)
+    row = []
+    for i in range(count):
+        if i < m:
+            row = [int(j == i) for j in range(m)]
+        elif m:
+            top, row = row[-1], [0] + row[:-1]
+            row = [int(add[row[j], mul[top, neg[modulus[j]]]])
+                   for j in range(m)]
+        rows[i] = row
+    return rows
+
+
+@pytest.mark.parametrize("r, alpha", [(2, 1), (3, 1), (2, 2), (5, 1),
+                                      (257, 1)])
+def test_xpow_table_matches_the_reference_in_the_narrow_dtype(r, alpha):
+    f = make_field(r, alpha)
+    rng = np.random.default_rng(r * 10 + alpha)
+    for d, count in ((0, 5), (1, 9), (3, 2), (5, 40), (8, 3), (8, 0)):
+        modulus = np.append(rng.integers(0, f.order, size=d), 1)
+        got = _xpow_table(f, modulus, count)
+        assert got.dtype == np.min_scalar_type(f.order - 1), (d, count)
+        assert got.shape == (count, d)
+        assert np.array_equal(got, _xpow_reference(f, modulus, count)), d
+    want = np.uint16 if f.order > 256 else np.uint8
+    assert _xpow_table(f, np.array([1]), 1).dtype == want
+
+
+@pytest.mark.parametrize("r, alpha", [(2, 1), (3, 1), (2, 2)])
+def test_poly_pow_matches_repeated_mul(r, alpha):
+    f = make_field(r, alpha)
+    rng = np.random.default_rng(r + alpha)
+    bases = [zero_poly(f), one_poly(f), x_poly(f),
+             _poly_of_indices(f, np.array([f.order - 1]))]  # a constant
+    bases += [_poly_of_indices(f, np.append(rng.integers(0, f.order, d), 1))
+              for d in (1, 3, 6)]
+    for a in bases:
+        want = one_poly(f)
+        for e in range(156):
+            if e < 10 or e == 155:
+                assert poly_pow(a, e) == want, (a, e)
+            want = poly_mul(want, a)
+    assert poly_pow(zero_poly(f), 0) == one_poly(f)
+    assert poly_pow(zero_poly(f), 3).is_zero()
 
 
 def test_poly_arithmetic_shares_the_field_table_cap():

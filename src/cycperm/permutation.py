@@ -24,6 +24,17 @@ batch's remaining residues go through the kernel again as one batch.  This
 keeps the wreath-product groups of degree ~300 from Table-scale runs
 affordable.
 
+Each strong generator has an origin: -1 for an input of extend, k for a
+residue of a batch of Schreier generators collected at the level of base
+k.  A level of base i forms Schreier pairs only with its generators of
+origin < i; its orbit and transversals still close under all of them.
+This is sound.  A residue formed at level k is a product of generators
+that were then in S^(k), the generators fixing 0..k-1, and so in S^(i)
+for every i <= k.  Leaving it out of S^(i) keeps the group it generates,
+by induction on the order of insertion, and Schreier's lemma holds for
+any generating set and any transversal (Seress, Permutation Group
+Algorithms, 2003, sections 4.1-4.2).
+
 Two facts a caller may know skip sifts whose answer is known, without
 changing any insertion, base, orbit or strong generator.  A bound b says
 the chain already holds every element of the group being built that fixes
@@ -224,10 +235,14 @@ def _gather(table: np.ndarray, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 class _Level:
     """One base point: its orbit, the pool rows of its transversals, and how
-    far each of its generators has been paired with the orbit."""
+    far each of its paired generators has been paired with the orbit.
+
+    The orbit closes under every generator of the level (gens); only those
+    of origin below the base (paired) form Schreier pairs, by the origin
+    rule of the module docstring."""
 
     __slots__ = ("chain", "base", "slot", "orbit", "rows", "size", "gens",
-                 "processed", "pending")
+                 "paired", "processed", "pending")
 
     def __init__(self, chain: "_StabChain", base: int, slot: int,
                  gens: Sequence[int] = ()):
@@ -238,23 +253,25 @@ class _Level:
         self.orbit = np.full(4, base, dtype=np.int32)
         self.rows = np.zeros(4, dtype=np.int32)  # pool row 0 is the identity
         self.size = 1
-        self.gens = list(gens)          # indices into the chain's gen table
-        self.processed = [0] * len(self.gens)  # per-gen orbit points done
-        self.pending = len(self.gens)   # unprocessed (gen, point) pairs
+        self.gens: List[int] = []       # indices into the chain's gen table
+        self.paired: List[int] = []     # the gens that form Schreier pairs
+        self.processed: List[int] = []  # per paired gen, orbit points done
+        self.pending = 0                # unprocessed (gen, point) pairs
+        for gi in gens:
+            self.add_gen(gi)
 
     def orbit_points(self) -> np.ndarray:
         return self.orbit[:self.size]
 
     def add_gen(self, gi: int):
+        """Bookkeeping only: the caller extends the orbit if gi opens it."""
         self.gens.append(gi)
-        self.processed.append(0)
-        self.pending += self.size
-        ch = self.chain
-        g = ch.gen_table[gi]
-        if (ch.rowmap[self.slot, g[self.orbit_points()]] < 0).any():
-            self._extend_orbit(seed=gi)
+        if self.chain.origins[gi] < self.base:
+            self.paired.append(gi)
+            self.processed.append(0)
+            self.pending += self.size
 
-    def _extend_orbit(self, seed: int):
+    def extend_orbit(self, seed: int):
         """Vectorized BFS closure; only the new generator can open points
         from the previously closed orbit.  Each round applies every sweeping
         generator to the frontier at once; a new point's transversal comes
@@ -285,21 +302,21 @@ class _Level:
             self.rows[old:old + k] = prow
             ch.rowmap[self.slot, qf] = prow
             self.size = old + k
-            self.pending += k * len(self.gens)
+            self.pending += k * len(self.paired)
             frontier = np.arange(old, old + k)
             sweep = np.array(self.gens)  # new points close under everything
 
     def collect_pending(self, limit: int) -> np.ndarray:
-        """g u_a for the next `limit` unprocessed (gen, orbit point) pairs,
-        gen by gen in orbit order.  The sift's step at this level turns each
-        into its Schreier generator u_{g(a)}^-1 g u_a."""
+        """g u_a for the next `limit` unprocessed (paired gen, orbit point)
+        pairs, gen by gen in orbit order.  The sift's step at this level
+        turns each into its Schreier generator u_{g(a)}^-1 g u_a."""
         ch = self.chain
         done = np.array(self.processed)
         left = self.size - done
         start = np.cumsum(left) - left
         take = np.clip(limit - start, 0, left)
         total = int(take.sum())
-        gen_of = np.repeat(np.array(self.gens), take)
+        gen_of = np.repeat(np.array(self.paired), take)
         orb = np.arange(total) - np.repeat(start - done, take)
         self.processed = (done + take).tolist()
         self.pending -= total
@@ -323,6 +340,7 @@ class _StabChain:
         self.levels: dict[int, _Level] = {}
         self.bases: List[int] = []  # sorted
         self.all_gens: List[Tuple[np.ndarray, int]] = []  # (gen, its level)
+        self.origins: List[int] = []  # per strong generator (module doc)
         self.arange = np.arange(n, dtype=np.int32)
         self.gen_table = np.empty((4, n), dtype=np.int32)
         self.fwd = np.empty((16, n), dtype=np.int32)
@@ -415,13 +433,17 @@ class _StabChain:
         for g in gens:
             residue, b = self.sift(g, bound)
             if residue is not None:
-                self._insert(residue, b)
+                self._insert(residue, b, -1)
         self._complete(bound, target)
 
-    def _insert(self, g: np.ndarray, b: int):
+    def _insert(self, g: np.ndarray, b: int, origin: int):
+        """Make g, which fixes 0..b-1 and stalls at b, a strong generator of
+        origin `origin` at every level of base <= b.  One boolean test over
+        those levels' orbits finds the ones g opens."""
         gi = len(self.all_gens)
         self.gen_table = _grown(self.gen_table, gi + 1)
         self.gen_table[gi] = g
+        self.origins.append(origin)
         if b not in self.levels:
             slot = len(self.levels) + 1
             self.rowmap = _grown(self.rowmap, slot + 1, fill=-1)
@@ -435,19 +457,24 @@ class _StabChain:
             self.bases.sort()
             self._dirty.add(b)
         self.all_gens.append((g, b))
-        for bb in self.bases:
-            if bb <= b:
-                self.levels[bb].add_gen(gi)
-                self._dirty.add(bb)
+        levels = [self.levels[bb] for bb in self.bases if bb <= b]
+        M = self.rowmap[[lv.slot for lv in levels]] >= 0
+        opens = (M & ~M[:, g]).any(axis=1)
+        for level, grows in zip(levels, opens.tolist()):
+            level.add_gen(gi)
+            if grows:
+                level.extend_orbit(seed=gi)
+            self._dirty.add(level.base)
 
     def _complete(self, bound: Optional[int] = None,
                   target: Optional[int] = None):
         """Sift pending Schreier generators a batch at a time, deepest dirty
         level first.  After each insertion the batch's other residues are
-        sifted again as one batch, and the first non-member is inserted.
-        Transversal entries are only ever added, so a member stays one and
-        a residue sifts as its source row would: the insertions are those
-        of sifting each residue alone against the chain as it then stands.
+        sifted again as one batch, and the first non-member is inserted
+        with the batch's base as its origin.  Transversal entries are only
+        ever added, so a member stays one and a residue sifts as its source
+        row would: the insertions are those of sifting each residue alone
+        against the chain as it then stands.
         bound and target are extend's; a stop at target leaves the rest
         pending, where a later extend sifts them as members.
         """
@@ -464,7 +491,7 @@ class _StabChain:
                 if not out.any():
                     break
                 R, stall = R[out], stall[out]
-                self._insert(R[0].copy(), int(stall[0]))
+                self._insert(R[0].copy(), int(stall[0]), b)
                 R = R[1:]
                 stall = self._sift_rows(R, bound)
 

@@ -361,6 +361,7 @@ def selftest(log=print) -> int:
         ("sampling filter", _st_sampling_filter),
         ("pq words", _st_pq_words),
         ("chain shortcuts", _st_chain_shortcuts),
+        ("chain origins", _st_chain_origins),
     ]
     ok = True
     for name, fn in checks:
@@ -655,6 +656,35 @@ def _st_chain_shortcuts():
             [fresh.chain().contains(p) for p in perms], n
         shifts = PermGroup(n, cyclic_generators(n))
         assert not groups_equal(group, shifts), n
+
+
+def _st_chain_origins():
+    # a chain that pairs each level only with generators of origin below
+    # its base is the chain that pairing all its strong generators gives
+    import numpy as np
+    from .group_constructors import materialize
+    from .permutation import _StabChain
+    rng = np.random.default_rng(808)
+    groups = [[g.array() for g in materialize(parse_group_expr(text))]
+              for text in ("wr(S(3), C(5), rows)", "wr(C(4), S(4), cols)",
+                           "x(3,5)")]
+    groups += [[rng.permutation(n) for _ in range(2)] for n in (9, 20)]
+    for gens in groups:
+        n = len(gens[0])
+        chain, ref = _StabChain(n), _StabChain(n)
+        chain.extend(gens)
+        ref.extend([g for g, _ in chain.all_gens])  # all of origin -1
+        base = chain.base_points()
+        assert chain.order() == ref.order() and base == ref.base_points()
+        assert [sorted(chain.orbit_at(b)) for b in base] == \
+            [sorted(ref.orbit_at(b)) for b in base], n
+        words = [np.arange(n)]
+        for k in rng.integers(len(gens), size=10):
+            words.append(words[-1][gens[k]])
+        perms = np.array(words + [rng.permutation(n) for _ in range(10)])
+        assert chain.contains_batch(perms[:11]).all(), n
+        assert np.array_equal(chain.contains_batch(perms),
+                              ref.contains_batch(perms)), n
 
 
 def random_group_expr(rng: random.Random, depth: int) -> GroupExpr:

@@ -314,10 +314,10 @@ def _count_batch_inserts(monkeypatch) -> list:
         per_batch.append(0)
         return collect(self, limit)
 
-    def counting_insert(self, g, b):
+    def counting_insert(self, g, b, origin):
         if getattr(self, "batch_inserts", None) is not None:
             per_batch[self.batch_inserts] += 1
-        insert(self, g, b)
+        insert(self, g, b, origin)
 
     monkeypatch.setattr(chain, "extend", counting_extend)
     monkeypatch.setattr(chain, "_insert", counting_insert)
@@ -357,6 +357,104 @@ def test_chain_against_sympy(batch, monkeypatch):
         assert all(G.contains(p) for p in members)
     # some batch inserts several residues, each sifted again after the last
     assert max(per_batch) > 1
+
+
+def _rebuilt_from_strong_generators(chain):
+    """A chain fed every strong generator of `chain` as an input of extend:
+    each has origin -1, so every level pairs all of them."""
+    ref = permutation._StabChain(chain.n)
+    ref.extend([g for g, _ in chain.all_gens])
+    return ref
+
+
+def _check_origin_rule(chain, members, rng):
+    """chain, whose levels pair only generators of origin below their
+    base, has the order, base and orbit sets of the full rebuild, and both
+    answer membership alike on members and random permutations."""
+    n = chain.n
+    ref = _rebuilt_from_strong_generators(chain)
+    base = chain.base_points()
+    assert chain.order() == ref.order()
+    assert base == ref.base_points()
+    assert [sorted(chain.orbit_at(b)) for b in base] == \
+        [sorted(ref.orbit_at(b)) for b in base]
+    others = [rng.permutation(n) for _ in range(20)]
+    perms = np.array(list(members) + others, dtype=np.int32)
+    got = chain.contains_batch(perms)
+    assert got[:len(members)].all()
+    assert np.array_equal(got, ref.contains_batch(perms))
+
+
+def _words(gens, rng, count):
+    """count random products of 1-7 of the generators, as image arrays."""
+    out = []
+    for _ in range(count):
+        acc = np.arange(gens[0].degree)
+        for k in rng.integers(len(gens), size=rng.integers(1, 8)):
+            acc = acc[gens[k].array()]
+        out.append(acc)
+    return out
+
+
+def test_origin_rule_matches_a_rebuild_from_strong_generators():
+    # 300 generator sets: blocks with fixed points as in _random_generators
+    # (degree 6-60), or random permutations, which mostly generate A_n or
+    # S_n (degree 6-24, as one such chain of degree 60 takes a second)
+    rng, np_rng = random.Random(2020), np.random.default_rng(2020)
+    skipped = 0
+    for trial in range(300):
+        if trial % 2:
+            gens = _random_generators(rng, rng.randrange(6, 61))
+        else:
+            n = rng.randrange(6, 25)
+            gens = [Permutation(np_rng.permutation(n))
+                    for _ in range(rng.randrange(1, 4))]
+        n = gens[0].degree
+        chain = PermGroup(n, gens).chain()
+        skipped += sum(origin >= 0 for origin in chain.origins)
+        _check_origin_rule(chain, _words(gens, np_rng, 20), np_rng)
+    assert skipped  # residues of origin k >= 0 were formed and left out
+
+
+def test_origin_rule_after_bounded_and_target_builds():
+    # the backtrack extends its chain with sift bounds, and groups_equal
+    # builds the claim's chain only up to the found group's order
+    from cycperm.autgroup import backtrack_per_group
+    from cycperm.cyclic_code import make_code
+    from cycperm.galois import parse_field
+    from cycperm.table import parse_gen_expr
+    rng = np.random.default_rng(29)
+    for field_text, n, gen_text, claim in [
+            ("2", 30, "Q(3)Q(5)", "wr(S(2), x(3,5), rows)"),
+            ("2^2", 21, "x^3+x+1", "wr(S(3), PSL2_7, rows)"),
+            ("2", 105, "Q(5)Q(7)", "wr(S(3), x(5,7), rows)")]:
+        field = parse_field(field_text)
+        found = backtrack_per_group(
+            make_code(field, n, parse_gen_expr(gen_text, field)))
+        claimed = PermGroup(n, materialize(parse_group_expr(claim)))
+        assert groups_equal(found, claimed)
+        for group in (found, claimed):
+            _check_origin_rule(group.chain(),
+                               _words(group.generators, rng, 20), rng)
+
+
+def test_t29_backtrack_forms_fewer_schreier_generators(monkeypatch):
+    # the origin rule forms 16,641 Schreier generators in T29's backtrack,
+    # where pairing every strong generator formed 25,032
+    formed = []
+    collect = permutation._Level.collect_pending
+
+    def counting_collect(self, limit):
+        rows = collect(self, limit)
+        formed.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(permutation._Level, "collect_pending",
+                        counting_collect)
+    found, _ = _t29_groups()
+    assert sum(formed) == 16641
+    assert found.order == math.factorial(3) ** 35 * math.factorial(5) \
+        * math.factorial(7)
 
 
 def test_random_chain_words_are_members():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cycperm
@@ -14,8 +15,10 @@ from cycperm import cli
 from cycperm.autgroup import (
     RNG_ALGORITHM,
     VerificationReport,
+    backtrack_per_group,
     certify_subgroup,
     derive_per_group,
+    exhaustive_per_group,
     predicted_group,
     verify_claim,
 )
@@ -29,14 +32,17 @@ from cycperm.group_constructors import (
     PerOf,
     Sym,
     Wreath,
+    expr_contains,
     expr_degree,
     expr_order,
     format_group_expr,
+    materialize,
     parse_group_expr,
 )
-from cycperm.permutation import PermGroup
+from cycperm.permutation import PermGroup, groups_equal
 from cycperm.polyring import format_poly_text, parse_poly_text
 from cycperm.table import (
+    EXACT_CUTOFF,
     RunConfig,
     TABLE_ROWS,
     TableRow,
@@ -513,6 +519,69 @@ def test_proper_subgroup_mutants_rejected():
         assert rep.evidence == want, mutant.claim
         assert rep.equal is False, mutant.claim
         assert rep.order_match is False, mutant.claim
+
+
+def _block_rule_equal(code, group, claim):
+    """equal from the certificate (claim <= Per(C)) and the search group's
+    generators lying in the claim, block by block (Per(C) <= claim); an
+    empty generator set lies in any claim."""
+    rows = np.array([g.array() for g in group.generators],
+                    dtype=np.int32).reshape(-1, code.n)
+    return (certify_subgroup(code, materialize(claim)).certified
+            and bool(expr_contains(claim, rows).all()))
+
+
+# the exact-tier records of the benchmark's search-exact workload, and its
+# direct searches: (field, n, generator, claim, search)
+EXACT_RECORDS = ("T01a", "T01b", "T02a", "T02b", "T03a", "T03b", "T04a",
+                 "T04b", "T19", "T20", "T21", "T23", "T24")
+DIRECT_SEARCHES = (
+    ("2", 30, "Q(3)Q(5)", "wr(S(2), x(3,5), rows)", backtrack_per_group),
+    ("2", 105, "Q(5)Q(7)", "wr(S(3), x(5,7), rows)", backtrack_per_group),
+    ("2^2", 14, "x^3+x+1", "wr(S(2), PSL2_7, rows)", backtrack_per_group),
+    ("2^2", 21, "x^3+x+1", "wr(S(3), PSL2_7, rows)", backtrack_per_group),
+    ("2", 9, "x^6+x^3+1", "wr(S(3), S(3), cols)", exhaustive_per_group),
+    ("2", 10, "Q(5)", "wr(S(2), S(5), rows)", exhaustive_per_group),
+    ("5", 5, "(x-1)^2", "AGL1(5)", exhaustive_per_group),
+    ("2", 1, "1", "S(1)", exhaustive_per_group),  # no generators
+)
+
+
+def test_block_rule_decides_exact_verdicts_as_group_equality():
+    # differential: on every exact-tier record, a proper-subgroup mutant of
+    # each and the direct searches, the certificate plus expr_contains of
+    # the search group's generators gives groups_equal's answer without a
+    # chain of the claim
+    cases = []
+    for row in select_rows(list(EXACT_RECORDS)):
+        code = make_code(F2, row.n, row.build_gen(F2))
+        search = exhaustive_per_group if row.n <= EXACT_CUTOFF \
+            else backtrack_per_group
+        group = search(code)
+        claim = row.claim_expr()
+        cases += [(code, group, claim),
+                  (code, group, _proper_subgroup(claim))]
+    for field_text, n, gen_text, claim_text, search in DIRECT_SEARCHES:
+        field = parse_field(field_text)
+        code = make_code(field, n, parse_gen_expr(gen_text, field))
+        cases.append((code, search(code), parse_group_expr(claim_text)))
+    verdicts = []
+    for code, group, claim in cases:
+        want = groups_equal(group, PermGroup(code.n, materialize(claim)))
+        assert _block_rule_equal(code, group, claim) is want, \
+            format_group_expr(claim)
+        verdicts.append(want)
+    assert verdicts == [True, False] * len(EXACT_RECORDS) \
+        + [True] * len(DIRECT_SEARCHES)
+
+
+def test_cli_search_without_generators_is_inside_the_claim(capsys):
+    # the exhaustive scan of the n = 1 code drops the identity and keeps no
+    # generator; the empty set lies in the claim
+    status, rep = _perm_group(capsys, "--field", "2", "--n", "1", "--gen",
+                              "1", "--mode", "brute", "--claim", "S(1)")
+    assert status == 0
+    assert rep["certified"] is True and rep["equal"] is True
 
 
 def test_pq_records_build_no_chain(monkeypatch):

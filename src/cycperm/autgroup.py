@@ -96,6 +96,7 @@ from .polyring import (
 )
 
 RNG_ALGORITHM = "numpy-pcg64/support-first-fisher-yates"
+ORDER_CAP = 300  # default largest n whose certify tier derives Per(C)
 
 
 class _Engine:
@@ -610,10 +611,11 @@ def _quadratic_residues(p: int) -> frozenset:
 def _leaf_expr(field: FieldSpec, p: int, g: Poly) -> GroupExpr:
     """Per(C_{p,g}) for prime p as a symbolic tag.
 
-    p <= 12 resolves by exhaustive search; larger primes use the multiplier
-    stabilizer of the defining set, guarded against the exceptional
-    families (quadratic-residue codes, single-coset projective codes) whose
-    groups this artifact does not construct.
+    p <= 12 resolves by an exact search (exhaustive up to 8 points,
+    backtracking above); larger primes use the multiplier stabilizer of
+    the defining set, guarded against the exceptional families
+    (quadratic-residue codes, single-coset projective codes) whose groups
+    this artifact does not construct.
     """
     if g.degree == p:
         raise NoPattern("zero code at prime length")
@@ -623,7 +625,7 @@ def _leaf_expr(field: FieldSpec, p: int, g: Poly) -> GroupExpr:
         if g == poly_sub(x_poly(field), one_poly(field)):
             return Sym(p)
         raise NoPattern("degree-1 generator other than x-1 is not covered")
-    if g.degree == p - 1:
+    if g.degree == p - 1 and g == cyclotomic(p, field):
         return Sym(p)  # repetition code
     if p <= 12:
         from .group_constructors import per_of_order
@@ -906,7 +908,7 @@ def falsify_by_sampling(code: CyclicCodeSpec, claimed: PermGroup,
 
 def verify_claim(code: CyclicCodeSpec, claim: Optional[GroupExpr] = None,
                  search: Optional[Tuple[str, Callable]] = None,
-                 order_cap: int = 300, trials: int = 0,
+                 order_cap: int = ORDER_CAP, trials: int = 0,
                  seed: int = 42) -> VerificationReport:
     """The verdict report on Per(C) and an optional claim about it.
 

@@ -18,6 +18,7 @@ import sys
 from functools import lru_cache, partial
 
 from .autgroup import (
+    ORDER_CAP,
     backtrack_per_group,
     exhaustive_per_group,
     predicted_group,
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_nonnegative_int, default=0,
                    help="sampling trials, certify mode only (0: none)")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--order-cap", type=int, default=300)
+    p.add_argument("--order-cap", type=int, default=ORDER_CAP)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_perm_group)
 
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "get at least a certificate)")
     p.add_argument("--out", default=None, help="write JSON report here")
     p.add_argument("--csv", default=None, help="write CSV summary here")
-    p.add_argument("--order-cap", type=int, default=300)
+    p.add_argument("--order-cap", type=int, default=ORDER_CAP)
     p.add_argument("--trials", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workers", type=int, default=1)

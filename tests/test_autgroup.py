@@ -32,7 +32,8 @@ from cycperm.cyclic_code import (
     contains,
     make_code,
 )
-from cycperm.errors import FieldMismatch, NoPattern, TooLarge
+from cycperm.errors import AmbiguousPattern, FieldMismatch, NoPattern, \
+    TooLarge
 from cycperm.galois import make_field, parse_field
 from cycperm.group_constructors import (
     CrtProduct,
@@ -305,7 +306,9 @@ def test_word_masks_match_the_big_int_form(N):
 
 @pytest.mark.parametrize("call", [("2", 30, "Q(3)Q(5)"),
                                   ("2", 105, "Q(5)Q(7)"),
-                                  ("2^2", 21, "x^3+x+1")])
+                                  ("2^2", 21, "x^3+x+1"),
+                                  ("2", 15, "Q(15)"),
+                                  ("2^2", 14, "x^3+x+1")])
 def test_backtrack_sift_bound_stays_inside_the_search(call):
     # the backtrack's sifts stop at the points below which its chain is
     # known to hold all of Per(C); the chain it returns must still answer
@@ -316,6 +319,8 @@ def test_backtrack_sift_bound_stays_inside_the_search(call):
     code = make_code(field, n, parse_gen_expr(gen_text, field))
     group = backtrack_per_group(code)
     fresh = PermGroup(n, group.generators)
+    assert group.order == fresh.order
+    assert not groups_equal(group, _shift_group(n))  # a proper subgroup
     engine = _Engine(code)
     rng = np.random.default_rng(16)
     gens = [g.array() for g in group.generators]
@@ -599,6 +604,35 @@ def test_factoring_and_leaf_golden():
     assert len(leaves) == 224
     digest = hashlib.sha256(json.dumps(leaves).encode()).hexdigest()
     assert digest[:16] == "4a33e596f640b29f"
+
+
+@pytest.mark.parametrize("field, n_max, counts", [
+    (F2, 30, (106, 633, 2)), (F3, 20, (33, 524, 3)), (F4, 21, (124, 1579, 1)),
+    (F5, 12, (22, 377, 1)), (make_field(7), 9, (21, 122, 1)),
+    (F9, 10, (23, 344, 1)),
+])
+def test_predictions_match_derived_orders(field, n_max, counts):
+    # the paper's hp, r^m p^n and pq patterns against derive_per_group on
+    # every g | x^n - 1 with 0 < k < n: wherever predicted_group answers,
+    # the orders agree.  counts = (matches, no pattern, ambiguous) pins
+    # the patterns' coverage
+    matches = no_pattern = ambiguous = 0
+    for n in range(2, n_max + 1):
+        for code in _all_divisor_codes(field, n):
+            if not 0 < code.k < n:
+                continue
+            try:
+                expr = predicted_group(code)
+            except NoPattern:
+                no_pattern += 1
+                continue
+            except AmbiguousPattern:
+                ambiguous += 1
+                continue
+            assert expr_order(expr) == derive_per_group(code)[1], \
+                (n, format_poly_text(code.gen), format_group_expr(expr))
+            matches += 1
+    assert (matches, no_pattern, ambiguous) == counts
 
 
 def test_certify_table_n21():

@@ -232,6 +232,30 @@ def test_leaf_chains_are_memoized(monkeypatch):
     for e, rows, want in cases:
         assert np.array_equal(expr_contains(e, rows), want), e
     assert built == [7, 11, 31] * 2
+    # every table claim of degree <= 300 answers on a cleared memo, then
+    # again in reverse order on warm ones, alike: words of 16 generators
+    # are members, and each composed with a random transposition is near
+    from cycperm.table import TABLE_ROWS
+    claims = dict.fromkeys(row.claim_expr() for row in TABLE_ROWS
+                           if row.n <= 300)
+    cold = []
+    for e in claims:
+        n = expr_degree(e)
+        gens = np.array([g.array() for g in materialize(e)])
+        members = np.tile(np.arange(n), (32, 1))
+        for letters in rng.integers(len(gens), size=(16, 32)):
+            members = np.take_along_axis(members, gens[letters], axis=1)
+        swapped = members.copy()
+        at, (i, j) = np.arange(32), rng.integers(n, size=(2, 32))
+        swapped[at, i], swapped[at, j] = members[at, j], members[at, i]
+        rows = np.concatenate([members, swapped])
+        group_constructors._leaf_chain.cache_clear()
+        want = expr_contains(e, rows)
+        assert want[:32].all(), format_group_expr(e)
+        cold.append((e, rows, want))
+    for e, rows, want in reversed(cold):
+        assert np.array_equal(expr_contains(e, rows), want), \
+            format_group_expr(e)
 
 
 def test_per_of_copies_differ():

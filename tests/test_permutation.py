@@ -413,6 +413,10 @@ def test_origin_rule_matches_a_rebuild_from_strong_generators():
         chain = PermGroup(n, gens).chain()
         skipped += sum(origin >= 0 for origin in chain.origins)
         _check_origin_rule(chain, _words(gens, np_rng, 20), np_rng)
+    for text in ("wr(S(3), C(5), rows)", "wr(C(4), S(4), cols)", "x(3,5)"):
+        gens = materialize(parse_group_expr(text))
+        chain = PermGroup(gens[0].degree, gens).chain()
+        _check_origin_rule(chain, _words(gens, np_rng, 20), np_rng)
     assert skipped  # residues of origin k >= 0 were formed and left out
 
 

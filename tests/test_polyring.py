@@ -181,6 +181,13 @@ def test_xpow_table_matches_the_reference_in_the_narrow_dtype(r, alpha):
         assert np.array_equal(got, _xpow_reference(f, modulus, count)), d
     want = np.uint16 if f.order > 256 else np.uint8
     assert _xpow_table(f, np.array([1]), 1).dtype == want
+    if (r, alpha) == (3, 1):  # off F_2 the engine keeps these rows as R
+        from cycperm.autgroup import _Engine
+        for n, g in ((8, poly_from_ints(f, [1, 0, 1])),
+                     (13, cyclotomic(13, f))):
+            R = _Engine(make_code(f, n, g)).R
+            assert R.dtype == np.int64
+            assert np.array_equal(R, _xpow_reference(f, _indices(g), n)), n
 
 
 @pytest.mark.parametrize("r, alpha", [(2, 1), (3, 1), (2, 2)])

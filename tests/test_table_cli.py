@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -49,6 +50,7 @@ from cycperm.table import (
     parse_gen_expr,
     run_table,
     select_rows,
+    selftest,
     summarize_csv,
 )
 from wreath_reference import per_block_materialize
@@ -649,3 +651,30 @@ def test_undecided_leaf_reports_the_certificate_only(capsys):
         assert doc["equal"] is None
         assert doc["computed_order"] is None
         assert doc["order_match"] is None
+
+
+def test_prediction_at_degree_p_minus_1_is_the_repetition_code_only(capsys):
+    # x^3 - 1 splits over F_4: g = (x + 1)(x + w^2) has degree p - 1 but
+    # is not Q_3, and its Per(C) is C_3, not the repetition code's S_3
+    status = cli.main(["perm-group", "--field", "2^2", "--n", "3",
+                       "--gen", "1:1,0:1,1:0", "--mode", "certify"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert status == 0 and err == "predicted: C(3)\n"
+    assert rep["predicted"] == "C(3)" and rep["equal"] is True
+
+
+SELFTEST_CHECKS = [
+    "field axioms", "factorization identities", "dual round-trip",
+    "action-composition coherence", "matrix representation round-trip",
+    "oracle equivalence (n <= 8)", "decomposition", "wreath order formula",
+    "CRT product inside both wreaths", "group expression round-trip",
+]
+
+
+def test_selftest_runs_the_public_api_checks_only():
+    # regression tests of internals belong in this suite, not in selftest
+    lines = []
+    assert selftest(log=lines.append) == 0
+    assert [re.fullmatch(r"(.*): PASS \[\d+\.\ds\]", line).group(1)
+            for line in lines] == SELFTEST_CHECKS

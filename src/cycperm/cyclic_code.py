@@ -25,6 +25,7 @@ from .errors import (
 from .galois import Element, FieldSpec, field_tables
 from .polyring import (
     Poly,
+    _fadd,
     _reciprocal_monic,
     make_poly,
     monic,
@@ -110,21 +111,22 @@ def codeword_index_matrix(code: CyclicCodeSpec,
 
     Filled in place from the last message symbol up: once the words of
     the last j symbols fill the first q^j rows, block a of the next q^(j+1)
-    rows is that block plus a times the next basis word, so the only
-    temporary is one block.
+    rows is that block plus a times the next basis word, added by the
+    field's rule (XOR over F_2), so the only temporary is one block.
     """
     f = code.field
     q = f.order
     total = q ** code.k
     if total > cap:
         raise TooLarge(f"{total} codewords exceed the enumeration cap {cap}")
-    add_t, mul_t, _ = field_tables(f)
+    mul_t = field_tables(f)[1]
     basis = np.array(basis_codewords(code), dtype=np.int64)
     rows = np.zeros((total, code.n), dtype=np.int64)
     size = 1
     for word in basis[::-1]:
         for a in range(1, q):
-            rows[a * size:(a + 1) * size] = add_t[rows[:size], mul_t[a, word]]
+            rows[a * size:(a + 1) * size] = _fadd(f, rows[:size],
+                                                  mul_t[a, word])
         size *= q
     return rows
 

@@ -7,20 +7,25 @@ dual-generator formula and power substitution g(x^t).
 One arithmetic serves every field.  The poly_* operations turn coefficients
 into element indices (galois element_index, through a cached element list
 and dict per field) and run two kernels on the field's add/mul/neg tables
-(galois.field_tables): _mul_idx, a product, and _divmod_idx, a division with
-remainder.  For alpha = 1 an index is the residue, so the product is an
-np.convolve mod r.  Polynomial arithmetic therefore shares the tables' cap
-q <= 4096; FieldSpec's scalar ops remain the reference they are tested
-against.
+(galois.field_tables): _mul_idx, a product, and _reduce, a remainder
+computed in the dividend's own buffer by one leading-term elimination per
+step (_divmod_idx also collects the quotient; _gcd_idx is Euclid's loop on
+it).  For alpha = 1 an index is the residue, so the product is an
+np.convolve mod r; for r = 2 a sum of indices is their XOR (_fadd).
+Polynomial arithmetic therefore shares the tables' cap q <= 4096;
+FieldSpec's scalar ops remain the reference they are tested against.
 
 x^n - 1 is factored without a splitting field: equal-degree splitting
-modulo Q_o finds one irreducible factor m_1, and every other factor of Q_o
-is a gcd of Q_o with m_1(x^t), folded to exponents mod o and divided by
-Q_o once (fold-and-divide).  The factors of each Q_o are memoized per
-(o, field), so x^n - 1 for many n factors each Q_o once.  _Ext is the
-residue arithmetic modulo a monic polynomial behind the splitting, on the
-same kernels, with _xpow_table the one table of x^i mod M that it shares
-with the membership engine.  It keeps its name because perfbench traces it.
+modulo Q_o finds one irreducible factor m_1.  Every other factor of Q_o is
+either a gcd of Q_o with m_1(x^t), folded to exponents mod o and divided by
+Q_o once (fold-and-divide), or the monic reciprocal of the factor for the
+negated coset, so one gcd serves each such pair.  The factors of each Q_o
+are memoized per (o, field), so x^n - 1 for many n factors each Q_o once.
+_Ext is the residue arithmetic modulo a monic polynomial behind the
+splitting, on the same kernels, with _xpow_table the one table of x^i mod M
+that it shares with the membership engine; in characteristic 2 it squares
+through that table's even rows.  It keeps its name because perfbench traces
+it.
 
 A Poly stores ascending coefficients with no trailing zeros; the zero
 polynomial has an empty coefficient tuple and degree -1.
@@ -126,9 +131,12 @@ def _indices(p: Poly):
 
 
 def _trimmed(idx):
-    """idx without its trailing zeros."""
-    nonzero = np.flatnonzero(idx)
-    return idx[:nonzero[-1] + 1] if len(nonzero) else idx[:0]
+    """idx without its trailing zeros, found by a scan from the top: the
+    arrays trimmed here end in few zeros."""
+    top = len(idx)
+    while top and not idx[top - 1]:
+        top -= 1
+    return idx[:top]
 
 
 def _poly_of_indices(field: FieldSpec, idx) -> Poly:
@@ -136,18 +144,27 @@ def _poly_of_indices(field: FieldSpec, idx) -> Poly:
     return Poly(field, tuple(elements[i] for i in _trimmed(idx).tolist()))
 
 
+def _fadd(field: FieldSpec, x, y):
+    """x + y on index arrays: XOR of the digit bits for r = 2, the residues
+    mod r for alpha = 1, else the add table."""
+    if field.r == 2:
+        return x ^ y
+    if field.alpha == 1:
+        return (x + y) % field.r
+    return field_tables(field)[0][x, y]
+
+
 def _fsum(field: FieldSpec, terms):
     """Field sum over axis 0 of a nonempty array of element indices: mod r
-    for alpha = 1, XOR of the digit bits for r = 2, else pairwise through
-    the add table."""
+    for alpha = 1, XOR for r = 2, else pairwise by _fadd."""
     if field.alpha == 1:
         return terms.sum(axis=0) % field.r
     if field.r == 2:
         return np.bitwise_xor.reduce(terms, axis=0)
-    add = field_tables(field)[0]
     while len(terms) > 1:
         half = len(terms) // 2
-        terms = np.concatenate([add[terms[:half], terms[half:2 * half]],
+        terms = np.concatenate([_fadd(field, terms[:half],
+                                      terms[half:2 * half]),
                                 terms[2 * half:]])
     return terms[0]
 
@@ -164,27 +181,51 @@ def _mul_idx(field: FieldSpec, a, b):
     return _fsum(field, skew.ravel()[:la * (la + lb - 1)].reshape(la, -1))
 
 
+@functools.lru_cache(maxsize=None)
+def _inverses(field: FieldSpec):
+    """Index of each nonzero element's inverse (entry 0 is unused)."""
+    return np.argmax(field_tables(field)[1] == 1, axis=1)  # index 1 is one
+
+
+def _reduce(field: FieldSpec, w, v, quot=None):
+    """w mod v, computed in w's own buffer by one leading-term elimination
+    per step; returns the trimmed remainder, a view of w.  v is trimmed and
+    nonempty.  quot, when given, receives the quotient's coefficients."""
+    mul, neg = field_tables(field)[1:]
+    dv = len(v) - 1
+    lead_inv = _inverses(field)[v[-1]]
+    minus_v = neg[v]
+    for top in range(len(w) - 1, dv - 1, -1):
+        lead = w[top]
+        if lead:
+            c = mul[lead, lead_inv]
+            s = top - dv
+            if quot is not None:
+                quot[s] = c
+            w[s:top + 1] = _fadd(field, w[s:top + 1],
+                                 minus_v if c == 1 else mul[c, minus_v])
+    return _trimmed(w[:dv])
+
+
 def _divmod_idx(field: FieldSpec, a, b):
     """Quotient and trimmed remainder of index arrays; b is trimmed and
     nonempty."""
-    add, mul, neg = field_tables(field)
-    db = len(b) - 1
-    rem = a.copy()
-    quot = np.zeros(max(len(a) - db, 0), dtype=np.int64)
-    lead_inv = np.argmax(mul[b[-1]] == 1)  # index 1 is the field's one
-    minus_b = neg[b]
-    for s in range(len(quot) - 1, -1, -1):
-        c = mul[rem[s + db], lead_inv]
-        if c:
-            quot[s] = c
-            rem[s:s + db + 1] = add[rem[s:s + db + 1], mul[c, minus_b]]
-    return quot, _trimmed(rem[:db])
+    quot = np.zeros(max(len(a) - len(b) + 1, 0), dtype=np.int64)
+    return quot, _reduce(field, a.copy(), b, quot)
+
+
+def _gcd_idx(field: FieldSpec, u, v):
+    """Monic gcd of trimmed index arrays u and v, not both empty, by
+    Euclid's algorithm; each remainder is reduced in place, so u and v are
+    overwritten."""
+    while len(v):
+        u, v = v, _reduce(field, u, v)
+    return field_tables(field)[1][_inverses(field)[u[-1]], u]
 
 
 def _add_idx(field: FieldSpec, a, b):
     n = max(len(a), len(b))
-    return field_tables(field)[0][np.pad(a, (0, n - len(a))),
-                                  np.pad(b, (0, n - len(b)))]
+    return _fadd(field, np.pad(a, (0, n - len(a))), np.pad(b, (0, n - len(b))))
 
 
 def poly_add(a: Poly, b: Poly) -> Poly:
@@ -242,10 +283,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     _same_field(a, b)
     if a.is_zero() and b.is_zero():
         raise DivisionByZero("gcd(0, 0) undefined")
-    u, v = _indices(a), _indices(b)
-    while len(v):
-        u, v = v, _divmod_idx(a.field, u, v)[1]
-    return monic(_poly_of_indices(a.field, u))
+    return _poly_of_indices(a.field,
+                            _gcd_idx(a.field, _indices(a), _indices(b)))
 
 
 def poly_pow(a: Poly, e: int) -> Poly:
@@ -405,23 +444,30 @@ class _Ext:
     Elements are index arrays of length d (ascending powers of x).  A
     product is _mul_idx reduced with the rows x^d .. x^(2d-2) mod M of
     _xpow_table: a matmul mod r when alpha = 1, a table product and _fsum
-    otherwise.
+    otherwise.  In characteristic 2 squaring is additive,
+    (sum a_i x^i)^2 = sum a_i^2 x^(2i), so square sums the rows x^(2i) mod
+    M of the same table, each times the Frobenius image a_i^2 of its
+    coefficient, with no product to reduce.
     """
 
     def __init__(self, base: FieldSpec, modulus):
         self.field = base
         d = self.d = len(modulus) - 1
-        self.add_t, self.mul_t, self.neg_t = field_tables(base)
+        self.mul_t, self.neg_t = field_tables(base)[1:]
         self.one = np.zeros(d, dtype=np.int64)
         self.one[0] = 1
+        rows = _xpow_table(base, modulus, 2 * d - 1)
         # int64: every product gathers or multiplies through these rows
-        self.high = _xpow_table(base, modulus, 2 * d - 1)[d:].astype(np.int64)
+        self.high = rows[d:].astype(np.int64)
+        if base.r == 2:
+            self.squares = rows[::2]  # x^(2i) mod M, i < d
+            self.frob = self.mul_t.diagonal()  # index of a^2
 
     def add(self, a, b):
-        return self.add_t[a, b]
+        return _fadd(self.field, a, b)
 
     def sub(self, a, b):
-        return self.add_t[a, self.neg_t[b]]
+        return _fadd(self.field, a, self.neg_t[b])
 
     def mul(self, a, b):
         field, d = self.field, self.d
@@ -430,6 +476,13 @@ class _Ext:
             return (prod[:d] + prod[d:] @ self.high) % field.r
         return _fsum(field, np.vstack([prod[:d],
                                        self.mul_t[prod[d:, None], self.high]]))
+
+    def square(self, a):
+        """a * a in characteristic 2, by one gather of the rows x^(2i)."""
+        if self.field.alpha == 1:
+            return np.bitwise_xor.reduce(self.squares[a != 0], axis=0)
+        return _fsum(self.field, self.mul_t[self.frob[a][:, None],
+                                            self.squares])
 
     def pow(self, a, e: int):
         result = self.one.copy()
@@ -448,32 +501,35 @@ def _one_factor(f: Poly, d: int) -> Poly:
 
     Each pass draws a probe a in F_q[x]/(f) and takes gcd(f, s) with
     s = a^((q^d-1)/2) - 1 for odd q, or the trace a + a^2 + ... +
-    a^(2^(alpha d - 1)) for even q.  On each irreducible factor, s vanishes
-    for about half the probes, independently, so a pass splits f with
-    probability about 1/2; the smaller part is kept.  The probes come from
-    a fixed-seed generator, so every run returns the same factor.  They are
-    drawn at random because probes with coefficients in a subfield can have
-    the same value on every factor (the F_4 factors of Q_25 are swapped by
-    the Frobenius map over F_2, so no probe over F_2 splits them).
+    a^(2^(alpha d - 1)) for even q, built by _Ext.square.  On each
+    irreducible factor, s vanishes for about half the probes,
+    independently, so a pass splits f with probability about 1/2; the
+    smaller part is kept.  The probes come from a fixed-seed generator, so
+    every run returns the same factor.  They are drawn at random because
+    probes with coefficients in a subfield can have the same value on every
+    factor (the F_4 factors of Q_25 are swapped by the Frobenius map over
+    F_2, so no probe over F_2 splits them).  The loop works on index arrays
+    and builds a Poly only for the factor it returns.
     """
     field = f.field
     q = field.order
     rng = np.random.default_rng(0)
-    while f.degree > d:
-        ring = _Ext(field, _indices(f))
-        a = rng.integers(0, q, size=f.degree)
+    f_idx = _indices(f)
+    while len(f_idx) - 1 > d:
+        ring = _Ext(field, f_idx)
+        a = rng.integers(0, q, size=len(f_idx) - 1)
         if q % 2:
             s = ring.sub(ring.pow(a, (q ** d - 1) // 2), ring.one)
         else:
             s = a
             for _ in range(field.alpha * d - 1):
-                a = ring.mul(a, a)
+                a = ring.square(a)
                 s = ring.add(s, a)
-        g = poly_gcd(f, _poly_of_indices(field, s))
-        if 0 < g.degree < f.degree:
-            h = poly_divmod(f, g)[0]
-            f = g if g.degree <= h.degree else h
-    return f
+        g = _gcd_idx(field, f_idx.copy(), _trimmed(s))
+        if 1 < len(g) < len(f_idx):
+            h = _divmod_idx(field, f_idx, g)[0]
+            f_idx = g if len(g) <= len(h) else h
+    return _poly_of_indices(field, f_idx)
 
 
 @functools.lru_cache(maxsize=None)
@@ -489,7 +545,10 @@ def _cyclotomic_factors(o: int, field: FieldSpec) -> tuple:
     t = (min C)^-1 mod o: gamma^u is a root of m_1(x^t) exactly when u*t
     lies in the powers of q mod o, that is when u lies in C.  As Q_o
     divides x^o - 1, m_1(x^t) folds to sum c_i x^(i*t mod o), at distinct
-    positions since deg m_1 < o, and one division by Q_o reduces it.
+    positions since deg m_1 < o, and one division by Q_o reduces it.  The
+    factor for -C has the roots gamma^(-u), so it is the monic reciprocal
+    of the factor for C, and one gcd serves each pair {C, -C}; the first
+    reciprocal is that of m_1.
     """
     if o == 1:
         return ((1, frozenset({0}), poly_sub(x_poly(field), one_poly(field))),)
@@ -497,16 +556,21 @@ def _cyclotomic_factors(o: int, field: FieldSpec) -> tuple:
     q_o = cyclotomic(o, field)
     if len(cosets) == 1:
         return ((o, frozenset(cosets[0]), q_o),)
-    m1 = _one_factor(q_o, len(cosets[0]))
-    out = [(o, frozenset(cosets[0]), m1)]
-    m1_idx, q_o_idx = _indices(m1), _indices(q_o)
-    for coset in cosets[1:]:
-        folded = np.zeros(o, dtype=np.int64)
-        folded[np.arange(len(m1_idx)) * pow(coset[0], -1, o) % o] = m1_idx
-        rem = _divmod_idx(field, folded, q_o_idx)[1]
-        out.append((o, frozenset(coset),
-                    poly_gcd(q_o, _poly_of_indices(field, rem))))
-    return tuple(out)
+    coset_of = {u: i for i, coset in enumerate(cosets) for u in coset}
+    factors = [_one_factor(q_o, len(cosets[0]))] + [None] * (len(cosets) - 1)
+    m1_idx, q_o_idx = _indices(factors[0]), _indices(q_o)
+    for i, coset in enumerate(cosets):
+        if factors[i] is None:
+            folded = np.zeros(o, dtype=np.int64)
+            folded[np.arange(len(m1_idx)) * pow(coset[0], -1, o) % o] = m1_idx
+            rem = _reduce(field, folded, q_o_idx)
+            factors[i] = _poly_of_indices(
+                field, _gcd_idx(field, q_o_idx.copy(), rem))
+        mirror = coset_of[o - coset[0]]
+        if factors[mirror] is None:
+            factors[mirror] = _reciprocal_monic(factors[i])
+    return tuple((o, frozenset(coset), fac)
+                 for coset, fac in zip(cosets, factors))
 
 
 def _labelled_factors(n_free: int, field: FieldSpec) -> list:

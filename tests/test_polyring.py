@@ -16,8 +16,10 @@ from cycperm.errors import (
     NotADivisor,
 )
 from cycperm.galois import field_tables, make_field
+import cycperm.polyring as polyring
 from cycperm.polyring import (
     _Ext,
+    _cyclotomic_cosets_of_units,
     _cyclotomic_factors,
     _indices,
     _labelled_factors,
@@ -113,6 +115,14 @@ def test_index_kernels_match_schoolbook(r, alpha):
               (rand(3), rand(9)),                      # deg a < deg b
               (rand(20), [f.zero, f.zero, els[-1]]),   # non-monic unless F_2
               (rand(7, monic=True), rand(7, monic=True))]
+    # long Euclid runs, and the gcds the elimination loop can end on
+    pairs += [(rand(rng.randrange(61)), rand(rng.randrange(61)))
+              for _ in range(10)]
+    a, c = rand(23), rand(37)
+    pairs += [(a, _school_mul(f, a, c)),          # a | b
+              (a, list(a)),                       # a = b
+              (a, [f.one] + a),                   # coprime: b = a x + 1
+              (rand(60), rand(0))]                # constant divisor
     for a, b in pairs:
         pa, pb = make_poly(f, a), make_poly(f, b)
         span = range(max(len(a), len(b)))
@@ -147,6 +157,12 @@ def test_ext_matches_poly_mod(r, alpha):
             e = int(rng.integers(0, 40))
             got = _poly_of_indices(f, ring.pow(a, e))
             assert got == poly_mod(poly_pow(pa, e), m), (d, a, e)
+            if r == 2:  # the characteristic-2 squaring kernel
+                for x in (a, b, np.zeros(d, dtype=np.int64)):
+                    got = _poly_of_indices(f, ring.square(x))
+                    px = _poly_of_indices(f, x)
+                    assert got == _poly_of_indices(f, ring.mul(x, x)), (d, x)
+                    assert got == poly_mod(poly_mul(px, px), m), (d, x)
         assert _indices(_poly_of_indices(f, modulus)).tolist() == modulus.tolist()
 
 
@@ -437,6 +453,64 @@ def test_large_n_factoring_golden():
     digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
     assert digest == ("aa59702c68855ab76eab8ba76ee6086b"
                       "80965c1d6d00769a90b95eb539a3242b")
+
+
+DIFFERENTIAL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("r, alpha", DIFFERENTIAL_FIELDS)
+def test_conjugate_factors_match_the_gcd_rule(r, alpha):
+    """Every factor of Q_o, o < 130, equals gcd(Q_o, m_1(x^t)) with
+    t = (min C)^-1 mod o, whether it came from a gcd or as the reciprocal
+    of the factor for -C."""
+    field = make_field(r, alpha)
+    _cyclotomic_factors.cache_clear()
+    self_reciprocal = []  # o with several cosets, each equal to its -C
+    for o in range(2, 130):
+        if o % r == 0:
+            continue
+        entries = _cyclotomic_factors(o, field)
+        cosets = _cyclotomic_cosets_of_units(field.order, o)
+        assert [c for _, c, _ in entries] == [frozenset(c) for c in cosets]
+        q_o, m1 = cyclotomic(o, field), entries[0][2]
+        for _, coset, fac in entries[1:]:
+            folded = [field.zero] * o  # m_1(x^t) mod x^o - 1
+            t = pow(min(coset), -1, o)
+            for i, c in enumerate(m1.coeffs):
+                folded[i * t % o] = c
+            rem = poly_mod(make_poly(field, folded), q_o)
+            assert fac == poly_gcd(q_o, rem), (o, sorted(coset))
+        if len(cosets) > 1 and o - 1 in cosets[0]:
+            self_reciprocal.append(o)
+    # -1 is a power of q mod o here (q^k = -1, e.g. 2^4 = 16 mod 17), so
+    # every factor but m_1 comes from a gcd and nothing is saved
+    expect = {(2, 1): {17, 41}, (3, 1): {28, 41}, (2, 2): {5, 13},
+              (5, 1): {13, 26}, (7, 1): {8, 25}, (3, 2): {5, 10}}
+    assert expect[(r, alpha)] <= set(self_reciprocal)
+
+
+def test_factoring_runs_fewer_euclid_loops(monkeypatch):
+    # every gcd goes through _gcd_idx; before reciprocal conjugates each was
+    # one poly_gcd call: 258 for n <= 60 over F_2, F_3 and F_4, and 112
+    # for x^1023 - 1 over F_2
+    calls = []
+    gcd = polyring._gcd_idx
+
+    def counting_gcd(*args):
+        calls.append(1)
+        return gcd(*args)
+
+    monkeypatch.setattr(polyring, "_gcd_idx", counting_gcd)
+    _cyclotomic_factors.cache_clear()
+    for field in (F2, F3, make_field(2, 2)):
+        for n in range(1, 61):
+            factor_xn_minus_1(n, field)
+    assert len(calls) == 184
+    calls.clear()
+    _cyclotomic_factors.cache_clear()
+    assert len(factor_xn_minus_1(1023, F2)) == 107
+    assert len(calls) == 61
+    _cyclotomic_factors.cache_clear()
 
 
 def test_dual_generator_examples():

@@ -298,52 +298,38 @@ def _coordinate_structure(code: CyclicCodeSpec, W: np.ndarray):
 
     sig(i) counts codewords by (weight, value at i); pair(i,j) counts by
     (weight, value at i, value at j).  Both are invariant under any code
-    automorphism, so they are sound pruning data.  Colors are then refined
-    two Weisfeiler-Leman-style rounds using the pair classes.
+    automorphism, so they are sound pruning data.  The shift is one, so
+    every coordinate gets the same color, pair(i,j) = pair(0, (j-i) mod n),
+    and Weisfeiler-Leman refinement by the pair classes splits nothing:
+    only row 0 is counted.
 
     With E_{w,a} the 0/1 indicator (words of weight w x coordinates) of
-    value a, sig(i) sums column i of E_{w,a} and pair(i,j) is entry (i, j)
-    of E_{w,a}^T E_{w,b}, summed in int32 over blocks of _GRAM_ROWS words.
-    Each block's product is a float32 BLAS product, which is exact: its
-    entries are integers <= _GRAM_ROWS < 2^24, float32's 24-bit
-    significand, whatever order BLAS adds in.  An int32 product would save
-    BLAS's buffers (about 0.3 MB of RSS) but numpy computes it without
-    BLAS, four times slower on T15's 32,768-word leaf.  Counts of value 0
-    follow from the rest, so pair classes are keyed by (color(i), color(j),
-    counts for nonzero a, b).  Ids go by first occurrence in row-major
-    order; the diagonal is -1.  A refinement round sorts each row of
-    (pair(i,j), pair(j,i), color(j)), encoded as int64.
+    value a, pair(0,j) is entry (0, j) of E_{w,a}^T E_{w,b}, summed in
+    int32 over blocks of _GRAM_ROWS words.  Each block's product is a
+    float32 BLAS product, which is exact: its entries are integers
+    <= _GRAM_ROWS < 2^24, float32's 24-bit significand, whatever order
+    BLAS adds in.  Counts of value 0 follow from the rest, so pair classes
+    are keyed by the counts for nonzero a, b.  Ids go by first occurrence
+    over j = 1..n-1; the diagonal is -1.
     """
     n = code.n
     m = code.field.order - 1
     nonzero = np.arange(1, m + 1)
     wts = np.count_nonzero(W, axis=1)
     weights = np.flatnonzero(np.bincount(wts))
-    sig = np.zeros((n, len(weights), m), dtype=np.int64)
-    keys = np.empty((n, n, 2 + len(weights) * m * m), dtype=np.int32)
-    counts = keys[:, :, 2:].reshape(n, n, len(weights), m, m)  # a view
+    counts = np.empty((n, len(weights), m, m), dtype=np.int32)
     for t, w in enumerate(weights):
         rows = np.flatnonzero(wts == w)
-        gram = np.zeros((n * m, n * m), dtype=np.int32)
+        gram = np.zeros((m, n * m), dtype=np.int32)
         for s in range(0, len(rows), _GRAM_ROWS):
             E = W[rows[s:s + _GRAM_ROWS], :, None] == nonzero
-            sig[:, t] += E.sum(axis=0)
             F = E.reshape(len(E), n * m).astype(np.float32)
-            gram += (F.T @ F).astype(np.int32)
-        counts[:, :, t] = gram.reshape(n, m, n, m).transpose(0, 2, 1, 3)
-    colors = _first_occurrence_ids(sig.reshape(n, -1))
-    keys[:, :, 0] = colors[:, None]
-    keys[:, :, 1] = colors[None, :]
-    keys[np.arange(n), np.arange(n)] = -1  # one class, first at (0, 0)
-    pair = _first_occurrence_ids(keys.reshape(n * n, -1)).reshape(n, n) - 1
-    off = ~np.eye(n, dtype=bool)
-    for _ in range(2):
-        nbhd = (pair * (pair.max() + 1) + pair.T) * (colors.max() + 1) \
-            + colors[None, :]
-        nbhd = np.sort(nbhd[off].reshape(n, n - 1), axis=1)
-        colors = _first_occurrence_ids(
-            np.concatenate([colors[:, None], nbhd], axis=1))
-    return colors, pair
+            gram += (F[:, :m].T @ F).astype(np.int32)
+        counts[:, t] = gram.reshape(m, n, m).transpose(1, 0, 2)
+    ids = _first_occurrence_ids(counts[1:].reshape(n - 1, counts[0].size))
+    row = np.concatenate([[-1], ids])
+    pair = row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+    return np.zeros(n, dtype=np.int64), pair
 
 
 def _word_masks(W: np.ndarray, q: int) -> np.ndarray:
@@ -376,12 +362,24 @@ def backtrack_per_group(code: CyclicCodeSpec) -> PermGroup:
     automorphisms feed a stabilizer chain so cosets already covered are
     skipped (orbit pruning along the first-point spine).
 
-    generate(d) finds the automorphisms fixing 0..d-1 after generate(d+1)
-    has put all of Per(C) fixing 0..d into the chain (deepest level first,
-    as in Leon's partition backtrack).  Every element the chain can build
-    lies in Per(C), so a Schreier generator that fixes 0..d while an
-    automorphism found at level d is added is already a member, and the
-    chain's sifts stop at point d for that extend.
+    The chain needs no Schreier generator.  generate(d) runs after
+    generate(d+1) (deepest level first, as in Leon's partition backtrack)
+    and searches every candidate image j of d outside the chain's level-d
+    orbit.  Every strong generator lies in Per(C) and fixes the points
+    below its level, so each level's orbit stays inside the orbit of d
+    under Per(C)_(0..d-1), the automorphisms fixing 0..d-1.  After
+    generate(d), each candidate j is in the orbit or was searched, and a
+    found sigma fixes 0..d-1 and maps d outside the orbit, so it stalls at
+    d when sifted and its insertion opens j; a point that is no candidate
+    is outside the true orbit.  The level-d orbit is then the true one at
+    every d, so the generators of levels >= d generate Per(C)_(0..d-1) by
+    induction from the deepest level, the orbits' product is |Per(C)|, and
+    every element of Per(C) sifts to the identity.
+
+    note(p) also absorbs p's n conjugates by the powers of the shift,
+    which lies in Per(C), so each is an automorphism.  They only prune:
+    each orbit they open is one fewer search, and the argument above does
+    not use them.
 
     Up to 8192 codewords, each tracked word keeps a bit set of the
     codewords it can still map onto, packed in uint64 words (_word_masks
@@ -416,12 +414,16 @@ def backtrack_per_group(code: CyclicCodeSpec) -> PermGroup:
 
     chain = _StabChain(n)
     found: List[Permutation] = []
+    # row k of (p[conj] - back) % n is p's conjugate by the k-th power of
+    # the shift, i -> (p[(i + k) mod n] - k) mod n
+    conj = (np.arange(n)[None, :] + np.arange(n)[:, None]) % n
+    back = np.arange(n, dtype=np.int32)[:, None]
 
-    def note(perm_images, bound: Optional[int] = None) -> None:
+    def note(perm_images) -> None:
         p = Permutation(perm_images)
         if not chain.contains(p.array()):
-            chain.extend([p.array()], bound=bound)
             found.append(p)
+            chain.absorb((p.array()[conj] - back) % n)
 
     # seed with the cyclic shift, and the multiplier when gcd(n, q) = 1
     shift = Permutation([(i + 1) % n for i in range(n)])
@@ -498,7 +500,7 @@ def backtrack_per_group(code: CyclicCodeSpec) -> PermGroup:
             images[d] = j
             res = dfs_complete(place(cands, d, j), open_rows, masks)
             if res is not None:
-                note(res, bound=d + 1)
+                note(res)
 
     generate(0)
     group = PermGroup(n, found or [Permutation(range(n))])

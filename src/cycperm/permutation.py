@@ -24,24 +24,26 @@ batch's remaining residues go through the kernel again as one batch.  This
 keeps the wreath-product groups of degree ~300 from Table-scale runs
 affordable.
 
-Each strong generator has an origin: -1 for an input of extend, k for a
-residue of a batch of Schreier generators collected at the level of base
-k.  A level of base i forms Schreier pairs only with its generators of
-origin < i; its orbit and transversals still close under all of them.
-This is sound.  A residue formed at level k is a product of generators
+Each strong generator has an origin: -1 for a row given to extend or
+absorb, k for a residue of a batch of Schreier generators collected at
+the level of base k.  A level of base i forms Schreier pairs only with
+its generators of origin < i; its orbit and transversals still close
+under all of them.  This is sound.  A residue formed at level k is a product of generators
 that were then in S^(k), the generators fixing 0..k-1, and so in S^(i)
 for every i <= k.  Leaving it out of S^(i) keeps the group it generates,
 by induction on the order of insertion, and Schreier's lemma holds for
 any generating set and any transversal (Seress, Permutation Group
 Algorithms, 2003, sections 4.1-4.2).
 
-Two facts a caller may know skip sifts whose answer is known, without
-changing any insertion, base, orbit or strong generator.  A bound b says
-the chain already holds every element of the group being built that fixes
-0..b-1 (a backtrack that builds deepest level first knows this), so a row
-fixing those points is a member.  A target at least the group's order (an
-overgroup's order) stops the build once the orbit product reaches it:
-every transversal is then whole.  groups_equal uses the second.
+One loop grows a chain: absorb sifts a batch of rows, inserts the first
+non-member's residue, sifts the rest again and repeats.  extend absorbs
+its inputs (origin -1) and then completes the chain, absorbing each batch
+of pending Schreier generators with its level's base as their origin.  A
+caller may pass a target at least the group's order (an overgroup's
+order): the build then stops once the orbit product reaches it, since
+every transversal is whole.  groups_equal uses it.  A caller that can
+prove its chain complete by other means (the backtrack in autgroup) only
+absorbs, and never forms a Schreier generator.
 """
 
 from __future__ import annotations
@@ -367,8 +369,7 @@ class _StabChain:
             out *= self.levels[b].size
         return out
 
-    def _sift_rows(self, X: np.ndarray, bound: Optional[int] = None
-                   ) -> np.ndarray:
+    def _sift_rows(self, X: np.ndarray) -> np.ndarray:
         """The sift kernel: reduce every row of X through the chain at once.
 
         Each step looks up, for every live row, the transversal at its first
@@ -378,16 +379,14 @@ class _StabChain:
         (or mapping a base outside its orbit) stalls right there.  This keeps
         the invariant that a generator inserted at level b fixes every point
         below b.  Stalled rows of X are overwritten with their residues;
-        returns each row's stall point, n for members.  With extend's bound,
-        a row that fixes 0..bound-1 counts as a member.
+        returns each row's stall point, n for members.
         """
         stall = np.full(len(X), self.n)
         if not self.n:  # the one permutation of nothing is the identity
             return stall
-        bound = self.n if bound is None else bound
         live, Y = np.arange(len(X)), X
         while True:
-            neq = Y[:, :bound] != self.arange[:bound]
+            neq = Y != self.arange
             f = neq.argmax(axis=1)
             at = np.arange(len(f))
             moved = neq[at, f]  # False only for the identity
@@ -404,10 +403,10 @@ class _StabChain:
                 live, Y, r = live[ok], Y[ok], r[ok]
             Y = _gather(self.inv, r, Y)
 
-    def sift(self, x: np.ndarray, bound: Optional[int] = None):
+    def sift(self, x: np.ndarray):
         """Returns (residue, stall_point); (None, None) when x is a member."""
         X = np.array(x, dtype=np.int32).reshape(1, self.n)
-        b = int(self._sift_rows(X, bound)[0])
+        b = int(self._sift_rows(X)[0])
         return (None, None) if b == self.n else (X[0], b)
 
     def contains(self, x: np.ndarray) -> bool:
@@ -420,21 +419,37 @@ class _StabChain:
 
     # -- construction ---------------------------------------------------------
 
-    def extend(self, gens: Iterable[np.ndarray], bound: Optional[int] = None,
+    def extend(self, gens: Iterable[np.ndarray],
                target: Optional[int] = None):
         """Add gens and sift Schreier generators until the chain is complete.
 
-        bound: the chain already holds every element of the group being
-        built that fixes 0..bound-1, so a row fixing them is a member.
         target: at least the order of the group being built; the build
-        stops once the orbit product reaches it.  Both hold for this call
-        only, and neither changes what the chain becomes.
+        stops once the orbit product reaches it.  It holds for this call
+        only, and does not change what the chain becomes.
         """
-        for g in gens:
-            residue, b = self.sift(g, bound)
-            if residue is not None:
-                self._insert(residue, b, -1)
-        self._complete(bound, target)
+        rows = [np.asarray(g, dtype=np.int32) for g in gens]
+        if rows:
+            self.absorb(np.stack(rows))  # a fresh array
+        self._complete(target)
+
+    def absorb(self, rows: np.ndarray, origin: int = -1):
+        """Insert every row of the (m, n) int32 array rows, which it
+        overwrites, that the chain does not yet hold: sift the batch, make
+        the first non-member's residue a strong generator of origin
+        `origin`, sift the rest again, and repeat.  Transversal entries are
+        only ever added, so a member stays one and a residue sifts as its
+        source row would: the insertions are those of sifting each row
+        alone, in order, against the chain as it then stands.  Forms no
+        Schreier generator."""
+        stall = self._sift_rows(rows)
+        while True:
+            out = stall < self.n
+            if not out.any():
+                return
+            rows, stall = rows[out], stall[out]
+            self._insert(rows[0].copy(), int(stall[0]), origin)
+            rows = rows[1:]
+            stall = self._sift_rows(rows)
 
     def _insert(self, g: np.ndarray, b: int, origin: int):
         """Make g, which fixes 0..b-1 and stalls at b, a strong generator of
@@ -466,17 +481,11 @@ class _StabChain:
                 level.extend_orbit(seed=gi)
             self._dirty.add(level.base)
 
-    def _complete(self, bound: Optional[int] = None,
-                  target: Optional[int] = None):
-        """Sift pending Schreier generators a batch at a time, deepest dirty
-        level first.  After each insertion the batch's other residues are
-        sifted again as one batch, and the first non-member is inserted
-        with the batch's base as its origin.  Transversal entries are only
-        ever added, so a member stays one and a residue sifts as its source
-        row would: the insertions are those of sifting each residue alone
-        against the chain as it then stands.
-        bound and target are extend's; a stop at target leaves the rest
-        pending, where a later extend sifts them as members.
+    def _complete(self, target: Optional[int] = None):
+        """Absorb pending Schreier generators a batch at a time, deepest
+        dirty level first, with the batch's base as their origin.  target
+        is extend's; a stop at target leaves the rest pending, where a
+        later extend sifts them as members.
         """
         while self._dirty and (target is None or self.order() != target):
             b = max(self._dirty)
@@ -484,16 +493,7 @@ class _StabChain:
             if level.pending <= 0:
                 self._dirty.discard(b)
                 continue
-            R = level.collect_pending(_BATCH)
-            stall = self._sift_rows(R, bound)
-            while True:
-                out = stall < self.n
-                if not out.any():
-                    break
-                R, stall = R[out], stall[out]
-                self._insert(R[0].copy(), int(stall[0]), b)
-                R = R[1:]
-                stall = self._sift_rows(R, bound)
+            self.absorb(level.collect_pending(_BATCH), origin=b)
 
     def base_points(self) -> List[int]:
         return [b for b in self.bases if self.levels[b].size > 1]

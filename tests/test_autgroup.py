@@ -275,8 +275,19 @@ def test_chain_golden():
                  ("exhaustive", "2", 10, "Q(5)"),
                  ("exhaustive", "5", 5, "(x-1)^2")]:
         shapes.append(_chain_shape(_exact_search(*call).chain()))
+    # the backtrack's chains keep the order, base, orbit sets and strong
+    # generator count they had when the backtrack still formed Schreier
+    # generators (digest recorded from that build and this one alike); the
+    # digest below moved from d86441511435c9a6 only because the n = 105
+    # and F_4 n = 21 chains now list their orbit points in another order
+    backtrack = shapes[-7:-3]
+    assert [shape[3] for shape in backtrack] == [19, 76, 11, 17]
+    sets = [shape[:2] + [list(map(sorted, shape[2])), shape[3]]
+            for shape in backtrack]
+    digest = hashlib.sha256(json.dumps(sets).encode()).hexdigest()
+    assert digest[:16] == "ccac39d0fed79693"
     digest = hashlib.sha256(json.dumps(shapes).encode()).hexdigest()
-    assert digest[:16] == "d86441511435c9a6"
+    assert digest[:16] == "f3044b024348a2d2"
 
 
 @pytest.mark.parametrize("N", [1, 63, 64, 65, 512, 1024])
@@ -310,8 +321,8 @@ def test_word_masks_match_the_big_int_form(N):
                                   ("2", 15, "Q(15)"),
                                   ("2^2", 14, "x^3+x+1")])
 def test_backtrack_sift_bound_stays_inside_the_search(call):
-    # the backtrack's sifts stop at the points below which its chain is
-    # known to hold all of Per(C); the chain it returns must still answer
+    # the backtrack's chain is complete by the search alone, with no
+    # Schreier generator formed; the chain it returns must answer
     # membership in full, for permutations fixing a long prefix too
     from cycperm.table import parse_gen_expr
     field_text, n, gen_text = call
@@ -447,6 +458,23 @@ def test_oracle_equivalence_small_n():
             for code in _all_proper_divisor_codes(field, n):
                 assert groups_equal(exhaustive_per_group(code),
                                     backtrack_per_group(code)), code
+    # the backtrack's chain is complete without Schreier generators: its
+    # order is that of a full Schreier-Sims rebuild from its generators,
+    # and, where the scan is cheap, that of the exhaustive scan
+    checked = 0
+    for field, n_max in ((F2, 15), (F3, 10), (F4, 9)):
+        for n in range(1, n_max + 1):
+            for code in _all_divisor_codes(field, n):
+                if not enumerable(code):
+                    continue
+                group = backtrack_per_group(code)
+                order = PermGroup(n, group.generators).order
+                assert group.order == order, code.describe()
+                if n <= 8:
+                    assert exhaustive_per_group(code).order == order, \
+                        code.describe()
+                checked += 1
+    assert checked == 355
 
 
 def test_theorem_hp_desk_scale():

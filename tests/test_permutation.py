@@ -190,7 +190,8 @@ def test_groups_equal_builds_the_chains_a_full_build_gives():
             for g in (g1, g2):
                 assert _chain_shape(g) == \
                     _chain_shape(PermGroup(degree, g.generators))
-    # the backtrack's own group, whose chain it built with sift bounds
+    # the backtrack's own group, whose chain it built without Schreier
+    # generators
     claimed = PermGroup(105, t29_claim)
     assert groups_equal(t29_found, claimed)
     assert _chain_shape(claimed) == _chain_shape(PermGroup(105, t29_claim))
@@ -421,7 +422,7 @@ def test_origin_rule_matches_a_rebuild_from_strong_generators():
 
 
 def test_origin_rule_after_bounded_and_target_builds():
-    # the backtrack extends its chain with sift bounds, and groups_equal
+    # the backtrack builds its chain by absorb alone, and groups_equal
     # builds the claim's chain only up to the found group's order
     from cycperm.autgroup import backtrack_per_group
     from cycperm.cyclic_code import make_code
@@ -443,8 +444,10 @@ def test_origin_rule_after_bounded_and_target_builds():
 
 
 def test_t29_backtrack_forms_fewer_schreier_generators(monkeypatch):
-    # the origin rule forms 16,641 Schreier generators in T29's backtrack,
-    # where pairing every strong generator formed 25,032
+    # the backtrack proves its chain complete and forms no Schreier
+    # generator in T29's search; completing the chain after each found
+    # automorphism formed 16,641 under the origin rule, and 25,032 when
+    # every strong generator was paired
     formed = []
     collect = permutation._Level.collect_pending
 
@@ -456,7 +459,8 @@ def test_t29_backtrack_forms_fewer_schreier_generators(monkeypatch):
     monkeypatch.setattr(permutation._Level, "collect_pending",
                         counting_collect)
     found, _ = _t29_groups()
-    assert sum(formed) == 16641
+    assert sum(formed) == 0
+    assert len(found.chain().all_gens) == 76
     assert found.order == math.factorial(3) ** 35 * math.factorial(5) \
         * math.factorial(7)
 

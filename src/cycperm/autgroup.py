@@ -67,6 +67,8 @@ from .group_constructors import (
     expr_order,
     format_group_expr,
     materialize,
+    per_of_order,
+    sym_generators,
 )
 from .cyclic_code import Layout
 from .permutation import (
@@ -97,6 +99,7 @@ from .polyring import (
 
 RNG_ALGORITHM = "numpy-pcg64/support-first-fisher-yates"
 ORDER_CAP = 300  # default largest n whose certify tier derives Per(C)
+EXACT_CUTOFF = 8  # longest code an exact search scans; longer ones backtrack
 
 
 class _Engine:
@@ -252,7 +255,6 @@ def exhaustive_per_group(code: CyclicCodeSpec,
     if n > _SCAN_MAX_N:
         raise TooLarge(f"n={n} exceeds the exhaustive cutoff {_SCAN_MAX_N}")
     if code.k == 0:
-        from .group_constructors import sym_generators
         return PermGroup(n, sym_generators(n))
     if code.dual_gen.degree < code.gen.degree:
         code = make_code(code.field, n, code.dual_gen)
@@ -272,8 +274,7 @@ def exhaustive_per_group(code: CyclicCodeSpec,
             for start in range(0, len(found), _REDUCE_ROWS):
                 sigmas = np.argsort(found[start:start + _REDUCE_ROWS], axis=1)
                 kept.extend(reduce_generators(sigmas, n, chain))
-    group = PermGroup(n, kept)
-    group._chain = chain  # complete for <kept>: reduce_generators built it
+    group = PermGroup(n, kept, chain)  # reduce_generators completed it
     if group.order != stabilizer * orbit:
         raise AssertionError("exhaustive scan produced a non-group")
     return group
@@ -293,15 +294,14 @@ def _first_occurrence_ids(rows: np.ndarray) -> np.ndarray:
                      for key in map(bytes, rows)], dtype=np.int64)
 
 
-def _coordinate_structure(code: CyclicCodeSpec, W: np.ndarray):
-    """Colors and pair classes from the codewords W of code.
+def _coordinate_structure(code: CyclicCodeSpec, W: np.ndarray) -> np.ndarray:
+    """Pair classes from the codewords W of code.
 
-    sig(i) counts codewords by (weight, value at i); pair(i,j) counts by
-    (weight, value at i, value at j).  Both are invariant under any code
-    automorphism, so they are sound pruning data.  The shift is one, so
-    every coordinate gets the same color, pair(i,j) = pair(0, (j-i) mod n),
-    and Weisfeiler-Leman refinement by the pair classes splits nothing:
-    only row 0 is counted.
+    pair(i,j) counts codewords by (weight, value at i, value at j); any
+    code automorphism keeps it, so it is sound pruning data.  The shift is
+    one, so pair(i,j) = pair(0, (j-i) mod n) and only row 0 is counted.
+    The shift also gives every coordinate the same counts by (weight,
+    value at i), so there are no colors to refine.
 
     With E_{w,a} the 0/1 indicator (words of weight w x coordinates) of
     value a, pair(0,j) is entry (0, j) of E_{w,a}^T E_{w,b}, summed in
@@ -328,8 +328,7 @@ def _coordinate_structure(code: CyclicCodeSpec, W: np.ndarray):
         counts[:, t] = gram.reshape(m, n, m).transpose(1, 0, 2)
     ids = _first_occurrence_ids(counts[1:].reshape(n - 1, counts[0].size))
     row = np.concatenate([[-1], ids])
-    pair = row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
-    return np.zeros(n, dtype=np.int64), pair
+    return row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
 
 
 def _word_masks(W: np.ndarray, q: int) -> np.ndarray:
@@ -354,13 +353,13 @@ def backtrack_per_group(code: CyclicCodeSpec) -> PermGroup:
     """Exact Per(C) via backtracking over coordinate images.
 
     The open choices are an n x n candidate matrix: sigma(i) = j stays
-    possible while i and j have identical refined colors and matching pair
-    classes against every placed pair, and each placement ANDs in two outer
-    comparisons (the refinement step of partition backtracking).  A node
-    branches on the first open row with the fewest candidates; complete
-    maps are accepted iff every basis word maps into the code.  Found
-    automorphisms feed a stabilizer chain so cosets already covered are
-    skipped (orbit pruning along the first-point spine).
+    possible while i and j have matching pair classes against every placed
+    pair, and each placement ANDs in two outer comparisons (the refinement
+    step of partition backtracking).  A node branches on the first open
+    row with the fewest candidates; complete maps are accepted iff every
+    basis word maps into the code.  Found automorphisms feed a stabilizer
+    chain so cosets already covered are skipped (orbit pruning along the
+    first-point spine).
 
     The chain needs no Schreier generator.  generate(d) runs after
     generate(d+1) (deepest level first, as in Leon's partition backtrack)
@@ -395,7 +394,7 @@ def backtrack_per_group(code: CyclicCodeSpec) -> PermGroup:
         code = make_code(code.field, n, code.dual_gen)
     engine = _Engine(code)
     W = codeword_index_matrix(code)
-    colors, pair = _coordinate_structure(code, W)
+    pair = _coordinate_structure(code, W)
     q = code.field.order
     N = W.shape[0]
 
@@ -477,7 +476,7 @@ def backtrack_per_group(code: CyclicCodeSpec) -> PermGroup:
     # prefixes[d]: the candidate matrix and the word masks after the
     # identity on 0..d-1; the identity keeps every tracked word (a
     # codeword) in its own mask, so none of these masks runs empty
-    prefixes = [(colors[:, None] == colors[None, :], masks0)]
+    prefixes = [(np.ones((n, n), dtype=bool), masks0)]
     for i in range(n - 2):
         cands, masks = prefixes[-1]
         prefixes.append((place(cands, i, i), filter_masks(masks, i, i)))
@@ -503,9 +502,7 @@ def backtrack_per_group(code: CyclicCodeSpec) -> PermGroup:
                 note(res)
 
     generate(0)
-    group = PermGroup(n, found or [Permutation(range(n))])
-    group._chain = chain
-    return group
+    return PermGroup(n, found or [Permutation(range(n))], chain)
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +610,9 @@ def _quadratic_residues(p: int) -> frozenset:
 def _leaf_expr(field: FieldSpec, p: int, g: Poly) -> GroupExpr:
     """Per(C_{p,g}) for prime p as a symbolic tag.
 
-    p <= 12 resolves by an exact search (exhaustive up to 8 points,
-    backtracking above); larger primes use the multiplier stabilizer of
-    the defining set, guarded against the exceptional families
+    p <= 12 resolves by an exact search (exhaustive up to EXACT_CUTOFF
+    points, backtracking above); larger primes use the multiplier
+    stabilizer of the defining set, guarded against the exceptional families
     (quadratic-residue codes, single-coset projective codes) whose groups
     this artifact does not construct.
     """
@@ -630,7 +627,6 @@ def _leaf_expr(field: FieldSpec, p: int, g: Poly) -> GroupExpr:
     if g.degree == p - 1 and g == cyclotomic(p, field):
         return Sym(p)  # repetition code
     if p <= 12:
-        from .group_constructors import per_of_order
         order = per_of_order(field, p, g)
         if order == math.factorial(p):
             return Sym(p)
@@ -704,20 +700,17 @@ def predicted_group(code: CyclicCodeSpec) -> GroupExpr:
     for p in primes:
         m = _v_p(n, r)
         np_ = _v_p(n, p)
-        h = n // (r ** m * p ** np_)
         for u in range(m + 1):
             for v in range(np_):
-                t = r ** u * p ** v
+                t = r ** u * p ** v  # divides n
                 if t == 1:
-                    continue
-                if n % t:
                     continue
                 g0 = try_contract_power(g, t)
                 if g0 is None or g0.degree < 1:
                     continue
                 if not poly_divides(g0, xn_minus_1(field, p)):
                     continue
-                inner_n = h * r ** (m - u) * p ** (np_ - v)
+                inner_n = n // t
                 try:
                     if inner_n == p:
                         inner = _leaf_expr(field, p, g0)

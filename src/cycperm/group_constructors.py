@@ -34,10 +34,10 @@ from .errors import (
     NotCoprime,
     UnknownTag,
 )
-from .galois import FieldSpec, _is_prime
+from .galois import FieldSpec, _is_prime, make_field
 from .permutation import PermGroup, Permutation, _StabChain, identity_perm, \
     perm_from_cycles
-from .polyring import Poly
+from .polyring import Poly, poly_from_ints
 
 
 # -- generator-level constructors ---------------------------------------------
@@ -84,47 +84,43 @@ def c31_c5_generators() -> List[Permutation]:
             Permutation([(2 * i) % 31 for i in range(31)])]
 
 
-_PEROF_CACHE: dict = {}  # (field, n, gen coeffs) -> (generators, order)
-_PEROF_EXHAUSTIVE = 8  # larger leaves are searched by backtracking
+@functools.lru_cache(maxsize=None)
+def _searched_group(field: FieldSpec, n: int, gen: Poly) -> PermGroup:
+    """Per(C_{n,gen}) as its exact search returns it, with the chain the
+    search proved complete: the exhaustive scan up to EXACT_CUTOFF points,
+    backtracking above (which raises TooLarge when neither the code nor
+    its dual can be enumerated)."""
+    from .autgroup import EXACT_CUTOFF, backtrack_per_group, \
+        exhaustive_per_group
+    from .cyclic_code import make_code
+
+    search = exhaustive_per_group if n <= EXACT_CUTOFF \
+        else backtrack_per_group
+    return search(make_code(field, n, gen))
 
 
 def per_of_generators(field: FieldSpec, n: int, gen: Poly) -> List[Permutation]:
-    """Exactly computed Per(C_{n,gen}), cached by (field, n, gen): the
-    exhaustive scan up to 8 points, backtracking above (which raises
-    TooLarge when neither the code nor its dual can be enumerated)."""
-    from .autgroup import backtrack_per_group, exhaustive_per_group
-    from .cyclic_code import make_code
-
-    key = (field, n, gen.coeffs)
-    if key not in _PEROF_CACHE:
-        code = make_code(field, n, gen)
-        group = exhaustive_per_group(code) if n <= _PEROF_EXHAUSTIVE \
-            else backtrack_per_group(code)
-        _PEROF_CACHE[key] = (list(group.generators), group.order)
-    return list(_PEROF_CACHE[key][0])
+    """Exactly computed Per(C_{n,gen}), searched once per (field, n, gen)
+    and process."""
+    return list(_searched_group(field, n, gen).generators)
 
 
 def per_of_order(field: FieldSpec, n: int, gen: Poly) -> int:
-    per_of_generators(field, n, gen)
-    return _PEROF_CACHE[(field, n, gen.coeffs)][1]
+    per_of_generators(field, n, gen)  # a first search runs inside it
+    return _searched_group(field, n, gen).order
 
 
 def psl27_generators() -> List[Permutation]:
-    """PSL(2,7) on 7 points, bootstrapped from the [7,4] code.
+    """PSL(2,7) on 7 points: Per of the [7,4] code C_{7, x^3+x+1}.
 
-    Rather than hardcoding a transcription, run the exhaustive search on
-    C_{7, x^3+x+1} once per process and cache the reduced generator list;
-    the order is validated once per process, against the order that search
-    computed and cached (per_of_order), so a later call builds no chain.
+    Rather than hardcoding a transcription, the group comes from the
+    code's exact search, run once per process; its order is validated
+    against the one that search proved.
     """
-    from .galois import make_field
-    from .polyring import poly_from_ints
-
-    f2 = make_field(2)
-    gen = poly_from_ints(f2, [1, 1, 0, 1])
-    if per_of_order(f2, 7, gen) != 168:
+    e = _PSL27_LEAF
+    if per_of_order(e.field, e.n, e.gen) != 168:
         raise AssertionError("PSL(2,7) bootstrap failed order validation")
-    return per_of_generators(f2, 7, gen)
+    return per_of_generators(e.field, e.n, e.gen)
 
 
 def named_group_generators(tag: str, degree: int) -> List[Permutation]:
@@ -259,6 +255,9 @@ class PerOf:
 
 GroupExpr = Union[Sym, Cyclic, AGL1, Named, Wreath, CrtProduct, PerOf]
 
+_F2 = make_field(2)
+_PSL27_LEAF = PerOf(_F2, 7, poly_from_ints(_F2, [1, 1, 0, 1]))  # x^3+x+1
+
 _NAMED_DEGREE = {"PSL2_7": 7, "C31xC5": 31}
 _NAMED_ORDER = {"PSL2_7": 168, "C31xC5": 155}
 
@@ -328,8 +327,8 @@ def expr_contains(e: GroupExpr, rows: np.ndarray) -> np.ndarray:
     class permutation pi lies in H and each component alpha_h lies in A.
     x(p, q) holds iff both CRT partitions (mod p and mod q) are preserved;
     S(h) always holds.  The other leaves (degree <= 35 in the table) sift
-    the rows through a chain of their own generators, built once per leaf
-    expression and process (_leaf_chain).
+    the rows through one chain per leaf expression and process
+    (_leaf_chain).
     """
     rows = np.asarray(rows)
     ok = np.ones(len(rows), dtype=bool)
@@ -358,7 +357,14 @@ def expr_contains(e: GroupExpr, rows: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _leaf_chain(e: GroupExpr) -> _StabChain:
     """The stabilizer chain of a leaf of expr_contains, memoized per
-    expression; contains_batch only reads it."""
+    expression; contains_batch only reads it.  A searched leaf, PSL2_7
+    (the [7,4] code's group) among them, has the chain its search proved
+    complete, so none is built twice."""
+    if e == Named("PSL2_7"):
+        e = _PSL27_LEAF
+    if isinstance(e, PerOf):
+        per_of_generators(e.field, e.n, e.gen)  # as in per_of_order
+        return _searched_group(e.field, e.n, e.gen).chain()
     return PermGroup(expr_degree(e), materialize(e)).chain()
 
 

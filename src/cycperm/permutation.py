@@ -43,7 +43,8 @@ caller may pass a target at least the group's order (an overgroup's
 order): the build then stops once the orbit product reaches it, since
 every transversal is whole.  groups_equal uses it.  A caller that can
 prove its chain complete by other means (the backtrack in autgroup) only
-absorbs, and never forms a Schreier generator.
+absorbs, never forms a Schreier generator, and hands the chain to
+PermGroup.
 """
 
 from __future__ import annotations
@@ -62,41 +63,28 @@ _GATHER = 1 << 15  # entries per flat gather block
 class Permutation:
     """Immutable permutation; images[i] = sigma(i).
 
-    Built from a sequence of ints (validated point by point) or from an
-    integer ndarray (validated by one vectorized bijection check and stored
-    as int32; the images tuple is then built on first read).
+    Built from any sequence of ints (a list, tuple, range or integer
+    ndarray), validated by one vectorized bijection check and stored as a
+    private int32 array; the images tuple is built on first read.
     """
 
-    __slots__ = ("_images", "_arr")
+    __slots__ = ("_arr", "_images")
 
     def __init__(self, images: Sequence[int]):
-        if isinstance(images, np.ndarray):
-            object.__setattr__(self, "_images", None)
-            object.__setattr__(self, "_arr", _checked_array(images))
-            return
-        imgs = tuple(int(i) for i in images)
-        n = len(imgs)
-        seen = [False] * n
-        for i in imgs:
-            if not 0 <= i < n or seen[i]:
-                raise ValueError(f"{imgs!r} is not a permutation of 0..{n - 1}")
-            seen[i] = True
-        object.__setattr__(self, "_images", imgs)
-        object.__setattr__(self, "_arr", None)
+        self._arr = _checked_array(images)
+        self._images: Optional[Tuple[int, ...]] = None
 
     @property
     def images(self) -> Tuple[int, ...]:
         if self._images is None:
-            object.__setattr__(self, "_images", tuple(self._arr.tolist()))
+            self._images = tuple(self._arr.tolist())
         return self._images
 
     @property
     def degree(self) -> int:
-        return len(self._arr) if self._images is None else len(self._images)
+        return len(self._arr)
 
     def array(self) -> np.ndarray:
-        if self._arr is None:
-            object.__setattr__(self, "_arr", np.array(self.images, dtype=np.int32))
         return self._arr
 
     def __call__(self, i: int) -> int:
@@ -112,19 +100,21 @@ class Permutation:
         return f"Permutation({format_permutation(self)!r}, degree={self.degree})"
 
 
-def _checked_array(images: np.ndarray) -> np.ndarray:
-    """A private int32 copy of a 1-D array that is a bijection of 0..n-1."""
-    n = images.size
-    ok = images.ndim == 1 and images.dtype.kind in "iu"
+def _checked_array(images: Sequence[int]) -> np.ndarray:
+    """A private int32 copy of images, which must be a bijection of 0..n-1
+    given as a 1-D sequence of integers."""
+    arr = np.asarray(images)
+    n = arr.size
+    ok = arr.ndim == 1 and (arr.dtype.kind in "iu" or not n)
     if ok and n:
-        ok = 0 <= images.min() and images.max() < n
+        ok = 0 <= arr.min() and arr.max() < n
     if ok:
-        arr = images.astype(np.int32)
+        arr = arr.astype(np.int32)
         seen = np.zeros(n, dtype=bool)
         seen[arr] = True
         ok = bool(seen.all())
     if not ok:
-        raise ValueError(f"array {images!r} is not a permutation of 0..{n - 1}")
+        raise ValueError(f"{images!r} is not a permutation of 0..{n - 1}")
     return arr
 
 
@@ -154,15 +144,11 @@ def compose(sigma: Permutation, tau: Permutation) -> Permutation:
     """pi with pi(i) = sigma(tau(i)); then (c^sigma)^tau = c^compose(sigma,tau)."""
     if sigma.degree != tau.degree:
         raise DegreeMismatch("composing permutations of different degrees")
-    s = sigma.images
-    return Permutation(tuple(s[t] for t in tau.images))
+    return Permutation(sigma.array()[tau.array()])
 
 
 def inverse(sigma: Permutation) -> Permutation:
-    out = [0] * sigma.degree
-    for i, j in enumerate(sigma.images):
-        out[j] = i
-    return Permutation(out)
+    return Permutation(np.argsort(sigma.array()))
 
 
 def format_permutation(p: Permutation) -> str:
@@ -187,14 +173,12 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     if text in ("", "()"):
         return identity_perm(degree)
     cycles = []
-    pos = 0
     for m in re.finditer(r"\(([^()]*)\)|\S", text):
         if m.group(0)[0] != "(":
             raise ValueError(f"unexpected {m.group(0)!r} in permutation text")
         body = m.group(1).strip()
         if body:
             cycles.append([int(t) for t in re.split(r"[,\s]+", body)])
-        pos = m.end()
     return perm_from_cycles(cycles, degree)
 
 
@@ -506,16 +490,18 @@ class _StabChain:
 
 
 class PermGroup:
-    """A permutation group: generators plus a lazily built stabilizer chain."""
+    """A permutation group: generators plus a stabilizer chain, built on
+    first use unless a search that proved one complete hands it over."""
 
-    def __init__(self, degree: int, generators: Sequence[Permutation]):
+    def __init__(self, degree: int, generators: Sequence[Permutation],
+                 chain: Optional[_StabChain] = None):
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatch(
                     f"generator degree {g.degree} != degree {degree}")
         self.degree = degree
         self.generators = tuple(generators)
-        self._chain: Optional[_StabChain] = None
+        self._chain = chain
 
     def chain(self, target: Optional[int] = None) -> _StabChain:
         """The stabilizer chain, built on first use.  A target must be at
@@ -574,16 +560,10 @@ def groups_equal(g1: PermGroup, g2: PermGroup) -> bool:
     if g1.degree != g2.degree:
         raise DegreeMismatch("groups of different degrees")
     order = g1.order
-    if not _contains_all(g1.chain(), g2.generators):
+    gens = [g.array() for g in g2.generators]
+    if gens and not g1.chain().contains_batch(np.stack(gens)).all():
         return False
     return g2.chain(target=order).order() == order
-
-
-def _contains_all(chain: _StabChain, gens: Sequence[Permutation]) -> bool:
-    """Every generator is in the chain's group; an empty set trivially is."""
-    if not gens:
-        return True
-    return bool(chain.contains_batch(np.stack([g.array() for g in gens])).all())
 
 
 def reduce_generators(perms: Union[Sequence[Permutation], np.ndarray],
@@ -592,27 +572,26 @@ def reduce_generators(perms: Union[Sequence[Permutation], np.ndarray],
     """Greedy deterministic reduction: keep elements that grow the group.
 
     perms is a sequence of Permutations or an (m, degree) integer array of
-    images; rows of an array become Permutations only when kept.
-    Membership is tested a batch at a time, and a batch is tested again
-    from just after each element it keeps, so the result is the greedy one.
-    A given chain is extended in place: pieces reduced into it in turn keep
-    what their concatenation would.
+    images; either becomes one int32 array up front, and each kept row
+    comes back as a Permutation.  Membership is tested a batch at a time,
+    and a batch is tested again from just after each element it keeps, so
+    the result is the greedy one.  A given chain is extended in place:
+    pieces reduced into it in turn keep what their concatenation would.
     """
-    is_array = isinstance(perms, np.ndarray)
-    if not is_array:
-        perms = list(perms)
+    if not isinstance(perms, np.ndarray):
+        perms = [p.array() for p in perms]
+    rows = np.asarray(perms, dtype=np.int32)
     chain = _StabChain(degree) if chain is None else chain
     kept: List[Permutation] = []
     i = 0
-    while i < len(perms):
-        batch = perms[i:i + _BATCH]
-        X = batch if is_array else np.stack([p.array() for p in batch])
+    while i < len(rows):
+        X = rows[i:i + _BATCH]
         member = chain.contains_batch(X)
         j = int(member.argmin())
         if member[j]:
-            i += len(batch)
+            i += len(X)
             continue
         chain.extend([X[j]])
-        kept.append(Permutation(X[j]) if is_array else batch[j])
+        kept.append(Permutation(X[j]))
         i += j + 1
     return kept

@@ -34,6 +34,7 @@ polynomial has an empty coefficient tuple and degree -1.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -352,34 +353,34 @@ def _prime_factors(n: int) -> list:
     return out
 
 
-def _int_poly_divexact(a: list, b: list) -> list:
-    """Exact division of integer polynomials (ascending coefficients)."""
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        c = a[-1] // b[-1]
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] -= c * bi
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    assert not a, "inexact cyclotomic division"
-    return q
-
-
 @functools.lru_cache(maxsize=None)
 def _cyclotomic_int(n: int) -> tuple:
-    """Integer coefficients of the n-th cyclotomic polynomial, ascending."""
-    if n == 1:
-        return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in _divisors(n)[:-1]:
-        num = _int_poly_divexact(num, list(_cyclotomic_int(d)))
-    return tuple(num)
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending.
+
+    Q_n = prod over d | n of (x^d - 1)^mu(n/d), and mu(n/d) != 0 exactly
+    when n/d is a product of distinct primes of n.  The factors with
+    mu = 1 are multiplied first.  Each Q_e, e | n, divides that product at
+    least as often as it divides all the factors with mu = -1 together, so
+    every division by one of them is exact: a = q (x^d - 1) gives
+    q[i] = q[i - d] - a[i].
+    """
+    primes = _prime_factors(n)
+    up, down = [], []
+    for k in range(len(primes) + 1):
+        for ps in itertools.combinations(primes, k):
+            (down if k % 2 else up).append(n // math.prod(ps))
+    a = [1]
+    for d in up:  # a (x^d - 1)
+        b = [-c for c in a] + [0] * d
+        for i, c in enumerate(a):
+            b[i + d] += c
+        a = b
+    for d in down:
+        q: list = []
+        for i in range(len(a) - d):
+            q.append((q[i - d] if i >= d else 0) - a[i])
+        a = q
+    return tuple(a)
 
 
 def cyclotomic(n: int, field: FieldSpec) -> Poly:

@@ -30,6 +30,7 @@ from functools import partial
 from typing import List, Optional, Sequence
 
 from .autgroup import (
+    EXACT_CUTOFF,
     ORDER_CAP,
     VerificationReport,
     backtrack_per_group,
@@ -268,7 +269,6 @@ def select_rows(tokens: Optional[Sequence[str]]) -> List[TableRow]:
 
 
 TIERS = ("exact", "backtrack", "certify")  # deepest first
-EXACT_CUTOFF = 10  # exhaustive search up to this n
 BACKTRACK_CUTOFF = 24  # backtracking up to this n, on enumerable codes
 
 

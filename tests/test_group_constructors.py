@@ -194,7 +194,8 @@ def test_named_groups():
 
 def test_leaf_chains_are_memoized(monkeypatch):
     # expr_contains builds one chain per leaf and process, which answers as
-    # a fresh chain does; psl27_generators builds none once its search ran
+    # a fresh chain does; a searched leaf (PSL2_7, per(...)) reads its
+    # search's chain, and psl27_generators builds none once its search ran
     from cycperm import group_constructors, permutation
     from cycperm.table import parse_gen_expr
 
@@ -227,11 +228,11 @@ def test_leaf_chains_are_memoized(monkeypatch):
     for _ in range(3):
         for e, rows, want in cases:
             assert np.array_equal(expr_contains(e, rows), want), e
-    assert built == [7, 11, 31]
+    assert built == [11]  # PSL2_7 and per(...) use their search's chain
     group_constructors._leaf_chain.cache_clear()
     for e, rows, want in cases:
         assert np.array_equal(expr_contains(e, rows), want), e
-    assert built == [7, 11, 31] * 2
+    assert built == [11] * 2
     # every table claim of degree <= 300 answers on a cleared memo, then
     # again in reverse order on warm ones, alike: words of 16 generators
     # are members, and each composed with a random transposition is near

@@ -56,8 +56,26 @@ def test_array_and_list_permutations_agree():
         assert p.degree == 5 and p.images == tuple(images)
         arr[0] = 0  # the permutation keeps its own copy
         assert p == q
+    assert Permutation(tuple(images)) == Permutation(images)
+    assert Permutation(range(4)) == Permutation(np.arange(4)) \
+        == identity_perm(4)
+    for empty in ([], (), range(0), np.array([], dtype=np.int64)):
+        e = Permutation(empty)
+        assert e.degree == 0 and e.images == () and e == identity_perm(0)
     assert Permutation(np.arange(4)) != Permutation([1, 0, 2, 3])
     assert Permutation(np.arange(4)) != Permutation(np.arange(5))
+    # compose is one gather and inverse one argsort: both agree with the
+    # tuple formulas they replaced
+    rng = random.Random(49)
+    for _ in range(200):
+        n = rng.randrange(1, 40)
+        s, t = rng.sample(range(n), n), rng.sample(range(n), n)
+        sigma, tau = Permutation(s), Permutation(t)
+        assert compose(sigma, tau).images == tuple(s[j] for j in t)
+        inv = [0] * n
+        for i, j in enumerate(s):
+            inv[j] = i
+        assert inverse(sigma).images == tuple(inv)
 
 
 def test_apply_perm_definition():
@@ -421,7 +439,7 @@ def test_origin_rule_matches_a_rebuild_from_strong_generators():
     assert skipped  # residues of origin k >= 0 were formed and left out
 
 
-def test_origin_rule_after_bounded_and_target_builds():
+def test_origin_rule_after_absorb_and_target_builds():
     # the backtrack builds its chain by absorb alone, and groups_equal
     # builds the claim's chain only up to the found group's order
     from cycperm.autgroup import backtrack_per_group
@@ -443,7 +461,7 @@ def test_origin_rule_after_bounded_and_target_builds():
                                _words(group.generators, rng, 20), rng)
 
 
-def test_t29_backtrack_forms_fewer_schreier_generators(monkeypatch):
+def test_t29_backtrack_forms_no_schreier_generators(monkeypatch):
     # the backtrack proves its chain complete and forms no Schreier
     # generator in T29's search; completing the chain after each found
     # automorphism formed 16,641 under the origin rule, and 25,032 when

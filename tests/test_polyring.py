@@ -20,6 +20,7 @@ import cycperm.polyring as polyring
 from cycperm.polyring import (
     _Ext,
     _cyclotomic_cosets_of_units,
+    _cyclotomic_int,
     _cyclotomic_factors,
     _indices,
     _labelled_factors,
@@ -313,6 +314,16 @@ def test_cyclotomic_against_sympy(n):
         x = sympy.symbols("x")
         expect = sympy.Poly(sympy.cyclotomic_poly(n, x), x, modulus=field.r)
         assert _sympy_poly(cyclotomic(n, field)) == expect
+
+
+def test_cyclotomic_int_against_sympy():
+    # the Mobius product over the divisors, with no division by a Q_d;
+    # Q_105 has a coefficient -2 and Q_385 one of -3
+    x = sympy.symbols("x")
+    for n in list(range(1, 301)) + [385, 728, 961, 1155, 2047]:
+        expect = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert _cyclotomic_int(n) == tuple(int(c) for c in reversed(expect)), n
+    assert min(_cyclotomic_int(105)) == -2 and min(_cyclotomic_int(385)) == -3
 
 
 def test_factor_n7_f2():

@@ -24,13 +24,15 @@ by linearity a permutation preserves the code iff it maps the k
 generator-shift basis words back into the code, which is ~q^k times
 cheaper than set comparisons.  One engine (_Engine) does this for every
 route, the exhaustive scan included, and every field with q <= 4096: a
-table of x^i mod g over element indices, with bit-packed XOR syndromes
-over F_2 and table-accumulated syndromes over every other field.  A basis
+table of x^i mod g, over F_2 built as shifted integers straight into
+uint64 lanes and checked by XOR syndromes lane 0 first, over every other
+field kept as element indices with table-accumulated syndromes.  A basis
 word whose support the permutation fixes pointwise maps to itself, so
 only the words that meet the moved points are checked; a transposition
 costs at most 2*wt(g) word checks whatever k is.  The sampler draws the
-images of supp g for a block of trials, checks basis word 0 on them in one
-gather, and completes and fully checks only the survivors.
+images of supp g for a block of trials, checks basis word 0 on them with
+one gather of lane 0, which rejects almost every trial, and completes and
+fully checks only the survivors.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ from .polyring import (
     _divisors,
     _labelled_factors,
     _prime_factors,
+    _xpow_lanes_f2,
     _xpow_table,
     cyclotomic,
     format_poly_text,
@@ -105,13 +108,17 @@ EXACT_CUTOFF = 8  # longest code an exact search scans; longer ones backtrack
 class _Engine:
     """Fast membership tests for one code, over any field with q <= 4096.
 
-    The reduction table R[i] = x^i mod g is precomputed over element indices
-    with the field's add/mul/neg tables (polyring._xpow_table, one byte per
-    entry up to q = 256).  Over F_2 only its rows packed into uint64 lanes
-    are kept, so a whole permuted basis is syndrome-checked with vectorized
-    XOR reductions; over every other field R is kept, widened to int64 as
-    every check gathers through it, and the syndromes are accumulated with
-    the same tables.
+    The reduction table R[i] = x^i mod g is precomputed once.  Over F_2
+    its rows are integers, each the previous one shifted with g XORed in,
+    written straight into uint64 lanes (polyring._xpow_lanes_f2), so a
+    whole permuted basis is syndrome-checked with vectorized XOR
+    reductions: lane 0, the coefficients of x^0 .. x^63, from a contiguous
+    copy first, and the other lanes only for the rows whose lane 0 is
+    zero, as a permuted word outside C almost never has a zero syndrome
+    there.  Over every other field R is built over element indices with
+    the field's add/mul/neg tables (polyring._xpow_table), widened to int64
+    as every check gathers through it, and the syndromes are accumulated
+    with the same tables.
 
     A permutation sigma only changes the basis words whose support it
     moves: if sigma fixes every point of supp(x^t g), the permuted word is
@@ -135,15 +142,11 @@ class _Engine:
         self.g_supp = np.flatnonzero(gidx)
         self.g_vals = gidx[self.g_supp]
         self._g_mul = mul[self.g_vals]  # row j: times the j-th nonzero g_i
-        R = _xpow_table(f, gidx, n)
         if self.q == 2:
-            # bit b of lane b >> 6 holds column b
-            packed = np.packbits(R, axis=1, bitorder="little")
-            pad = -packed.shape[1] % 8
-            self.packed = np.pad(packed, ((0, 0), (0, pad))) \
-                .view("<u8").astype(np.uint64)
+            self.packed = _xpow_lanes_f2(gidx, n)
+            self._lane0 = np.ascontiguousarray(self.packed[:, 0])
         else:
-            self.R = R.astype(np.int64)
+            self.R = _xpow_table(f, gidx, n).astype(np.int64)
 
     def perm_preserves(self, sigma: np.ndarray) -> Tuple[bool, Optional[int]]:
         """Does sigma map every basis word back into the code?
@@ -172,12 +175,16 @@ class _Engine:
     def _bad_rows(self, idx: np.ndarray) -> np.ndarray:
         """Rows of idx (permuted-word supports, one word per row) not in C."""
         if self.q == 2:
-            syn = np.bitwise_xor.reduce(self.packed[idx], axis=1)
-        else:
-            R = self.R
-            syn = self._g_mul[0][R[idx[:, 0]]]
-            for j in range(1, idx.shape[1]):
-                syn = self._add[syn, self._g_mul[j][R[idx[:, j]]]]
+            bad = np.bitwise_xor.reduce(self._lane0[idx], axis=1) != 0
+            if self.packed.shape[1] > 1:  # rows with lane 0 zero: all lanes
+                rest = np.flatnonzero(~bad)
+                bad[rest] = np.bitwise_xor.reduce(
+                    self.packed[idx[rest]], axis=1).any(axis=1)
+            return np.flatnonzero(bad)
+        R = self.R
+        syn = self._g_mul[0][R[idx[:, 0]]]
+        for j in range(1, idx.shape[1]):
+            syn = self._add[syn, self._g_mul[j][R[idx[:, j]]]]
         return np.flatnonzero(syn.any(axis=1))
 
 
@@ -546,7 +553,9 @@ def _derived_expr(code: CyclicCodeSpec) -> GroupExpr:
         return Sym(n)
     divisors = _divisors(n)
     for g in (code.gen, code.dual_gen):
-        R = _xpow_table(field, _indices(g), n + 1)
+        gidx = _indices(g)
+        R = (_xpow_lanes_f2(gidx, n + 1) if field.order == 2
+             else _xpow_table(field, gidx, n + 1))
         e = next(e for e in divisors if (R[e] == R[0]).all())  # g | x^e - 1
         if e == 1:
             return Sym(n)

@@ -44,7 +44,7 @@ order): the build then stops once the orbit product reaches it, since
 every transversal is whole.  groups_equal uses it.  A caller that can
 prove its chain complete by other means (the backtrack in autgroup) only
 absorbs, never forms a Schreier generator, and hands the chain to
-PermGroup.
+PermGroup, which seals it.
 """
 
 from __future__ import annotations
@@ -491,7 +491,9 @@ class _StabChain:
 
 class PermGroup:
     """A permutation group: generators plus a stabilizer chain, built on
-    first use unless a search that proved one complete hands it over."""
+    first use unless a search that proved one complete hands it over; such
+    a chain is sealed, every pending Schreier pair marked processed, so a
+    later extend sifts only what it is given."""
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  chain: Optional[_StabChain] = None):
@@ -501,6 +503,11 @@ class PermGroup:
                     f"generator degree {g.degree} != degree {degree}")
         self.degree = degree
         self.generators = tuple(generators)
+        if chain is not None:  # complete: its Schreier pairs need no sift
+            for level in chain.levels.values():
+                level.processed = [level.size] * len(level.paired)
+                level.pending = 0
+            chain._dirty.clear()
         self._chain = chain
 
     def chain(self, target: Optional[int] = None) -> _StabChain:

@@ -23,9 +23,10 @@ negated coset, so one gcd serves each such pair.  The factors of each Q_o
 are memoized per (o, field), so x^n - 1 for many n factors each Q_o once.
 _Ext is the residue arithmetic modulo a monic polynomial behind the
 splitting, on the same kernels, with _xpow_table the one table of x^i mod M
-that it shares with the membership engine; in characteristic 2 it squares
-through that table's even rows.  It keeps its name because perfbench traces
-it.
+that it shares with the membership engine off F_2 (over F_2 the engine
+takes the same rows packed in uint64 lanes from _xpow_lanes_f2); in
+characteristic 2 it squares through that table's even rows.  It keeps its
+name because perfbench traces it.
 
 A Poly stores ascending coefficients with no trailing zeros; the zero
 polynomial has an empty coefficient tuple and degree -1.
@@ -188,13 +189,20 @@ def _inverses(field: FieldSpec):
     return np.argmax(field_tables(field)[1] == 1, axis=1)  # index 1 is one
 
 
-def _reduce(field: FieldSpec, w, v, quot=None):
+def _division_tables(field: FieldSpec):
+    """The mul, neg and inverse tables _reduce reads, fetched once per
+    division or Euclid run rather than through the caches on every step."""
+    return field_tables(field)[1:] + (_inverses(field),)
+
+
+def _reduce(field: FieldSpec, tables, w, v, quot=None):
     """w mod v, computed in w's own buffer by one leading-term elimination
     per step; returns the trimmed remainder, a view of w.  v is trimmed and
-    nonempty.  quot, when given, receives the quotient's coefficients."""
-    mul, neg = field_tables(field)[1:]
+    nonempty, tables is _division_tables(field).  quot, when given,
+    receives the quotient's coefficients."""
+    mul, neg, inverses = tables
     dv = len(v) - 1
-    lead_inv = _inverses(field)[v[-1]]
+    lead_inv = inverses[v[-1]]
     minus_v = neg[v]
     for top in range(len(w) - 1, dv - 1, -1):
         lead = w[top]
@@ -212,16 +220,18 @@ def _divmod_idx(field: FieldSpec, a, b):
     """Quotient and trimmed remainder of index arrays; b is trimmed and
     nonempty."""
     quot = np.zeros(max(len(a) - len(b) + 1, 0), dtype=np.int64)
-    return quot, _reduce(field, a.copy(), b, quot)
+    return quot, _reduce(field, _division_tables(field), a.copy(), b, quot)
 
 
 def _gcd_idx(field: FieldSpec, u, v):
     """Monic gcd of trimmed index arrays u and v, not both empty, by
     Euclid's algorithm; each remainder is reduced in place, so u and v are
     overwritten."""
+    tables = _division_tables(field)
     while len(v):
-        u, v = v, _reduce(field, u, v)
-    return field_tables(field)[1][_inverses(field)[u[-1]], u]
+        u, v = v, _reduce(field, tables, u, v)
+    mul, _, inverses = tables
+    return mul[inverses[u[-1]], u]
 
 
 def _add_idx(field: FieldSpec, a, b):
@@ -438,6 +448,27 @@ def _xpow_table(field: FieldSpec, modulus, count: int):
     return rows
 
 
+def _xpow_lanes_f2(modulus, count: int):
+    """_xpow_table over F_2, packed: x^0 .. x^(count-1) mod a monic M as
+    rows of little-endian uint64 lanes, bit b of lane b >> 6 holding the
+    coefficient of x^b (at least one lane, so M = 1 gives one zero lane).
+
+    Each row is an integer, the previous one shifted up a bit with M XORed
+    in when bit deg M is set (the shift-register sequence of M); every row
+    is written straight into the lanes of one read-only buffer.
+    """
+    m = len(modulus) - 1
+    size = 8 * max(1, -(-m // 64))  # bytes per row
+    g = int("".join(map(str, modulus[::-1].tolist())), 2)
+    top, row, out = 1 << m, 1, []
+    for _ in range(count):
+        if row & top:
+            row ^= g
+        out.append(row.to_bytes(size, "little"))
+        row <<= 1
+    return np.frombuffer(b"".join(out), dtype="<u8").reshape(count, size // 8)
+
+
 class _Ext:
     """Arithmetic in F_q[x]/(M) for a monic M of degree d >= 1 over an
     arbitrary FieldSpec; M need not be irreducible.
@@ -564,9 +595,8 @@ def _cyclotomic_factors(o: int, field: FieldSpec) -> tuple:
         if factors[i] is None:
             folded = np.zeros(o, dtype=np.int64)
             folded[np.arange(len(m1_idx)) * pow(coset[0], -1, o) % o] = m1_idx
-            rem = _reduce(field, folded, q_o_idx)
             factors[i] = _poly_of_indices(
-                field, _gcd_idx(field, q_o_idx.copy(), rem))
+                field, _gcd_idx(field, q_o_idx.copy(), _trimmed(folded)))
         mirror = coset_of[o - coset[0]]
         if factors[mirror] is None:
             factors[mirror] = _reciprocal_monic(factors[i])

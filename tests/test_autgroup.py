@@ -58,7 +58,10 @@ from cycperm.permutation import (
     perm_from_cycles,
 )
 from cycperm.polyring import (
+    _divisors,
     _indices,
+    _xpow_lanes_f2,
+    _xpow_table,
     cyclotomic,
     factor_xn_minus_1,
     format_poly_text,
@@ -907,8 +910,14 @@ def test_engine_shares_the_field_table_cap():
         _Engine(make_code(f, 3, poly_sub(x_poly(f), one_poly(f))))
 
 
-def test_f2_engine_keeps_only_the_packed_table():
-    # T18 (n = 3844, deg g = 930): an int64 R would be 28.6 MB alone
+def _no_xpow_table(*args):
+    raise AssertionError("_xpow_table called over F_2")
+
+
+def test_f2_engine_keeps_only_the_packed_table(monkeypatch):
+    # T18 (n = 3844, deg g = 930): an int64 R would be 28.6 MB alone; the
+    # lanes come from integer rows, never from _xpow_table
+    monkeypatch.setattr(autgroup, "_xpow_table", _no_xpow_table)
     row = select_rows(["T18"])[0]
     code = make_code(F2, row.n, row.build_gen(F2))
     tracemalloc.start()
@@ -932,6 +941,45 @@ def test_f2_engine_keeps_only_the_packed_table():
     want[:, :packed.shape[1]] = packed
     assert engine.packed.dtype == np.uint64
     assert np.array_equal(engine.packed, want.view("<u8"))
+    # _bad_rows checks lane 0 before the rest and reports the rows an
+    # all-lanes XOR does: on random supports and shifts of g (in C) of
+    # T17's and T18's codes, and on {64, 65}, whose x^64 and x^65 agree in
+    # lane 0 (both zero) but not in lane 1
+    t17 = select_rows(["T17"])[0]
+    rng = np.random.default_rng(17)
+    for eng in (engine, _Engine(make_code(F2, t17.n, t17.build_gen(F2)))):
+        w = eng.g_supp.size
+        idx = np.concatenate([
+            np.stack([rng.permutation(eng.n)[:w] for _ in range(300)]),
+            eng.g_supp[None, :] + rng.integers(0, eng.k, size=(40, 1))])
+        idx = idx[rng.permutation(len(idx))]
+        full = np.bitwise_xor.reduce(eng.packed[idx], axis=1).any(axis=1)
+        assert 0 < full.sum() < len(idx)
+        assert np.array_equal(eng._bad_rows(idx), np.flatnonzero(full))
+        assert eng.packed[64, 0] == eng.packed[65, 0]
+        assert (eng.packed[64] != eng.packed[65]).any()
+        pairs = np.array([[64, 65], [64, 64], [0, 65], [65, 64]])
+        assert eng._bad_rows(pairs).tolist() == [0, 2, 3]
+
+
+def test_f2_rows_rule_reads_the_packed_rows(monkeypatch):
+    # over the differential grid's binary codes (n <= 30), the packed rows
+    # x^e mod g give the period test of _derived_expr's rows rule the
+    # answer the index rows of _xpow_table give, for g and the dual's
+    # generator alike, and the rule never builds the index rows
+    codes = [code for n in range(2, 31) for code in _all_divisor_codes(F2, n)
+             if 0 < code.k < n]
+    assert len(codes) == 741
+    for code in codes:
+        for g in (code.gen, code.dual_gen):
+            gidx = _indices(g)
+            lanes = _xpow_lanes_f2(gidx, code.n + 1)
+            rows = _xpow_table(F2, gidx, code.n + 1)
+            assert [(lanes[e] == lanes[0]).all() for e in _divisors(code.n)] \
+                == [(rows[e] == rows[0]).all() for e in _divisors(code.n)]
+    monkeypatch.setattr(autgroup, "_xpow_table", _no_xpow_table)
+    for code in codes:
+        autgroup._derived_expr(code)
 
 
 def test_groups_equal_without_generators():

@@ -483,6 +483,31 @@ def test_t29_backtrack_forms_no_schreier_generators(monkeypatch):
         * math.factorial(7)
 
 
+def test_sealed_backtrack_chain_extends_without_schreier_generators(
+        monkeypatch):
+    # PermGroup seals the chain the backtrack proved complete: its 25,032
+    # pending Schreier pairs on 70 dirty levels are marked processed, so
+    # extend([]) forms none of them and the order stays
+    formed = []
+    collect = permutation._Level.collect_pending
+
+    def counting_collect(self, limit):
+        rows = collect(self, limit)
+        formed.append(len(rows))
+        return rows
+
+    found, _ = _t29_groups()
+    chain = found.chain()
+    order = chain.order()
+    assert not chain._dirty
+    assert all(lv.pending == 0 for lv in chain.levels.values())
+    monkeypatch.setattr(permutation._Level, "collect_pending",
+                        counting_collect)
+    chain.extend([])
+    assert formed == []
+    assert chain.order() == order == found.order
+
+
 def test_random_chain_words_are_members():
     rng = random.Random(777)
     G = group_from_generators([perm_from_cycles([[0, 3]], 6),

@@ -25,6 +25,7 @@ from cycperm.polyring import (
     _indices,
     _labelled_factors,
     _poly_of_indices,
+    _xpow_lanes_f2,
     _xpow_table,
     cyclotomic,
     dual_generator,
@@ -205,6 +206,24 @@ def test_xpow_table_matches_the_reference_in_the_narrow_dtype(r, alpha):
             R = _Engine(make_code(f, n, g)).R
             assert R.dtype == np.int64
             assert np.array_equal(R, _xpow_reference(f, _indices(g), n)), n
+
+
+def test_f2_lanes_match_the_packed_reference():
+    # bit b of lane b >> 6 holds x^b, in whole lanes and at least one:
+    # M = 1 gives zero rows, not the bit of x^0
+    f = make_field(2)
+    rng = np.random.default_rng(64)
+    for m in (0, 1, 63, 64, 65, 128):
+        modulus = np.append(rng.integers(0, 2, size=m), 1)
+        lanes = max(1, -(-m // 64))
+        for count in (0, 1, 2 * m + 3):
+            got = _xpow_lanes_f2(modulus, count)
+            bits = np.packbits(_xpow_reference(f, modulus, count), axis=1,
+                               bitorder="little")
+            want = np.zeros((count, 8 * lanes), dtype=np.uint8)
+            want[:, :bits.shape[1]] = bits
+            assert got.dtype == np.uint64 and got.shape == (count, lanes)
+            assert np.array_equal(got, want.view("<u8")), (m, count)
 
 
 @pytest.mark.parametrize("r, alpha", [(2, 1), (3, 1), (2, 2)])

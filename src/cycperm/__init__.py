@@ -49,8 +49,11 @@ from .permutation import (
 )
 from .group_constructors import (
     AGL1,
+    Affine,
     CrtProduct,
     Cyclic,
+    Linear,
+    Mathieu,
     Named,
     PerOf,
     Sym,

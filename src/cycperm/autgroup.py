@@ -8,9 +8,11 @@ Four routes with different reach:
   (enumerable codes), exact;
 * derive_per_group - Per(C) from the code's structure: repeated
   coordinates (rows) and interleaved components (cols) reduce it to
-  wreath products over leaf codes that the exact searches solve, and the
-  weight-4 words of a binary length-pq leaf too large to search can show
-  Per(C) = x(p, q); exact whenever every leaf is decided, at any n;
+  wreath products over leaf codes; a prime leaf past 12 points is decided
+  by Burnside's theorem and a few membership tests, the weight-4 words of
+  a binary length-pq leaf can show Per(C) = x(p, q), and the exact
+  searches solve the other leaves; exact whenever every leaf is decided,
+  at any n;
 * predicted_group / certify_subgroup / falsify_by_sampling - theorem-shaped
   prediction, subgroup certificates and seeded negative sampling (any n).
 
@@ -53,21 +55,30 @@ from .cyclic_code import (
     codeword_index_matrix,
     make_code,
 )
-from .errors import DegreeMismatch, NoPattern, AmbiguousPattern, TooLarge
-from .galois import FieldSpec, field_tables
+from .errors import DegreeMismatch, FieldMismatch, NoPattern, \
+    AmbiguousPattern, TooLarge
+from .galois import FieldSpec, _is_prime, field_tables
 from .group_constructors import (
     AGL1,
+    Affine,
     CrtProduct,
     Cyclic,
     GroupExpr,
+    Linear,
+    Mathieu,
     Named,
     PerOf,
     Sym,
     Wreath,
+    _prime_power,
+    _unit_of_order,
     crt_product_generators,
     expr_contains,
     expr_order,
     format_group_expr,
+    linear_element,
+    linear_geometries,
+    m23_element,
     materialize,
     per_of_order,
     sym_generators,
@@ -115,7 +126,8 @@ class _Engine:
     reductions: lane 0, the coefficients of x^0 .. x^63, from a contiguous
     copy first, and the other lanes only for the rows whose lane 0 is
     zero, as a permuted word outside C almost never has a zero syndrome
-    there.  Over every other field R is built over element indices with
+    there; perm_preserves, whose words mostly lie in C, reads all lanes in
+    one gather.  Over every other field R is built over element indices with
     the field's add/mul/neg tables (polyring._xpow_table), widened to int64
     as every check gathers through it, and the syndromes are accumulated
     with the same tables.
@@ -167,14 +179,24 @@ class _Engine:
             rows = np.flatnonzero(hit)
         inv = np.empty(self.n, dtype=np.int64)
         inv[sigma] = self._points
-        bad = self._bad_rows(inv[self.g_supp[None, :] + rows[:, None]])
+        bad = self._bad_rows(inv[self.g_supp[None, :] + rows[:, None]],
+                             screen=False)
         if bad.size:
             return False, int(rows[bad[0]])
         return True, None
 
-    def _bad_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Rows of idx (permuted-word supports, one word per row) not in C."""
+    def _bad_rows(self, idx: np.ndarray, screen: bool = True) -> np.ndarray:
+        """Rows of idx (permuted-word supports, one word per row) not in C.
+
+        Over F_2 with more than one lane, screen reads lane 0 first and all
+        lanes only for the rows it passes, which suits the scan and the
+        sampler, whose rows mostly fail; perm_preserves, whose rows mostly
+        pass, reads all lanes in one gather instead.
+        """
         if self.q == 2:
+            if not screen and self.packed.shape[1] > 1:
+                return np.flatnonzero(np.bitwise_xor.reduce(
+                    self.packed[idx], axis=1).any(axis=1))
             bad = np.bitwise_xor.reduce(self._lane0[idx], axis=1) != 0
             if self.packed.shape[1] > 1:  # rows with lane 0 zero: all lanes
                 rest = np.flatnonzero(~bad)
@@ -351,8 +373,7 @@ def _word_masks(W: np.ndarray, q: int) -> np.ndarray:
 def enumerable(code: CyclicCodeSpec) -> bool:
     """Whether 2^min(k, n-k) is within DEFAULT_ENUM_CAP: the size of the
     smaller of C and C^dual when C is binary, a lower bound over larger
-    fields.  run_table sends such codes to backtrack_per_group, and
-    derive_per_group tries the pq-words rule only on the others."""
+    fields.  run_table sends such codes to backtrack_per_group."""
     return 2 ** min(code.k, code.n - code.k) <= DEFAULT_ENUM_CAP
 
 
@@ -531,12 +552,18 @@ def derive_per_group(code: CyclicCodeSpec) -> Tuple[GroupExpr, int]:
       its indecomposable summands are unique (Slepian, 1960) and permuted
       by the shift, so no larger split exists: Per(C) =
       wr(Per(C_{n/m,f}), S(m), cols).
-    * pq words - x(p, q) for a binary leaf of length pq that neither the
-      code nor its dual can enumerate, when the pairs i = j mod p share
-      one count of weight-4 words through i and j that no other pair
-      has, likewise mod q, and x(p, q) preserves C.  Per(C) keeps those
-      counts (Leon, 1982), hence both CRT partitions, so it lies in
-      x(p, q); the generators give the reverse inclusion.
+    * prime - a leaf of prime length p > 12 prime to q, by Burnside's
+      theorem (_prime_expr): S(p), a group between PSL(d, q0) and
+      PGammaL(d, q0) with p = (q0^d - 1)/(q0 - 1) (L(d,q0;t;m)), M_23
+      (M23(t)), or else the affine maps x -> a x + b whose multiplier a
+      fixes the defining set (p:m, C(p) for m = 1).  A few perm_preserves
+      calls decide it, enumerable or not.
+    * pq words - x(p, q) for a binary leaf of length pq, when the pairs
+      i = j mod p share one count of weight-4 words through i and j that
+      no other pair has, likewise mod q, and x(p, q) preserves C.  Per(C)
+      keeps those counts (Leon, 1982) in any binary code, hence both CRT
+      partitions, so it lies in x(p, q); the generators give the reverse
+      inclusion.
     * leaf - per(FIELD;N;GEN), searched exactly by per_of_generators
       (TooLarge when neither the code nor its dual can be enumerated).
 
@@ -567,10 +594,77 @@ def _derived_expr(code: CyclicCodeSpec) -> GroupExpr:
         if f is not None:
             return Wreath(_derived_expr(make_code(field, n // m, f)), Sym(m),
                           Layout.COL_BLOCKS)
-    if not enumerable(code):
-        high = min(code.gen, code.dual_gen, key=lambda g: g.degree)
-        return _crt_expr(n, high) or PerOf(field, n, code.gen)
-    return PerOf(field, n, code.gen)
+    if _is_prime(n) and n > _SEARCHED_PRIME_MAX and field.r != n:
+        return _prime_expr(n, code.gen)
+    high = min(code.gen, code.dual_gen, key=lambda g: g.degree)
+    return _crt_expr(n, high) or PerOf(field, n, code.gen)
+
+
+_SEARCHED_PRIME_MAX = 12  # PSL(2,11) and M_11 act on 11 points
+
+
+@functools.lru_cache(maxsize=None)
+def _prime_expr(p: int, gen: Poly) -> GroupExpr:
+    """The prime rule of derive_per_group on C_{p,gen}, p prime to q.
+
+    Per(C) holds the p-cycle x -> x + 1, so by Burnside (1911) it is either
+    solvable, and then inside the p-cycle's normalizer AGL(1, p), or
+    2-transitive and nonsolvable.  For p > 12 the latter are A_p, S_p, the
+    groups from PSL(d, q0) to PGammaL(d, q0) on the points of PG(d-1, q0)
+    with p = (q0^d - 1)/(q0 - 1), and M_23 at p = 23 (Guralnick, J.
+    Algebra 81, 1983).  The rule checks, with perm_preserves:
+
+    * (0 1 2): with the shift it generates A_p; then (0 1) decides S_p.
+    * For each simple T of the others, a non-affine s in T (linear_element,
+      m23_element) conjugated by one multiplier t per class of the units
+      mod the multipliers that normalize T: <r0> for a power q0 of r0,
+      the squares (<2>) for M_23.  The copies of T that hold the shift are
+      exactly these T^t, and <shift, s^t> = T^t: for PSL by Kantor (J.
+      Algebra 62, 1980), for M_23 by Burnside again, since a nonsolvable
+      2-transitive subgroup of M_23 of degree 23 is M_23.  Then T^t <=
+      Per(C) <= N(T^t), whose multipliers are <r0>: Per(C) =
+      L(d,q0;t;|M & <r0>|), or M23(t), M_23 being maximal in A_23 and its
+      own normalizer.
+    * Otherwise Per(C) is p:|M|, the affine maps whose multiplier a lies
+      in M, the multipliers that fix the defining set (C(p) for |M| = 1).
+
+    A geometry whose field passes the tables' cap falls back to the search.
+    """
+    field = gen.field
+    engine = _Engine(make_code(field, p, gen))
+    x = np.arange(p)
+
+    def keeps(cycle) -> bool:
+        sigma = x.copy()
+        sigma[cycle] = np.roll(cycle, 1)
+        return engine.perm_preserves(sigma)[0]
+
+    if keeps([0, 1, 2]):
+        return Sym(p) if keeps([0, 1]) else PerOf(field, p, gen)
+    m = _multiplier_order(p, _defining_cosets(field, p, gen)[1])
+    try:
+        socles = [((d, q0), _prime_power(q0)[0], linear_element(d, q0))
+                  for d, q0 in linear_geometries(p)]
+    except FieldMismatch:
+        return PerOf(field, p, gen)
+    if p == 23:
+        socles.append((None, 2, m23_element()))
+    for geometry, r0, s in socles:
+        normal = [1]  # <r0> mod p
+        while r0 * normal[-1] % p != 1:
+            normal.append(r0 * normal[-1] % p)
+        seen = np.zeros(p, dtype=bool)
+        for t in range(1, p):  # the least t of each class t<r0>
+            if seen[t]:
+                continue
+            seen[np.array(normal) * t % p] = True
+            conj = np.empty(p, dtype=np.int64)
+            conj[t * x % p] = t * s % p
+            if engine.perm_preserves(conj)[0]:
+                if geometry is None:
+                    return Mathieu(t)
+                return Linear(*geometry, t, math.gcd(m, len(normal)))
+    return Cyclic(p) if m == 1 else Affine(p, m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -616,6 +710,26 @@ def _quadratic_residues(p: int) -> frozenset:
     return frozenset((x * x) % p for x in range(1, p))
 
 
+def _defining_cosets(field: FieldSpec, p: int, g: Poly):
+    """The labelled factors of x^p - 1 as (o, coset, whether it divides g),
+    and the defining set of C_{p,g}: the union of the cosets of the
+    factors that divide g."""
+    cosets = [(o, coset, poly_divides(fac, g))
+              for o, coset, fac in _labelled_factors(p, field)]
+    return cosets, frozenset().union(*(c for _, c, div in cosets if div))
+
+
+def _multiplier_order(p: int, defining: frozenset) -> int:
+    """|M|, M the units a mod p with a * defining = defining: the
+    multipliers x -> a x that preserve the code.  M is a subgroup of the
+    cyclic units, so |M| is the largest m | p - 1 whose subgroup's
+    generator fixes the set."""
+    root = _unit_of_order(p, p - 1)
+    return max(m for m in _divisors(p - 1)
+               if {pow(root, (p - 1) // m, p) * z % p for z in defining}
+               == defining)
+
+
 def _leaf_expr(field: FieldSpec, p: int, g: Poly) -> GroupExpr:
     """Per(C_{p,g}) for prime p as a symbolic tag.
 
@@ -652,9 +766,7 @@ def _leaf_expr(field: FieldSpec, p: int, g: Poly) -> GroupExpr:
         return PerOf(field, p, g)
     # p > 12: classify by the multiplier stabilizer of the defining set,
     # the union of the coset labels of the factors that divide g
-    cosets = [(o, coset, poly_divides(fac, g))
-              for o, coset, fac in _labelled_factors(p, field)]
-    defining = frozenset().union(*(c for _, c, div in cosets if div))
+    cosets, defining = _defining_cosets(field, p, g)
     nonzero = defining - {0}
     qr = _quadratic_residues(p)
     if nonzero and (nonzero == qr or nonzero == frozenset(range(1, p)) - qr):
@@ -663,13 +775,11 @@ def _leaf_expr(field: FieldSpec, p: int, g: Poly) -> GroupExpr:
     n_out = sum(not div for o, _, div in cosets if o == p)
     if n_in == 1 or n_out == 1:
         raise NoPattern("single-coset (projective) family out of scope")
-    stab = [a for a in range(1, p)
-            if frozenset((a * z) % p for z in defining) == defining]
-    m = len(stab)
+    m = _multiplier_order(p, defining)
     if m == 1:
         return Cyclic(p)
     if p == 31 and m == 5:
-        return Named("C31xC5")
+        return Affine(31, 5)
     raise NoPattern(f"no named tag for multiplier order {m} at p={p}")
 
 

@@ -1,7 +1,8 @@
 """Materialize the predicted groups as explicit permutation generators.
 
 Covers wreath products in both matrix layouts, CRT direct products
-S_p x S_q inside S_pq, the named prime-length comparison groups, a
+S_p x S_q inside S_pq, the prime-degree groups that hold the shift (the
+affine p:m, PSL(d, q) on PG(d-1, q) in Singer order, M_23, PSL2_7), a
 parser/printer for symbolic group expressions, and membership in an
 expression decided block by block (expr_contains).
 
@@ -19,9 +20,10 @@ the layout tag records which matrix representation justified the claim.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -34,10 +36,10 @@ from .errors import (
     NotCoprime,
     UnknownTag,
 )
-from .galois import FieldSpec, _is_prime, make_field
+from .galois import FieldSpec, _is_prime, field_tables, make_field
 from .permutation import PermGroup, Permutation, _StabChain, identity_perm, \
     perm_from_cycles
-from .polyring import Poly, poly_from_ints
+from .polyring import Poly, _prime_factors, poly_from_ints
 
 
 # -- generator-level constructors ---------------------------------------------
@@ -61,27 +63,128 @@ def cyclic_generators(n: int) -> List[Permutation]:
     return [perm_from_cycles([list(range(n))], n)]
 
 
-def _smallest_primitive_root(p: int) -> int:
-    from .polyring import _prime_factors
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
-            return g
-    raise BadDegree(f"no primitive root mod {p}")
+def _prime_power(q: int) -> Optional[Tuple[int, int]]:
+    """(r, e) with q = r^e and r prime, or None."""
+    primes = _prime_factors(q) if q > 1 else []
+    if len(primes) != 1:
+        return None
+    return primes[0], round(math.log(q, primes[0]))
 
 
-def agl1_generators(p: int) -> List[Permutation]:
-    """AGL(1,p) = {x -> a x + b}: translation plus smallest-root scaling."""
-    if not _is_prime(p) or p < 3:
-        raise BadDegree("AGL(1,p) needs an odd prime p")
-    g = _smallest_primitive_root(p)
-    return [Permutation([(i + 1) % p for i in range(p)]),
-            Permutation([(g * i) % p for i in range(p)])]
+def _unit_of_order(p: int, m: int) -> int:
+    """The least unit mod the prime p of multiplicative order m (m | p - 1):
+    the smallest primitive root for m = p - 1."""
+    return next(a for a in range(1, p) if pow(a, m, p) == 1
+                and all(pow(a, m // f, p) != 1 for f in _prime_factors(m)))
 
 
-def c31_c5_generators() -> List[Permutation]:
-    return [Permutation([(i + 1) % 31 for i in range(31)]),
-            Permutation([(2 * i) % 31 for i in range(31)])]
+def _prime_degree_generators(p: int, s: Optional[np.ndarray], t: int,
+                             m: int) -> List[Permutation]:
+    """x -> x + 1 on Z_p, then t s t^-1 (the conjugate of s by x -> t x)
+    when s is given, then x -> a x for the least unit a of order m when
+    m > 1."""
+    x = np.arange(p)
+    gens = [Permutation((x + 1) % p)]
+    if s is not None:
+        conj = np.empty(p, dtype=np.int64)
+        conj[t * x % p] = t * s % p
+        gens.append(Permutation(conj))
+    if m > 1:
+        gens.append(Permutation(_unit_of_order(p, m) * x % p))
+    return gens
+
+
+def linear_geometries(p: int) -> List[Tuple[int, int]]:
+    """Every (d, q), q a prime power, with p = (q^d - 1)/(q - 1): the
+    projective spaces PG(d-1, q) with p points (31 has two)."""
+    out = []
+    for d in range(2, p.bit_length() + 1):
+        root = round((p - 1) ** (1 / (d - 1)))
+        for q in (root - 1, root, root + 1):
+            if q > 1 and (q ** d - 1) // (q - 1) == p and _prime_power(q):
+                out.append((d, q))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def linear_element(d: int, q: int) -> np.ndarray:
+    """A non-affine element s of PSL(d, q) on the p = (q^d - 1)/(q - 1)
+    points of PG(d-1, q) in Singer order, for prime p.
+
+    Point i is <alpha^i>, alpha a root of the first primitive x^d - c(x)
+    over F_q in index order, so x -> x + 1 is multiplication by alpha.  c
+    is primitive iff x has order q^d - 1 mod x^d - c(x), which also makes
+    F_q[x]/(x^d - c(x)) a field; x^e is found by squaring.  Vectors are
+    coordinates over 1, alpha, ..., alpha^(d-1); the shift register of
+    x^d = c(x) runs through every alpha^k once, which gives the point of
+    each vector (its log mod p).  s is the first transvection
+    v -> v + v_j e_i that is not affine on Z_p: PSL(d, q) is generated by
+    transvections and does not normalize the shift.  As p is prime, d is
+    prime and gcd(d, q - 1) = 1, so PGL(d, q) = PSL(d, q).  Built once per
+    (d, q) and process.
+    """
+    rq = _prime_power(q)
+    if rq is None or d < 2 or not _is_prime((q ** d - 1) // (q - 1)):
+        raise BadDegree(f"PG({d - 1},{q}) needs a prime power q and a prime "
+                        "number of points")
+    p, units = (q ** d - 1) // (q - 1), q ** d - 1
+    add, mul, _ = field_tables(make_field(*rq))
+    add_rows, mul_rows = add.tolist(), mul.tolist()
+    one = [1] + [0] * (d - 1)
+
+    def times_x(v, c):  # v x mod x^d - c(x), on element indices
+        return [add_rows[a][mul_rows[v[-1]][cj]]
+                for a, cj in zip([0] + v[:-1], c)]
+
+    def times(u, v, c):  # u v mod x^d - c(x), the sum of u_i x^i v
+        acc = [0] * d
+        for ui in u:
+            acc = [add_rows[a][mul_rows[ui][b]] for a, b in zip(acc, v)]
+            v = times_x(v, c)
+        return acc
+
+    def x_power(e, c):
+        out, base = one, times_x(one, c)
+        while e:
+            if e & 1:
+                out = times(out, base, c)
+            base, e = times(base, base, c), e >> 1
+        return out
+
+    c = next(c for c in itertools.product(range(q), repeat=d)
+             if c[0] and x_power(units, c) == one
+             and all(x_power(units // f, c) != one
+                     for f in _prime_factors(units)))
+    vecs = [one]
+    for _ in range(units - 1):
+        vecs.append(times_x(vecs[-1], c))
+    V = np.array(vecs)
+    weights = q ** np.arange(d)
+    log = np.empty(units + 1, dtype=np.int64)
+    log[V @ weights] = np.arange(units)
+    V, x = V[:p], np.arange(p)
+    for i, j in itertools.permutations(range(d), 2):
+        W = V.copy()
+        W[:, i] = add[W[:, i], W[:, j]]
+        s = log[W @ weights] % p
+        if (s != ((s[1] - s[0]) * x + s[0]) % p).any():
+            return s
+    raise AssertionError(f"no transvection of PSL({d},{q}) is non-affine")
+
+
+@functools.lru_cache(maxsize=None)
+def m23_element() -> np.ndarray:
+    """Conway's delta on Z_23, a non-affine element of M_23.
+
+    M_24 = <x -> x + 1, x -> 2x, x -> -1/x, delta> on the projective line
+    PL(23) (Conway & Sloane, SPLAG, ch. 10), where delta fixes 0 and
+    infinity and maps x to x^3/9 on the nonzero squares and to 9x^3 on
+    the non-squares.  M_23 is the stabilizer of infinity, so it holds the
+    shift and delta.
+    """
+    squares = {x * x % 23 for x in range(1, 23)}
+    return np.array([0] + [x ** 3 * pow(9, -1 if x in squares else 1, 23)
+                           % 23 for x in range(1, 23)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,7 +232,7 @@ def named_group_generators(tag: str, degree: int) -> List[Permutation]:
     if tag == "Cyclic":
         return cyclic_generators(degree)
     if tag == "AGL1":
-        return agl1_generators(degree)
+        return materialize(AGL1(degree))
     if tag == "PSL2_7":
         if degree != 7:
             raise BadDegree("PSL2_7 acts on 7 points")
@@ -137,7 +240,7 @@ def named_group_generators(tag: str, degree: int) -> List[Permutation]:
     if tag == "C31xC5":
         if degree != 31:
             raise BadDegree("C31xC5 acts on 31 points")
-        return c31_c5_generators()
+        return materialize(Affine(31, 5))
     raise UnknownTag(f"unknown group tag {tag!r}")
 
 
@@ -222,13 +325,40 @@ class Cyclic:
 
 
 @dataclass(frozen=True)
-class AGL1:
+class Affine:
+    """{x -> a x + b : a in M} on Z_p, M the units of order dividing m:
+    p:m, spelled AGL1(p) for m = p - 1 and C31xC5 for 31:5."""
     p: int
+    m: int
+
+
+def AGL1(p: int) -> Affine:
+    return Affine(p, p - 1)
+
+
+@dataclass(frozen=True)
+class Linear:
+    """<x -> x + 1, s^t, the units of order m> on the p = (q^d - 1)/(q - 1)
+    points of PG(d-1, q) in Singer order, s = linear_element(d, q) and s^t
+    its conjugate by x -> t x: PSL(d, q)^t extended by its multipliers,
+    of order |PSL(d, q)| m / d (d | m | d e for q = r^e), spelled
+    L(d,q;t;m)."""
+    d: int
+    q: int
+    t: int
+    m: int
+
+
+@dataclass(frozen=True)
+class Mathieu:
+    """M_23^t = <x -> x + 1, delta^t> on Z_23 (m23_element), spelled
+    M23(t)."""
+    t: int
 
 
 @dataclass(frozen=True)
 class Named:
-    tag: str  # PSL2_7 | C31xC5
+    tag: str  # PSL2_7
 
 
 @dataclass(frozen=True)
@@ -253,13 +383,14 @@ class PerOf:
     gen: Poly
 
 
-GroupExpr = Union[Sym, Cyclic, AGL1, Named, Wreath, CrtProduct, PerOf]
+GroupExpr = Union[Sym, Cyclic, Affine, Linear, Mathieu, Named, Wreath,
+                  CrtProduct, PerOf]
 
 _F2 = make_field(2)
 _PSL27_LEAF = PerOf(_F2, 7, poly_from_ints(_F2, [1, 1, 0, 1]))  # x^3+x+1
 
-_NAMED_DEGREE = {"PSL2_7": 7, "C31xC5": 31}
-_NAMED_ORDER = {"PSL2_7": 168, "C31xC5": 155}
+_NAMED_DEGREE = {"PSL2_7": 7}
+_NAMED_ORDER = {"PSL2_7": 168}
 
 
 def expr_degree(e: GroupExpr) -> int:
@@ -267,8 +398,12 @@ def expr_degree(e: GroupExpr) -> int:
         return e.n
     if isinstance(e, Cyclic):
         return e.n
-    if isinstance(e, AGL1):
+    if isinstance(e, Affine):
         return e.p
+    if isinstance(e, Linear):
+        return (e.q ** e.d - 1) // (e.q - 1)
+    if isinstance(e, Mathieu):
+        return 23
     if isinstance(e, Named):
         return _NAMED_DEGREE[e.tag]
     if isinstance(e, Wreath):
@@ -286,8 +421,13 @@ def expr_order(e: GroupExpr) -> int:
         return math.factorial(e.n)
     if isinstance(e, Cyclic):
         return e.n
-    if isinstance(e, AGL1):
-        return e.p * (e.p - 1)
+    if isinstance(e, Affine):
+        return e.p * e.m
+    if isinstance(e, Linear):  # |PSL(d, q)| m / d, as gcd(d, q - 1) = 1
+        return e.q ** (e.d * (e.d - 1) // 2) * e.m // e.d \
+            * math.prod(e.q ** i - 1 for i in range(2, e.d + 1))
+    if isinstance(e, Mathieu):
+        return 10_200_960
     if isinstance(e, Named):
         return _NAMED_ORDER[e.tag]
     if isinstance(e, Wreath):
@@ -304,8 +444,22 @@ def materialize(e: GroupExpr) -> List[Permutation]:
         return sym_generators(e.n)
     if isinstance(e, Cyclic):
         return cyclic_generators(e.n)
-    if isinstance(e, AGL1):
-        return agl1_generators(e.p)
+    if isinstance(e, Affine):
+        if not _is_prime(e.p) or e.p < 3 or e.m < 1 or (e.p - 1) % e.m:
+            raise BadDegree(f"{format_group_expr(e)} needs an odd prime p "
+                            "and m | p - 1")
+        return _prime_degree_generators(e.p, None, 1, e.m)
+    if isinstance(e, Linear):
+        s, (_, power) = linear_element(e.d, e.q), _prime_power(e.q)
+        p = len(s)
+        if e.m < 1 or e.m % e.d or e.d * power % e.m or not 0 < e.t < p:
+            raise BadDegree(f"{format_group_expr(e)} needs d | m | d e and "
+                            "0 < t < p")
+        return _prime_degree_generators(p, s, e.t, e.m)
+    if isinstance(e, Mathieu):
+        if not 0 < e.t < 23:
+            raise BadDegree("M23(t) needs 0 < t < 23")
+        return _prime_degree_generators(23, m23_element(), e.t, 1)
     if isinstance(e, Named):
         return named_group_generators(e.tag, _NAMED_DEGREE[e.tag])
     if isinstance(e, Wreath):
@@ -326,14 +480,23 @@ def expr_contains(e: GroupExpr, rows: np.ndarray) -> np.ndarray:
     is a member iff it maps the classes mod deg(H) to classes, its induced
     class permutation pi lies in H and each component alpha_h lies in A.
     x(p, q) holds iff both CRT partitions (mod p and mod q) are preserved;
-    S(h) always holds.  The other leaves (degree <= 35 in the table) sift
-    the rows through one chain per leaf expression and process
-    (_leaf_chain).
+    S(h) always holds.  A row is in C(n) iff it is i -> i + b, and in p:m
+    iff it is i -> a i + b with a^m = 1 mod p.  The other leaves sift the
+    rows through one chain per leaf expression and process (_leaf_chain).
     """
     rows = np.asarray(rows)
     ok = np.ones(len(rows), dtype=bool)
-    if isinstance(e, Sym) or not len(rows):
+    if isinstance(e, Sym) or not len(rows) or rows.shape[1] == 1:
         return ok
+    if isinstance(e, (Cyclic, Affine)):
+        n = rows.shape[1]
+        a, b = (rows[:, 1] - rows[:, 0]) % n, rows[:, :1]
+        ok = (rows == (a[:, None] * np.arange(n) + b) % n).all(axis=1)
+        if isinstance(e, Cyclic):
+            return ok & (a == 1)
+        units = np.zeros(n, dtype=bool)
+        units[[pow(_unit_of_order(n, e.m), i, n) for i in range(e.m)]] = True
+        return ok & units[a]
     if isinstance(e, Wreath):
         la, lh = expr_degree(e.a), expr_degree(e.h)
         grid = rows.reshape(len(rows), la, lh)  # [r, a, h] = row r at a*lh + h
@@ -373,8 +536,14 @@ def format_group_expr(e: GroupExpr) -> str:
         return f"S({e.n})"
     if isinstance(e, Cyclic):
         return f"C({e.n})"
-    if isinstance(e, AGL1):
-        return f"AGL1({e.p})"
+    if isinstance(e, Affine):
+        if e.m == e.p - 1:
+            return f"AGL1({e.p})"
+        return "C31xC5" if (e.p, e.m) == (31, 5) else f"{e.p}:{e.m}"
+    if isinstance(e, Linear):
+        return f"L({e.d},{e.q};{e.t};{e.m})"
+    if isinstance(e, Mathieu):
+        return f"M23({e.t})"
     if isinstance(e, Named):
         return e.tag
     if isinstance(e, Wreath):
@@ -386,6 +555,12 @@ def format_group_expr(e: GroupExpr) -> str:
         from .polyring import format_poly_text
         return f"per({e.field.describe()};{e.n};{format_poly_text(e.gen)})"
     raise TypeError(f"not a GroupExpr: {e!r}")
+
+
+# constructors whose arguments are integers: (make, separators)
+_INTEGER_TAGS = {"S": (Sym, ()), "C": (Cyclic, ()), "AGL1": (AGL1, ()),
+                 "x": (CrtProduct, (",",)), "M23": (Mathieu, ()),
+                 "L": (Linear, (",", ";", ";"))}
 
 
 class _Parser:
@@ -429,24 +604,27 @@ class _Parser:
             self.i += 1
         return self.text[start:self.i]
 
+    def integers(self, seps: Tuple[str, ...]) -> List[int]:
+        """'(' integer, then sep integer for each sep, then ')'."""
+        self.expect("(")
+        out = [self.integer()]
+        for sep in seps:
+            self.expect(sep)
+            out.append(self.integer())
+        self.expect(")")
+        return out
+
     def expr(self) -> GroupExpr:
         w = self.word()
-        if w == "S":
-            self.expect("(")
-            n = self.integer()
-            self.expect(")")
-            return Sym(n)
-        if w == "C":
-            self.expect("(")
-            n = self.integer()
-            self.expect(")")
-            return Cyclic(n)
-        if w == "AGL1":
-            self.expect("(")
-            n = self.integer()
-            self.expect(")")
-            return AGL1(n)
-        if w in ("PSL2_7", "C31xC5"):
+        if w in _INTEGER_TAGS:
+            make, seps = _INTEGER_TAGS[w]
+            return make(*self.integers(seps))
+        if w.isdigit():
+            self.expect(":")
+            return Affine(int(w), self.integer())
+        if w == "C31xC5":
+            return Affine(31, 5)
+        if w == "PSL2_7":
             return Named(w)
         if w == "wr":
             self.expect("(")
@@ -462,13 +640,6 @@ class _Parser:
             self.expect(")")
             return Wreath(a, h, Layout.ROW_BLOCKS if lay == "rows"
                           else Layout.COL_BLOCKS)
-        if w == "x":
-            self.expect("(")
-            p = self.integer()
-            self.expect(",")
-            q = self.integer()
-            self.expect(")")
-            return CrtProduct(p, q)
         if w == "per":
             # per(FIELD;N;GEN) -- concrete-code leaf, text fields split on ';'
             self.expect("(")

@@ -532,11 +532,11 @@ def _st_expr_roundtrip():
 
 def random_group_expr(rng: random.Random, depth: int) -> GroupExpr:
     from .cyclic_code import Layout
-    from .group_constructors import AGL1, CrtProduct, Cyclic, Named, Sym, \
-        Wreath
+    from .group_constructors import AGL1, Affine, CrtProduct, Cyclic, \
+        Linear, Mathieu, Named, Sym, Wreath
     leaves = [Sym(rng.randrange(1, 9)), Cyclic(rng.randrange(1, 9)),
               AGL1(rng.choice([3, 5, 7, 11])), Named("PSL2_7"),
-              Named("C31xC5"),
+              Affine(31, 5), Affine(13, 3), Linear(3, 3, 2, 3), Mathieu(5),
               CrtProduct(*rng.sample([3, 5, 7, 11, 13], 2))]
     if depth == 0 or rng.random() < 0.4:
         return rng.choice(leaves)

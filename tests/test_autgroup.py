@@ -3,12 +3,13 @@ import hashlib
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cycperm import autgroup
+from cycperm import autgroup, group_constructors
 from cycperm.autgroup import (
     VerificationReport,
     _Engine,
@@ -37,7 +38,9 @@ from cycperm.errors import AmbiguousPattern, FieldMismatch, NoPattern, \
 from cycperm.galois import make_field, parse_field
 from cycperm.group_constructors import (
     CrtProduct,
+    Mathieu,
     PerOf,
+    Sym,
     Wreath,
     crt_product_generators,
     expr_contains,
@@ -962,6 +965,28 @@ def test_f2_engine_keeps_only_the_packed_table(monkeypatch):
         assert eng._bad_rows(pairs).tolist() == [0, 2, 3]
 
 
+def test_perm_preserves_reads_all_lanes_in_one_gather():
+    # perm_preserves, whose rows mostly pass, skips the lane-0 screen of
+    # the sampler and reports the rows the screen does (T17: 8 lanes)
+    row = select_rows(["T17"])[0]
+    code = make_code(F2, row.n, row.build_gen(F2))
+    engine = _Engine(code)
+    rng = np.random.default_rng(25)
+    w = engine.g_supp.size
+    idx = np.concatenate([
+        np.stack([rng.permutation(code.n)[:w] for _ in range(300)]),
+        engine.g_supp[None, :] + rng.integers(0, code.k, size=(40, 1))])
+    assert np.array_equal(engine._bad_rows(idx, screen=False),
+                          engine._bad_rows(idx))
+    shift = np.roll(np.arange(code.n), -1)
+    swap = np.arange(code.n)
+    swap[[0, 1]] = [1, 0]
+    want = [engine.perm_preserves(s) for s in (shift, swap)]
+    engine._lane0 = None  # a screened gather would fail
+    assert [engine.perm_preserves(s) for s in (shift, swap)] == want
+    assert want[0] == (True, None) and want[1][0] is False
+
+
 def test_f2_rows_rule_reads_the_packed_rows(monkeypatch):
     # over the differential grid's binary codes (n <= 30), the packed rows
     # x^e mod g give the period test of _derived_expr's rows rule the
@@ -1018,11 +1043,12 @@ def test_sampling_power_t17():
 
 
 L7A, L7B = "per(2;7;1,1,0,1)", "per(2;7;1,0,1,1)"
-L31 = "per(2;31;1,1,0,1,0,0,0,1,0,0,0,0,0,0,0,1)"
+L31 = "C31xC5"
 
 # derive_per_group on every record; the "b" rows read the same with L7B
-# for L7A.  T25 and T26 are n = 217 leaves that cannot be enumerated,
-# decided by the pair counts of their weight-4 words.
+# for L7A.  The n = 31 leaf is decided by the prime rule, and the binary
+# pq leaves (n = 15, 35 and 217) by the pair counts of their weight-4
+# words.
 DERIVED_GOLDEN = {
     "T01": L7A, "T02": f"wr(S(2), {L7A}, rows)",
     "T03": f"wr({L7A}, S(2), cols)", "T04": f"wr(S(3), {L7A}, rows)",
@@ -1039,11 +1065,11 @@ DERIVED_GOLDEN = {
     "T17": f"wr({L31}, S(31), cols)",
     "T18": f"wr(S(2), wr({L31}, S(62), cols), rows)",
     "T19": "S(3)", "T20": "S(5)", "T21": "S(7)", "T22": "S(31)",
-    "T23": "per(2;15;1,1,1,0,0,1,1,1)", "T24": "per(2;15;1,1,0,1,1,1,0,1,1)",
+    "T23": "x(3,5)", "T24": "x(3,5)",
     "T25": "x(7,31)", "T26": "x(7,31)",
-    "T27": "wr(S(2), per(2;15;1,0,1,1,1,0,1), rows)",
-    "T28": "wr(S(7), per(2;15;1,0,1,1,1,0,1), rows)",
-    "T29": "wr(S(3), per(2;35;1,0,1,0,1,1,1,0,1,0,1), rows)",
+    "T27": "wr(S(2), x(3,5), rows)",
+    "T28": "wr(S(7), x(3,5), rows)",
+    "T29": "wr(S(3), x(5,7), rows)",
 }
 
 
@@ -1109,6 +1135,74 @@ def test_crt_rule_matches_backtracking():
     t23, t24 = (format_poly_text(_table_code(row).gen)
                 for row in select_rows(["T23", "T24"]))
     assert t23 in decided and t24 in decided and len(decided) == 12
+
+
+def _prime_rule_cases():
+    """Every proper non-trivial g | x^p - 1 of the fields and primes the
+    prime rule is checked on against backtracking (S(p) codes left out)."""
+    grid = [(F2, p) for p in (17, 19, 29, 37, 41, 43)] \
+        + [(F3, 13), (make_field(2, 2), 19), (F5, 13)]
+    codes = [code for field, p in grid for code in _all_divisor_codes(field, p)
+             if 0 < code.k < p and derive_per_group(code)[0] != Sym(p)]
+    hamming = make_code(F2, 31, poly_from_ints(F2, [1, 0, 1, 0, 0, 1]))
+    t15 = _table_code(select_rows(["T15"])[0])
+    return codes + [hamming, t15]
+
+
+def test_prime_rule_matches_backtracking():
+    # Burnside's rule against the exact search wherever the search
+    # finishes: the same group, not only the same order
+    orders = collections.Counter()
+    for code in _prime_rule_cases():
+        expr = autgroup._prime_expr(code.n, code.gen)
+        exact = backtrack_per_group(code)
+        assert exact.order == expr_order(expr), format_poly_text(code.gen)
+        assert groups_equal(exact, PermGroup(code.n, materialize(expr))), \
+            format_poly_text(code.gen)
+        orders[code.field.describe(), code.n, expr_order(expr)] += 1
+    assert orders == {("2", 17, 136): 4, ("2", 41, 820): 4,
+                      ("2", 43, 602): 12, ("3", 13, 39): 16,
+                      ("3", 13, 78): 4, ("3", 13, 5616): 8,
+                      ("2^2", 19, 171): 4, ("5", 13, 52): 12,
+                      ("2", 31, 9999360): 1, ("2", 31, 155): 1}
+
+
+def _no_search(*args):
+    raise AssertionError("a leaf search ran")
+
+
+@pytest.mark.parametrize("field, p", [
+    (F2, 31), (F2, 47), (F3, 13), (F3, 23), (make_field(2, 2), 13),
+    (make_field(2, 2), 17), (make_field(2, 2), 23)])
+def test_prime_leaves_derive_without_a_search(monkeypatch, field, p):
+    # every prime leaf past 12 points is decided by the prime rule alone,
+    # whether or not it can be enumerated
+    monkeypatch.setattr(autgroup, "backtrack_per_group", _no_search)
+    monkeypatch.setattr(autgroup, "exhaustive_per_group", _no_search)
+    for code in _all_divisor_codes(field, p):
+        if 0 < code.k < p:
+            expr, order = derive_per_group(code)
+            assert not isinstance(expr, PerOf)
+            assert order == PermGroup(p, materialize(expr)).order
+
+
+def test_golay_codes_derive_m23():
+    # the two binary Golay codes of length 23: M_23 in its two conjugates
+    # that hold the shift, decided in well under a second from cold caches
+    for cached in (autgroup._prime_expr, group_constructors.m23_element,
+                   group_constructors.linear_element):
+        cached.cache_clear()
+    got = []
+    for gen in ("1,0,1,0,1,1,1,0,0,0,1,1", "1,1,0,0,0,1,1,1,0,1,0,1"):
+        code = make_code(F2, 23, parse_poly_text(gen, F2))
+        t0 = time.perf_counter()
+        expr, order = derive_per_group(code)
+        assert time.perf_counter() - t0 < 1.0
+        assert order == 10_200_960
+        assert certify_subgroup(code, materialize(expr)).certified
+        got.append(format_group_expr(expr))
+    assert got == ["M23(1)", "M23(5)"]
+    assert PermGroup(23, materialize(Mathieu(1))).order == 10_200_960
 
 
 def test_expr_contains_matches_chain_membership():

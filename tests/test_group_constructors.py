@@ -16,8 +16,11 @@ from cycperm.errors import (
 from cycperm.galois import make_field
 from cycperm.group_constructors import (
     AGL1,
+    Affine,
     CrtProduct,
     Cyclic,
+    Linear,
+    Mathieu,
     Named,
     PerOf,
     Sym,
@@ -28,6 +31,7 @@ from cycperm.group_constructors import (
     expr_degree,
     expr_order,
     format_group_expr,
+    linear_geometries,
     materialize,
     named_group_generators,
     parse_group_expr,
@@ -192,15 +196,66 @@ def test_named_groups():
         named_group_generators("AGL1", 4)
 
 
+def test_prime_degree_tags():
+    # the affine tag p:m keeps the old spellings and generators, and the
+    # 2-transitive tags have the orders their formulas give
+    x31 = np.arange(31)
+    assert materialize(parse_group_expr("C31xC5")) == [
+        Permutation((x31 + 1) % 31), Permutation(2 * x31 % 31)]
+    assert [g.images[1] for g in materialize(AGL1(7))] == [2, 3]
+    assert materialize(Affine(13, 1)) == cyclic_generators(13)
+    assert linear_geometries(31) == [(3, 5), (5, 2)]
+    assert linear_geometries(13) == [(3, 3)]
+    assert linear_geometries(17) == [(2, 16)]
+    assert linear_geometries(23) == []
+    for e, text, order in [
+            (Affine(31, 5), "C31xC5", 155), (AGL1(11), "AGL1(11)", 110),
+            (Affine(13, 3), "13:3", 39),
+            (Linear(3, 3, 2, 3), "L(3,3;2;3)", 5616),
+            (Linear(2, 16, 1, 4), "L(2,16;1;4)", 8160),
+            (Linear(3, 5, 1, 3), "L(3,5;1;3)", 372_000),
+            (Linear(5, 2, 3, 5), "L(5,2;3;5)", 9_999_360),
+            (Mathieu(5), "M23(5)", 10_200_960)]:
+        assert format_group_expr(e) == text
+        assert parse_group_expr(text) == e
+        assert PermGroup(expr_degree(e), materialize(e)).order \
+            == expr_order(e) == order, text
+    for bad in (Affine(4, 3), Affine(13, 5), Affine(13, 0),
+                Linear(4, 2, 1, 4), Linear(3, 3, 1, 2), Linear(3, 3, 1, 0),
+                Linear(2, 16, 1, 16), Linear(3, 3, 13, 3), Mathieu(23)):
+        with pytest.raises(BadDegree):
+            materialize(bad)
+
+
+@pytest.mark.parametrize("e", [Cyclic(12), Cyclic(9), Affine(13, 4),
+                               AGL1(11), Affine(31, 5)])
+def test_affine_membership_is_structural(e):
+    # i -> a i + b with a in the multipliers, decided without a chain, as
+    # the chain of the materialized group decides it, on members, on
+    # affine maps with any unit a and on random permutations
+    rng, words = np.random.default_rng(26), random.Random(26)
+    n = expr_degree(e)
+    group = PermGroup(n, materialize(e))
+    units = [a for a in range(1, n) if math.gcd(a, n) == 1]
+    a, b = rng.choice(units, size=(200, 1)), rng.integers(n, size=(200, 1))
+    rows = np.array([group.sample(words).array() for _ in range(200)]
+                    + list((a * np.arange(n) + b) % n)
+                    + [rng.permutation(n) for _ in range(200)])
+    want = group.chain().contains_batch(rows)
+    assert want[:200].all() and not want.all()
+    assert np.array_equal(expr_contains(e, rows), want)
+
+
 def test_leaf_chains_are_memoized(monkeypatch):
     # expr_contains builds one chain per leaf and process, which answers as
     # a fresh chain does; a searched leaf (PSL2_7, per(...)) reads its
-    # search's chain, and psl27_generators builds none once its search ran
+    # search's chain, psl27_generators builds none once its search ran, and
+    # AGL1(11) is decided structurally, with no chain
     from cycperm import group_constructors, permutation
     from cycperm.table import parse_gen_expr
 
     t15 = parse_gen_expr("(x^5+x^2+1)(x^5+x^3+1)(x^5+x^3+x^2+x+1)", F2)
-    leaves = [Named("PSL2_7"), AGL1(11), PerOf(F2, 31, t15)]
+    leaves = [Named("PSL2_7"), AGL1(11), Mathieu(1), PerOf(F2, 31, t15)]
     for e in leaves:
         materialize(e)  # runs the leaf searches, whose chains are not counted
     built = []
@@ -228,11 +283,11 @@ def test_leaf_chains_are_memoized(monkeypatch):
     for _ in range(3):
         for e, rows, want in cases:
             assert np.array_equal(expr_contains(e, rows), want), e
-    assert built == [11]  # PSL2_7 and per(...) use their search's chain
+    assert built == [23]  # PSL2_7 and per(...) use their search's chain
     group_constructors._leaf_chain.cache_clear()
     for e, rows, want in cases:
         assert np.array_equal(expr_contains(e, rows), want), e
-    assert built == [11] * 2
+    assert built == [23] * 2
     # every table claim of degree <= 300 answers on a cleared memo, then
     # again in reverse order on warm ones, alike: words of 16 generators
     # are members, and each composed with a random transposition is near

@@ -27,6 +27,7 @@ from cycperm.cyclic_code import make_code
 from cycperm.errors import TooLarge
 from cycperm.galois import make_field, parse_field
 from cycperm.group_constructors import (
+    Affine,
     CrtProduct,
     Cyclic,
     Named,
@@ -492,7 +493,7 @@ def _proper_subgroup(e):
         return None if h is None else Wreath(e.a, h, e.layout)
     if isinstance(e, Sym) and e.n < 3:
         return None
-    if isinstance(e, (Sym, Named, CrtProduct, PerOf)):
+    if isinstance(e, (Sym, Named, Affine, CrtProduct, PerOf)):
         return Cyclic(expr_degree(e))
     return None
 
@@ -635,16 +636,40 @@ def test_per_leaves_above_the_exhaustive_cutoff_as_claims(capsys, n, gen,
 QR47 = "1,0,0,0,1,1,0,0,0,1,1,1,0,1,1,0,1,1,1,0,1,1,1,1"
 
 
-def test_undecided_leaf_reports_the_certificate_only(capsys):
-    # the binary QR code of length 47 is a leaf derive_per_group cannot
-    # decide; its Per(C) is PSL(2,47), of order 51,888, so the true
-    # certificate of C(47) must not become an equality by the claim's order
+def test_qr47_under_claim_is_rejected(capsys):
+    # the binary QR code of length 47 is a prime leaf that cannot be
+    # enumerated; the prime rule gives Per(C) = 47:23, the affine maps with
+    # a square multiplier, of order 1,081 (not PSL(2,47), which has no
+    # action on 47 points), so the true certificate of C(47) is an
+    # under-claim that the library and the CLI both reject
     code = make_code(F2, 47, parse_poly_text(QR47, F2))
+    assert format_group_expr(derive_per_group(code)[0]) == "47:23"
+    rep = verify_claim(code, parse_group_expr("C(47)")).to_json_dict()
+    status, cli_rep = _perm_group(capsys, "--n", "47", "--gen", QR47,
+                                  "--mode", "certify", "--claim", "C(47)")
+    assert status == 1
+    for doc in (rep, cli_rep):
+        assert doc["certified"] is True
+        assert doc["evidence"] == "decomposition-equal"
+        assert doc["equal"] is False
+        assert doc["computed_order"] == "1081"
+        assert doc["order_match"] is False
+
+
+# a binary leaf of length 49 (one of the census's composite lengths) that
+# neither the code nor its dual can enumerate
+UNDECIDED49 = "1,1,0,1,0,0,0,1,1,0,1,0,0,0,0,0,0,0,0,0,0,1,1,0,1"
+
+
+def test_undecided_leaf_reports_the_certificate_only(capsys):
+    # derive_per_group cannot decide this leaf, so the true certificate of
+    # C(49) must not become an equality by the claim's order
+    code = make_code(F2, 49, parse_poly_text(UNDECIDED49, F2))
     with pytest.raises(TooLarge):
         derive_per_group(code)
-    rep = verify_claim(code, parse_group_expr("C(47)")).to_json_dict()
-    _, cli_rep = _perm_group(capsys, "--n", "47", "--gen", QR47,
-                             "--mode", "certify", "--claim", "C(47)")
+    rep = verify_claim(code, parse_group_expr("C(49)")).to_json_dict()
+    _, cli_rep = _perm_group(capsys, "--n", "49", "--gen", UNDECIDED49,
+                             "--mode", "certify", "--claim", "C(49)")
     for doc in (rep, cli_rep):
         assert doc["certified"] is True
         assert doc["evidence"] == "subgroup"

@@ -9,7 +9,8 @@ Four routes with different reach:
 * derive_per_group - Per(C) from the code's structure: repeated
   coordinates (rows) and interleaved components (cols) reduce it to
   wreath products over leaf codes; a prime leaf past 12 points is decided
-  by Burnside's theorem and a few membership tests, the weight-4 words of
+  by Burnside's theorem and a few membership tests (predicted_group uses
+  the same rule), the weight-4 words of
   a binary length-pq leaf can show Per(C) = x(p, q), and the exact
   searches solve the other leaves; exact whenever every leaf is decided,
   at any n;
@@ -95,7 +96,6 @@ from .polyring import (
     Poly,
     _indices,
     _divisors,
-    _labelled_factors,
     _prime_factors,
     _xpow_lanes_f2,
     _xpow_table,
@@ -555,9 +555,10 @@ def derive_per_group(code: CyclicCodeSpec) -> Tuple[GroupExpr, int]:
     * prime - a leaf of prime length p > 12 prime to q, by Burnside's
       theorem (_prime_expr): S(p), a group between PSL(d, q0) and
       PGammaL(d, q0) with p = (q0^d - 1)/(q0 - 1) (L(d,q0;t;m)), M_23
-      (M23(t)), or else the affine maps x -> a x + b whose multiplier a
-      fixes the defining set (p:m, C(p) for m = 1).  A few perm_preserves
-      calls decide it, enumerable or not.
+      (M23(t)), or else the affine maps x -> a x + b whose multiplier
+      x -> a x preserves C (p:m, C(p) for m = 1).  A few perm_preserves
+      calls decide it, enumerable or not; predicted_group's prime leaves
+      past 12 points use the same rule.
     * pq words - x(p, q) for a binary leaf of length pq, when the pairs
       i = j mod p share one count of weight-4 words through i and j that
       no other pair has, likewise mod q, and x(p, q) preserves C.  Per(C)
@@ -625,8 +626,13 @@ def _prime_expr(p: int, gen: Poly) -> GroupExpr:
       Per(C) <= N(T^t), whose multipliers are <r0>: Per(C) =
       L(d,q0;t;|M & <r0>|), or M23(t), M_23 being maximal in A_23 and its
       own normalizer.
-    * Otherwise Per(C) is p:|M|, the affine maps whose multiplier a lies
-      in M, the multipliers that fix the defining set (C(p) for |M| = 1).
+    * Otherwise Per(C) is p:|M|, the affine maps x -> a x + b whose
+      multiplier x -> a x preserves C (C(p) for |M| = 1).  Those
+      multipliers form a subgroup M of the cyclic units mod p, so |M| is
+      the largest m | p - 1 whose x -> root^((p-1)/m) x preserves C.
+
+    The rule reads the code only through perm_preserves; predicted_group
+    names its prime leaves past 12 points with it too (_leaf_expr).
 
     A geometry whose field passes the tables' cap falls back to the search.
     """
@@ -641,7 +647,9 @@ def _prime_expr(p: int, gen: Poly) -> GroupExpr:
 
     if keeps([0, 1, 2]):
         return Sym(p) if keeps([0, 1]) else PerOf(field, p, gen)
-    m = _multiplier_order(p, _defining_cosets(field, p, gen)[1])
+    root = _unit_of_order(p, p - 1)
+    m = next(m for m in reversed(_divisors(p - 1))  # |M|
+             if engine.perm_preserves(pow(root, (p - 1) // m, p) * x % p)[0])
     try:
         socles = [((d, q0), _prime_power(q0)[0], linear_element(d, q0))
                   for d, q0 in linear_geometries(p)]
@@ -706,81 +714,35 @@ def _v_p(n: int, p: int) -> int:
     return e
 
 
-def _quadratic_residues(p: int) -> frozenset:
-    return frozenset((x * x) % p for x in range(1, p))
-
-
-def _defining_cosets(field: FieldSpec, p: int, g: Poly):
-    """The labelled factors of x^p - 1 as (o, coset, whether it divides g),
-    and the defining set of C_{p,g}: the union of the cosets of the
-    factors that divide g."""
-    cosets = [(o, coset, poly_divides(fac, g))
-              for o, coset, fac in _labelled_factors(p, field)]
-    return cosets, frozenset().union(*(c for _, c, div in cosets if div))
-
-
-def _multiplier_order(p: int, defining: frozenset) -> int:
-    """|M|, M the units a mod p with a * defining = defining: the
-    multipliers x -> a x that preserve the code.  M is a subgroup of the
-    cyclic units, so |M| is the largest m | p - 1 whose subgroup's
-    generator fixes the set."""
-    root = _unit_of_order(p, p - 1)
-    return max(m for m in _divisors(p - 1)
-               if {pow(root, (p - 1) // m, p) * z % p for z in defining}
-               == defining)
-
-
 def _leaf_expr(field: FieldSpec, p: int, g: Poly) -> GroupExpr:
-    """Per(C_{p,g}) for prime p as a symbolic tag.
+    """Per(C_{p,g}) for a prime p prime to q as a symbolic tag.
 
-    p <= 12 resolves by an exact search (exhaustive up to EXACT_CUTOFF
-    points, backtracking above); larger primes use the multiplier
-    stabilizer of the defining set, guarded against the exceptional families
-    (quadratic-residue codes, single-coset projective codes) whose groups
-    this artifact does not construct.
+    Up to _SEARCHED_PRIME_MAX points an exact search resolves it
+    (exhaustive up to EXACT_CUTOFF points, backtracking above); past it,
+    derive_per_group's prime rule (_prime_expr) names it, so prediction
+    and derivation agree on every such leaf.
     """
     if g.degree == p:
         raise NoPattern("zero code at prime length")
     if g.degree == 0:
         raise NoPattern("full space; not a proper cyclic code pattern")
-    if g.degree == 1:
-        if g == poly_sub(x_poly(field), one_poly(field)):
-            return Sym(p)
+    if g.degree == 1 and g != poly_sub(x_poly(field), one_poly(field)):
         raise NoPattern("degree-1 generator other than x-1 is not covered")
-    if g.degree == p - 1 and g == cyclotomic(p, field):
-        return Sym(p)  # repetition code
-    if p <= 12:
-        order = per_of_order(field, p, g)
-        if order == math.factorial(p):
-            return Sym(p)
-        if p == 7 and order == 168 \
-                and g == poly_from_ints(field, [1, 1, 0, 1]):
-            return Named("PSL2_7")
-        if order == p * (p - 1):
-            return AGL1(p)
-        if order == p:
-            return Cyclic(p)
-        # concrete leaf: exhaustively solved, no canonical name applies
-        # (the named groups are multiplier-canonical subgroups; a group like
-        # the reciprocal-code copy of PSL(2,7) is conjugate but not equal)
-        return PerOf(field, p, g)
-    # p > 12: classify by the multiplier stabilizer of the defining set,
-    # the union of the coset labels of the factors that divide g
-    cosets, defining = _defining_cosets(field, p, g)
-    nonzero = defining - {0}
-    qr = _quadratic_residues(p)
-    if nonzero and (nonzero == qr or nonzero == frozenset(range(1, p)) - qr):
-        raise NoPattern("quadratic-residue family: exceptional group out of scope")
-    n_in = sum(div for o, _, div in cosets if o == p)
-    n_out = sum(not div for o, _, div in cosets if o == p)
-    if n_in == 1 or n_out == 1:
-        raise NoPattern("single-coset (projective) family out of scope")
-    m = _multiplier_order(p, defining)
-    if m == 1:
+    if p > _SEARCHED_PRIME_MAX:
+        return _prime_expr(p, g)
+    order = per_of_order(field, p, g)
+    if order == math.factorial(p):
+        return Sym(p)
+    if p == 7 and order == 168 and g == poly_from_ints(field, [1, 1, 0, 1]):
+        return Named("PSL2_7")
+    if order == p * (p - 1):
+        return AGL1(p)
+    if order == p:
         return Cyclic(p)
-    if p == 31 and m == 5:
-        return Affine(31, 5)
-    raise NoPattern(f"no named tag for multiplier order {m} at p={p}")
+    # concrete leaf: exactly solved, no canonical name applies (the named
+    # groups are multiplier-canonical subgroups; a group like the
+    # reciprocal-code copy of PSL(2,7) is conjugate but not equal)
+    return PerOf(field, p, g)
 
 
 def predicted_group(code: CyclicCodeSpec) -> GroupExpr:

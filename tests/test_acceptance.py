@@ -5,11 +5,13 @@ enforces the stated tolerances and time budgets.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 
+import cycperm
 from cycperm.autgroup import backtrack_per_group, exhaustive_per_group
 from cycperm.cyclic_code import Layout, make_code
 from cycperm.galois import make_field
@@ -229,8 +231,11 @@ def test_criterion_9_invariant_suites_and_selftest():
 
     # the CLI selftest must complete cleanly within its budget
     t1 = time.perf_counter()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cycperm.__file__)))
+    path = os.environ.get("PYTHONPATH")  # src first, as from a checkout
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     res = subprocess.run([sys.executable, "-m", "cycperm.cli", "selftest"],
-                         capture_output=True, text=True, timeout=120)
+                         capture_output=True, text=True, timeout=120, env=env)
     selftest_elapsed = time.perf_counter() - t1
     ok = res.returncode == 0 and selftest_elapsed <= 60
     elapsed = time.perf_counter() - t0

@@ -607,25 +607,22 @@ def _leaf_outcome(field, p, g):
         return f"NoPattern: {exc}"
 
 
-# One code per outcome of _leaf_expr's p > 12 branch.  AGL1(p) cannot occur
-# there: the only defining sets that every unit fixes are {}, {0}, the units
-# and Z_p, whose generators are all handled before the branch.
+# One code per kind of outcome of _leaf_expr past 12 points, where it names
+# the leaf by derive_per_group's prime rule: cyclic, affine (p:m, spelled
+# C31xC5 for 31:5), M_23 and PSL(5,2) in one of its Singer conjugates.  The
+# [31,16] code's multipliers alone give 31:5, yet its group holds PSL(5,2).
 @pytest.mark.parametrize("field, p, gen, want", [
     # 53 = 1 mod 13, so every coset is a singleton
     (make_field(53), 13, "42,13,1", "C(13)"),
     (F2, 31, "1,0,1,1,1,0,1,1,1,1,1", "C31xC5"),
-    (F2, 23, "1,1,0,0,0,1,1,1,0,1,0,1",
-     "NoPattern: quadratic-residue family: exceptional group out of scope"),
-    (F2, 31, "1,1,1,1,0,1",
-     "NoPattern: single-coset (projective) family out of scope"),
-    (F2, 31, "1,0,0,0,1,1,1,0,0,0,1",
-     "NoPattern: no named tag for multiplier order 10 at p=31"),
-    (make_field(53), 13, "1,15,1",
-     "NoPattern: no named tag for multiplier order 2 at p=13"),
+    (F2, 23, "1,1,0,0,0,1,1,1,0,1,0,1", "M23(5)"),
+    (F2, 31, "1,1,1,1,0,1", "L(5,2;11;5)"),
+    (F2, 31, "1,0,0,0,1,1,1,0,0,0,1", "31:10"),
+    (make_field(53), 13, "1,15,1", "13:2"),
     (F4, 43, "1:0,0:1,1:1,0:1,1:1,0:0,1:0,1:0,1:0,0:0,0:1,1:1,0:1,1:1,1:0",
-     "NoPattern: no named tag for multiplier order 7 at p=43"),
-    (F5, 31, "1,2,0,2,1,1,1",
-     "NoPattern: no named tag for multiplier order 3 at p=31"),
+     "43:7"),
+    (F5, 31, "1,2,0,2,1,1,1", "31:3"),
+    (F2, 31, "1,0,1,1,1,0,1,0,1,0,1,1,1,0,1,1", "L(5,2;11;5)"),
 ])
 def test_leaf_expr_large_prime_outcomes(field, p, gen, want):
     assert _leaf_outcome(field, p, parse_poly_text(gen, field)) == want
@@ -633,8 +630,10 @@ def test_leaf_expr_large_prime_outcomes(field, p, gen, want):
 
 def test_factoring_and_leaf_golden():
     # pins the factors of x^n - 1 and _leaf_expr's outcome on every
-    # g | x^p - 1 (values recorded before factoring moved off splitting
-    # fields; _leaf_expr must not see which root of unity labels the cosets)
+    # g | x^p - 1 (factor values recorded before factoring moved off
+    # splitting fields, leaf values since _leaf_expr names prime leaves past
+    # 12 points by the prime rule; neither may see which root of unity
+    # labels the cosets)
     factors = [[field.describe(), n,
                 [[format_poly_text(p), m] for p, m in factor_xn_minus_1(n, field)]]
                for field, n_max in ((F2, 60), (F3, 60), (F4, 60),
@@ -648,11 +647,11 @@ def test_factoring_and_leaf_golden():
               for p in primes for g in _all_divisors(field, p)]
     assert len(leaves) == 224
     digest = hashlib.sha256(json.dumps(leaves).encode()).hexdigest()
-    assert digest[:16] == "4a33e596f640b29f"
+    assert digest[:16] == "7f6a35c252cf1075"
 
 
 @pytest.mark.parametrize("field, n_max, counts", [
-    (F2, 30, (106, 633, 2)), (F3, 20, (33, 524, 3)), (F4, 21, (124, 1579, 1)),
+    (F2, 31, (240, 625, 2)), (F3, 20, (61, 496, 3)), (F4, 21, (160, 1543, 1)),
     (F5, 12, (22, 377, 1)), (make_field(7), 9, (21, 122, 1)),
     (F9, 10, (23, 344, 1)),
 ])

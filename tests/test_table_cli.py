@@ -59,9 +59,20 @@ from wreath_reference import per_block_materialize
 F2 = make_field(2)
 
 
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(cycperm.__file__)))
+
+
+def _src_env():
+    """os.environ with src first on PYTHONPATH: pyproject's pythonpath
+    reaches the pytest process only, not the interpreters it starts."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=_SRC + (os.pathsep + path if path else ""))
+
+
 def _run_cli(*args):
     return subprocess.run([sys.executable, "-m", "cycperm.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_src_env())
 
 
 def test_row_corpus_shape():
@@ -312,10 +323,9 @@ def test_cli_bad_input_exit_code():
 
 
 def test_python_m_cycperm_runs_from_a_checkout():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cycperm.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-m", "cycperm", "--help"],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=_SRC))
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("usage: cycperm")
     assert "table" in res.stdout
@@ -613,9 +623,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["factor", "--field", "3", "--n", "40"]) == 0
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
 """
-    src = os.path.dirname(os.path.dirname(cycperm.__file__))
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=src))
+                         text=True, env=_src_env())
     assert res.returncode == 0, res.stderr
 
 

@@ -406,7 +406,9 @@ def backtrack_per_group(code: CyclicCodeSpec) -> PermGroup:
     note(p) also absorbs p's n conjugates by the powers of the shift,
     which lies in Per(C), so each is an automorphism.  They only prune:
     each orbit they open is one fewer search, and the argument above does
-    not use them.
+    not use them.  The shift is noted first, so a member's conjugates are
+    members, and absorb's one sift of row 0, p itself, tells whether p is
+    new.
 
     Up to 8192 codewords, each tracked word keeps a bit set of the
     codewords it can still map onto, packed in uint64 words (_word_masks
@@ -448,9 +450,8 @@ def backtrack_per_group(code: CyclicCodeSpec) -> PermGroup:
 
     def note(perm_images) -> None:
         p = Permutation(perm_images)
-        if not chain.contains(p.array()):
+        if chain.absorb((p.array()[conj] - back) % n):  # p is row 0
             found.append(p)
-            chain.absorb((p.array()[conj] - back) % n)
 
     # seed with the cyclic shift, and the multiplier when gcd(n, q) = 1
     shift = Permutation([(i + 1) % n for i in range(n)])

@@ -18,33 +18,36 @@ single flat gather from the inverse table, whichever level each row sits
 at, and rows that stall come back as residues.  Scalar sift, membership,
 batch membership and Schreier-generator sifting all run this one kernel.
 A level's pending (generator, orbit point) pairs are turned into products
-g u_a by flat gathers over a stacked generator table; the kernel's step at
-that level makes them Schreier generators, and after each insertion the
-batch's remaining residues go through the kernel again as one batch.  This
-keeps the wreath-product groups of degree ~300 from Table-scale runs
-affordable.
+g u_a by flat gathers over a stacked generator table, and the kernel's
+step at that level makes them Schreier generators.  An insertion costs
+what it changes: a level closes its orbit by a breadth-first search over
+a point set, with each strong generator's images kept as a list, and
+writes each round's new transversals by one gather; and of a batch's
+residues, only those whose stall level has just taken their image there
+are sifted again.  This keeps the wreath-product groups of degree ~300
+from Table-scale runs affordable.
 
 Each strong generator has an origin: -1 for a row given to extend or
 absorb, k for a residue of a batch of Schreier generators collected at
 the level of base k.  A level of base i forms Schreier pairs only with
 its generators of origin < i; its orbit and transversals still close
-under all of them.  This is sound.  A residue formed at level k is a product of generators
-that were then in S^(k), the generators fixing 0..k-1, and so in S^(i)
-for every i <= k.  Leaving it out of S^(i) keeps the group it generates,
-by induction on the order of insertion, and Schreier's lemma holds for
-any generating set and any transversal (Seress, Permutation Group
-Algorithms, 2003, sections 4.1-4.2).
+under all of them.  This is sound.  A residue formed at level k is a
+product of generators that were then in S^(k), the generators fixing
+0..k-1, and so in S^(i) for every i <= k.  Leaving it out of S^(i) keeps
+the group it generates, by induction on the order of insertion, and
+Schreier's lemma holds for any generating set and any transversal
+(Seress, Permutation Group Algorithms, 2003, sections 4.1-4.2).
 
 One loop grows a chain: absorb sifts a batch of rows, inserts the first
-non-member's residue, sifts the rest again and repeats.  extend absorbs
-its inputs (origin -1) and then completes the chain, absorbing each batch
-of pending Schreier generators with its level's base as their origin.  A
-caller may pass a target at least the group's order (an overgroup's
-order): the build then stops once the orbit product reaches it, since
-every transversal is whole.  groups_equal uses it.  A caller that can
-prove its chain complete by other means (the backtrack in autgroup) only
-absorbs, never forms a Schreier generator, and hands the chain to
-PermGroup, which seals it.
+non-member's residue, sifts again the residues that can now move on, and
+repeats.  extend absorbs its inputs (origin -1) and then completes the
+chain, absorbing each batch of pending Schreier generators with its
+level's base as their origin.  A caller may pass a target at least the
+group's order (an overgroup's order): the build then stops once the
+orbit product reaches it, since every transversal is whole.  groups_equal
+uses it.  A caller that can prove its chain complete by other means (the
+backtrack in autgroup) only absorbs, never forms a Schreier generator,
+and hands the chain to PermGroup, which seals it.
 """
 
 from __future__ import annotations
@@ -220,15 +223,16 @@ def _gather(table: np.ndarray, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 class _Level:
-    """One base point: its orbit, the pool rows of its transversals, and how
+    """One base point: its orbit, listed in the order its points were found
+    and also kept as a point set, the pool rows of its transversals, and how
     far each of its paired generators has been paired with the orbit.
 
     The orbit closes under every generator of the level (gens); only those
     of origin below the base (paired) form Schreier pairs, by the origin
     rule of the module docstring."""
 
-    __slots__ = ("chain", "base", "slot", "orbit", "rows", "size", "gens",
-                 "paired", "processed", "pending")
+    __slots__ = ("chain", "base", "slot", "orbit", "points", "rows", "size",
+                 "gens", "paired", "processed", "pending")
 
     def __init__(self, chain: "_StabChain", base: int, slot: int,
                  gens: Sequence[int] = ()):
@@ -236,7 +240,8 @@ class _Level:
         self.chain = chain
         self.base = base
         self.slot = slot
-        self.orbit = np.full(4, base, dtype=np.int32)
+        self.orbit = [base]
+        self.points = {base}
         self.rows = np.zeros(4, dtype=np.int32)  # pool row 0 is the identity
         self.size = 1
         self.gens: List[int] = []       # indices into the chain's gen table
@@ -246,11 +251,8 @@ class _Level:
         for gi in gens:
             self.add_gen(gi)
 
-    def orbit_points(self) -> np.ndarray:
-        return self.orbit[:self.size]
-
     def add_gen(self, gi: int):
-        """Bookkeeping only: the caller extends the orbit if gi opens it."""
+        """Bookkeeping only: the caller then closes the orbit under gi."""
         self.gens.append(gi)
         if self.chain.origins[gi] < self.base:
             self.paired.append(gi)
@@ -258,39 +260,43 @@ class _Level:
             self.pending += self.size
 
     def extend_orbit(self, seed: int):
-        """Vectorized BFS closure; only the new generator can open points
-        from the previously closed orbit.  Each round applies every sweeping
-        generator to the frontier at once; a new point's transversal comes
-        from its first (generator, frontier point) hit in gen-major order."""
-        ch = self.chain
-        frontier = np.arange(self.size)
-        sweep = np.array([seed])
-        while frontier.size:
-            Q = ch.gen_table[sweep[:, None], self.orbit[frontier]]
-            hit_g, hit_f = np.nonzero(ch.rowmap[self.slot, Q] < 0)
-            if not hit_g.size:
-                break
-            qf = Q[hit_g, hit_f]
-            _, first = np.unique(qf, return_index=True)
-            first.sort()
-            qf, src = qf[first], frontier[hit_f[first]]
-            k = len(qf)
-            # compose(g, u_src): base -> q
-            UG = _gather(ch.gen_table, sweep[hit_g[first]],
-                         ch.fwd[self.rows[src]])
+        """Breadth-first closure over the point set; only the new generator
+        can open points from the previously closed orbit, so it alone goes
+        over the old orbit, and then every generator goes over each round's
+        new points.  A new point's transversal comes from its first
+        (generator, point) hit in generator-major order, and each round
+        writes its new transversal rows by one gather."""
+        ch, points = self.chain, self.points
+        frontier, sweep = self.orbit, [seed]
+        while frontier:
+            new, src_gen, src = [], [], []
+            for gi in sweep:
+                g = ch.images[gi]
+                if points.issuperset(map(g.__getitem__, frontier)):
+                    continue
+                for a in frontier:
+                    q = g[a]
+                    if q not in points:
+                        points.add(q)
+                        new.append(q)
+                        src_gen.append(gi)
+                        src.append(a)
+            if not new:
+                return
+            k, old = len(new), self.size
+            # compose(g, u_a): base -> g(a)
+            UG = _gather(ch.gen_table, np.array(src_gen),
+                         ch.fwd[ch.rowmap[self.slot, src]])
             prow = ch.alloc_rows(k)
             ch.fwd[prow] = UG
             ch.inv[prow[:, None], UG] = ch.arange
-            old = self.size
-            self.orbit = _grown(self.orbit, old + k)
             self.rows = _grown(self.rows, old + k)
-            self.orbit[old:old + k] = qf
             self.rows[old:old + k] = prow
-            ch.rowmap[self.slot, qf] = prow
+            ch.rowmap[self.slot, new] = prow
+            self.orbit.extend(new)
             self.size = old + k
             self.pending += k * len(self.paired)
-            frontier = np.arange(old, old + k)
-            sweep = np.array(self.gens)  # new points close under everything
+            frontier, sweep = new, self.gens  # new points close under all
 
     def collect_pending(self, limit: int) -> np.ndarray:
         """g u_a for the next `limit` unprocessed (paired gen, orbit point)
@@ -327,6 +333,7 @@ class _StabChain:
         self.bases: List[int] = []  # sorted
         self.all_gens: List[Tuple[np.ndarray, int]] = []  # (gen, its level)
         self.origins: List[int] = []  # per strong generator (module doc)
+        self.images: List[List[int]] = []  # per strong generator, as a list
         self.arange = np.arange(n, dtype=np.int32)
         self.gen_table = np.empty((4, n), dtype=np.int32)
         self.fwd = np.empty((16, n), dtype=np.int32)
@@ -416,33 +423,43 @@ class _StabChain:
             self.absorb(np.stack(rows))  # a fresh array
         self._complete(target)
 
-    def absorb(self, rows: np.ndarray, origin: int = -1):
+    def absorb(self, rows: np.ndarray, origin: int = -1) -> bool:
         """Insert every row of the (m, n) int32 array rows, which it
         overwrites, that the chain does not yet hold: sift the batch, make
         the first non-member's residue a strong generator of origin
-        `origin`, sift the rest again, and repeat.  Transversal entries are
-        only ever added, so a member stays one and a residue sifts as its
-        source row would: the insertions are those of sifting each row
-        alone, in order, against the chain as it then stands.  Forms no
-        Schreier generator."""
+        `origin`, and repeat with the rest.  Transversal entries are only
+        ever added, so a member stays one and a residue sifts as its source
+        row would: the insertions are those of sifting each row alone, in
+        order, against the chain as it then stands.  A residue moves no
+        point below its stall point, so a second sift would start there; it
+        is sifted again only once the level at that point holds its image
+        there, since until then it would stall at once.  Forms no Schreier
+        generator.  Returns whether the first row was a non-member."""
         stall = self._sift_rows(rows)
+        first_out = bool(len(rows) and stall[0] < self.n)
         while True:
             out = stall < self.n
             if not out.any():
-                return
+                return first_out
             rows, stall = rows[out], stall[out]
             self._insert(rows[0].copy(), int(stall[0]), origin)
-            rows = rows[1:]
-            stall = self._sift_rows(rows)
+            rows, stall = rows[1:], stall[1:]
+            moves = self.rowmap[self.slot_of[stall],
+                                rows[np.arange(len(rows)), stall]] >= 0
+            if moves.any():
+                again = rows[moves]
+                stall[moves] = self._sift_rows(again)
+                rows[moves] = again
 
     def _insert(self, g: np.ndarray, b: int, origin: int):
         """Make g, which fixes 0..b-1 and stalls at b, a strong generator of
-        origin `origin` at every level of base <= b.  One boolean test over
-        those levels' orbits finds the ones g opens."""
+        origin `origin` at every level of base <= b, and close each of those
+        orbits under it; no level of base > b changes."""
         gi = len(self.all_gens)
         self.gen_table = _grown(self.gen_table, gi + 1)
         self.gen_table[gi] = g
         self.origins.append(origin)
+        self.images.append(g.tolist())
         if b not in self.levels:
             slot = len(self.levels) + 1
             self.rowmap = _grown(self.rowmap, slot + 1, fill=-1)
@@ -456,14 +473,11 @@ class _StabChain:
             self.bases.sort()
             self._dirty.add(b)
         self.all_gens.append((g, b))
-        levels = [self.levels[bb] for bb in self.bases if bb <= b]
-        M = self.rowmap[[lv.slot for lv in levels]] >= 0
-        opens = (M & ~M[:, g]).any(axis=1)
-        for level, grows in zip(levels, opens.tolist()):
+        for bb in self.bases[:self.bases.index(b) + 1]:
+            level = self.levels[bb]
             level.add_gen(gi)
-            if grows:
-                level.extend_orbit(seed=gi)
-            self._dirty.add(level.base)
+            level.extend_orbit(seed=gi)
+            self._dirty.add(bb)
 
     def _complete(self, target: Optional[int] = None):
         """Absorb pending Schreier generators a batch at a time, deepest
@@ -485,7 +499,7 @@ class _StabChain:
     def orbit_at(self, point: int) -> List[int]:
         """Fundamental orbit of `point` in the stabilizer of all smaller points."""
         if point in self.levels:
-            return self.levels[point].orbit_points().tolist()
+            return list(self.levels[point].orbit)
         return [point]
 
 

@@ -168,6 +168,11 @@ def _chain_shape(group):
             len(ch.all_gens))
 
 
+# sift-kernel calls for T29's backtrack and claim chains (see
+# test_absorb_resume_rule_builds_the_chain_a_full_resift_builds)
+T29_SIFT_CALLS, T29_RESIFT_CALLS = 294, 333
+
+
 def _t29_groups():
     from cycperm.autgroup import backtrack_per_group
     from cycperm.cyclic_code import make_code
@@ -506,6 +511,145 @@ def test_sealed_backtrack_chain_extends_without_schreier_generators(
     chain.extend([])
     assert formed == []
     assert chain.order() == order == found.order
+
+
+def _fingerprint(chain):
+    """Everything an insertion writes: bases, each orbit in listed order
+    with its transversal rows, and the strong generators with their
+    origins, in insertion order."""
+    levels = [chain.levels[b] for b in chain.bases]
+    return (list(chain.bases),
+            [chain.orbit_at(lv.base) for lv in levels],
+            [chain.fwd[lv.rows[:lv.size]].tolist() for lv in levels],
+            chain.gen_table[:len(chain.all_gens)].tolist(),
+            list(chain.origins))
+
+
+def _absorb_resifting_every_residue(self, rows, origin=-1):
+    """absorb as it was before its resume rule: after each insertion every
+    remaining residue is sifted again."""
+    stall = self._sift_rows(rows)
+    first_out = bool(len(rows) and stall[0] < self.n)
+    while True:
+        out = stall < self.n
+        if not out.any():
+            return first_out
+        rows, stall = rows[out], stall[out]
+        self._insert(rows[0].copy(), int(stall[0]), origin)
+        rows = rows[1:]
+        stall = self._sift_rows(rows)
+
+
+def _chains_and_sift_calls(monkeypatch, build):
+    """The fingerprints of the chains build() returns, and the number of
+    sift-kernel calls it made."""
+    calls = []
+    sift = permutation._StabChain._sift_rows
+
+    def counting_sift(self, X):
+        calls.append(len(X))
+        return sift(self, X)
+
+    with monkeypatch.context() as m:
+        m.setattr(permutation._StabChain, "_sift_rows", counting_sift)
+        chains = build()
+    return [_fingerprint(ch) for ch in chains], len(calls)
+
+
+def test_absorb_resume_rule_builds_the_chain_a_full_resift_builds(
+        monkeypatch):
+    # absorb sifts a residue again only once the level at its stall point
+    # holds its image there; re-sifting every residue after every insertion
+    # must give the same chains bit for bit, in more sift calls
+    rng = random.Random(28)
+    sets = [_random_generators(rng, rng.randrange(2, 61)) for _ in range(60)]
+
+    def random_chains():
+        return [PermGroup(g[0].degree, g).chain() for g in sets]
+
+    def t29_chains():
+        found, claim = _t29_groups()
+        claimed = PermGroup(105, claim)
+        assert groups_equal(found, claimed)
+        return [found.chain(), claimed.chain(),
+                PermGroup(105, claim).chain()]
+
+    for build in (random_chains, t29_chains):
+        got, calls = _chains_and_sift_calls(monkeypatch, build)
+        with monkeypatch.context() as m:
+            m.setattr(permutation._StabChain, "absorb",
+                      _absorb_resifting_every_residue)
+            want, ref_calls = _chains_and_sift_calls(monkeypatch, build)
+        assert got == want
+        assert calls < ref_calls
+        if build is t29_chains:
+            assert (calls, ref_calls) == (T29_SIFT_CALLS, T29_RESIFT_CALLS)
+    # absorb reports whether its first row was a non-member
+    outs = []
+    for gens in sets[:20]:
+        n = gens[0].degree
+        chain = PermGroup(n, gens[1:] or [identity_perm(n)]).chain()
+        row = gens[0].array()
+        member = chain.contains(row)
+        assert chain.absorb(np.stack([row, row])) is not member
+        assert chain.contains(row)
+        outs.append(member)
+    assert set(outs) == {False, True}
+
+
+def _closure_by_first_hit(gens, orbit, transversal, seed):
+    """The documented closure rule, brute force: the seed generator goes
+    over the old orbit, then every generator over each round's new points;
+    each round lists all its (generator, point) hits outside the orbit in
+    generator-major order, and a new point takes its first hit, with
+    transversal compose(g, u_a)."""
+    orbit, transversal = list(orbit), dict(transversal)
+    frontier, sweep = list(orbit), [seed]
+    while frontier:
+        hits = [(g[a], gi, a) for gi in sweep for a in frontier
+                for g in [gens[gi]] if g[a] not in transversal]
+        new = []
+        for q, gi, a in hits:
+            if q not in new:
+                new.append(q)
+                transversal[q] = [gens[gi][x] for x in transversal[a]]
+        orbit += new
+        frontier, sweep = new, list(range(len(gens)))
+    return orbit, [transversal[p] for p in orbit]
+
+
+def test_orbit_closure_lists_points_by_first_hit(monkeypatch):
+    # every orbit extension on chains of degree up to 60 lists its points
+    # and writes its transversal rows as the brute-force first-hit rule does
+    extend_orbit = permutation._Level.extend_orbit
+    checked = []
+
+    def checked_extend(self, seed):
+        ch = self.chain
+        ids = self.gens  # the level's generators, seed among them
+        gens = [ch.gen_table[gi].tolist() for gi in ids]
+        before = {p: ch.fwd[ch.rowmap[self.slot, p]].tolist()
+                  for p in self.orbit}
+        want = _closure_by_first_hit(gens, self.orbit, before,
+                                     ids.index(seed))
+        extend_orbit(self, seed)
+        rows = ch.fwd[self.rows[:self.size]]
+        assert (list(self.orbit), rows.tolist()) == want
+        assert (ch.rowmap[self.slot, self.orbit] == self.rows[:self.size]).all()
+        assert (np.take_along_axis(ch.inv[self.rows[:self.size]], rows, 1)
+                == np.arange(ch.n)).all()
+        checked.append(len(want[0]) - len(before))
+
+    monkeypatch.setattr(permutation._Level, "extend_orbit", checked_extend)
+    rng, np_rng = random.Random(60), np.random.default_rng(60)
+    for trial in range(40):
+        if trial % 4:
+            gens = _random_generators(rng, rng.randrange(2, 61))
+        else:
+            n = rng.randrange(2, 25)
+            gens = [Permutation(np_rng.permutation(n)) for _ in range(2)]
+        PermGroup(gens[0].degree, gens).chain()
+    assert 0 in checked and max(checked) > 20  # closed and multi-round cases
 
 
 def test_random_chain_words_are_members():

@@ -33,9 +33,11 @@ field kept as element indices with table-accumulated syndromes.  A basis
 word whose support the permutation fixes pointwise maps to itself, so
 only the words that meet the moved points are checked; a transposition
 costs at most 2*wt(g) word checks whatever k is.  The sampler draws the
-images of supp g for a block of trials, checks basis word 0 on them with
-one gather of lane 0, which rejects almost every trial, and completes and
-fully checks only the survivors.
+images of supp g for a block of trials from a seeded random.Random stream,
+checks basis word 0 on them with one gather of lane 0, which rejects
+almost every trial, and completes the survivors a batch at a time: one
+draw of all their tails, one _bad_rows call on all their basis words and
+one batched membership test in the claim.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import random
 import time
 from dataclasses import dataclass, field as dc_field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -111,7 +114,7 @@ from .polyring import (
     xn_minus_1,
 )
 
-RNG_ALGORITHM = "numpy-pcg64/support-first-fisher-yates"
+RNG_ALGORITHM = "python-mt19937/support-first-fisher-yates"
 ORDER_CAP = 300  # default largest n whose certify tier derives Per(C)
 EXACT_CUTOFF = 8  # longest code an exact search scans; longer ones backtrack
 
@@ -922,6 +925,53 @@ def certify_subgroup(code: CyclicCodeSpec, gens: Sequence[Permutation],
 _SAMPLE_BLOCK = 1 << 14  # head images per block of sampled trials
 
 
+def _words32(stream: random.Random, count: int) -> np.ndarray:
+    """The next count 32-bit words of stream, in stream order.
+
+    getrandbits(32 * count) holds the generator's i-th word in bits
+    32i .. 32i + 31, so the words do not depend on how many are asked for
+    at once."""
+    return np.frombuffer(stream.getrandbits(32 * count).to_bytes(
+        4 * count, "little"), dtype="<u4")
+
+
+def _bounded_draws(words: Callable[[int], np.ndarray],
+                   bounds: np.ndarray) -> np.ndarray:
+    """One draw uniform on [0, b) for each bound b in turn, by Lemire's
+    multiply-shift with rejection (ACM TOMACS 29(1), 2019).
+
+    A word x gives (x * b) >> 32 unless the low 32 bits of x * b fall below
+    2^32 mod b (which only a low part below b can); then x is skipped and
+    the slot takes the next word.  words(count) returns the next count
+    words of a stream, and no word is asked for beyond those the slots use.
+    """
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    parts, buf, done = [bounds[:0]], np.empty(0, dtype=np.uint32), 0
+    while done < bounds.size:
+        more = words(bounds.size - done - buf.size)
+        buf = np.concatenate([buf, more]) if buf.size else more
+        b = bounds[done:]
+        prod = np.multiply(buf, b, dtype=np.uint64)
+        low = prod.astype(np.uint32)
+        near = np.flatnonzero(low < b)
+        rejected = near[low[near] < (1 << 32) % b[near]]
+        used = int(rejected[0]) if rejected.size else buf.size
+        prod >>= 32
+        parts.append(prod[:used])
+        done += used
+        buf = buf[used + 1:]  # the rejected word goes too
+    draws = parts[-1] if len(parts) <= 2 else np.concatenate(parts)
+    return draws.view(np.int64)
+
+
+def _shuffle_draws(words: Callable[[int], np.ndarray], rows: int, top: int,
+                   width: int) -> np.ndarray:
+    """rows x width Fisher-Yates draws, row-major: entry (r, j) is uniform
+    on [0, top - j)."""
+    bounds = np.tile(np.arange(top, top - width, -1, dtype=np.uint64), rows)
+    return _bounded_draws(words, bounds).reshape(rows, width)
+
+
 def _fisher_yates_heads(draws: np.ndarray) -> np.ndarray:
     """Row-wise slots 0..w-1 of arange(n) after swaps j <-> j + draws[:, j]."""
     pos = draws + np.arange(draws.shape[1])
@@ -942,40 +992,79 @@ def falsify_by_sampling(code: CyclicCodeSpec, claimed: PermGroup,
     claimed group.  Same seed gives the identical trial stream everywhere;
     an empty counterexample list is evidence, not proof.
 
-    Two generators spawned from the seed draw sigma support first: the head
-    sigma(s), s = supp g ascending (empty if k = 0), by a partial Fisher-Yates
-    on arange(n) for a block of trials at once.  sigma preserves C iff
-    sigma^{-1} does, whose basis word 0 has support sigma(s), so one gather
-    rejects almost every head.  Only survivors, in trial order, draw the tail:
-    the points left, ascending, shuffled onto the positions outside s.  Head
-    and tail are uniform, hence sigma, and no stream depends on the block.
+    Two Mersenne Twister streams, random.Random(2 seed) for heads and
+    random.Random(2 seed + 1) for tails, are read as 32-bit words, and each
+    word becomes a bounded draw by Lemire's rule (_bounded_draws), so every
+    draw is exactly uniform.  sigma is drawn support first: the head
+    sigma(s), s = supp g ascending (empty if k = 0), by a partial
+    Fisher-Yates on arange(n) for a block of trials at once.  sigma
+    preserves C iff sigma^{-1} does, whose basis word 0 has support
+    sigma(s), so one _bad_rows call rejects almost every head.  Only the
+    survivors, in trial order, draw the tail: the points left, ascending,
+    shuffled by Fisher-Yates onto the positions outside s.  Head and tail
+    are uniform, hence sigma, and the draws are used in stream order, so no
+    stream depends on the block.  The survivors of a block are completed
+    and checked a batch at a time (at most 32 _SAMPLE_BLOCK points and
+    syndrome entries): one _bad_rows call on all their basis words, then
+    one contains_batch on the claim's chain for those that preserve C; the
+    chain is built only then.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    if claimed.degree != code.n:
+        raise DegreeMismatch(f"claim degree {claimed.degree} != n={code.n}")
     t0 = time.perf_counter()
     if engine is None:
         engine = _Engine(code)
-    head_rng, tail_rng = map(np.random.default_rng,
-                             np.random.SeedSequence(seed).spawn(2))
-    n = code.n
-    supp = engine.g_supp if engine.k else engine.g_supp[:0]
+    head_words, tail_words = (functools.partial(_words32, random.Random(s))
+                              for s in (2 * seed, 2 * seed + 1))
+    n, k = engine.n, engine.k
+    supp = engine.g_supp if k else engine.g_supp[:0]
+    w, m = supp.size, n - supp.size
     rest_at = np.delete(engine._points, supp)
-    rows = max(1, min(trials, _SAMPLE_BLOCK // max(1, supp.size)))
+    basis = engine.g_supp[None, :] + engine._rows[:, None]  # word supports
+    width = engine.packed.shape[1] if engine.q == 2 else engine.R.shape[1]
+    rows = max(1, min(trials, _SAMPLE_BLOCK // max(1, w)))
+    batch = max(1, (_SAMPLE_BLOCK << 5) // (n + k * w * max(1, width)))
     counterexamples = []
     for start in range(0, trials, rows):
-        heads = _fisher_yates_heads(head_rng.integers(
-            0, n - np.arange(supp.size), size=(min(rows, trials - start),
-                                               supp.size)))
-        bad = engine._bad_rows(heads) if engine.k else []
-        for head in np.delete(heads, bad, axis=0):
-            tail = tail_rng.permutation(np.delete(engine._points, head))
-            sigma = np.empty(n, dtype=np.int64)
-            sigma[supp], sigma[rest_at] = head, tail
-            if engine.perm_preserves(sigma)[0]:
-                p = Permutation(sigma)
-                if not claimed.contains(p):
-                    counterexamples.append({"images": list(p.images),
-                                            "basis_index": None})
+        heads = _fisher_yates_heads(_shuffle_draws(
+            head_words, min(rows, trials - start), n, w))
+        if k:
+            heads = np.delete(heads, engine._bad_rows(heads), axis=0)
+        for at in range(0, len(heads), batch):
+            head = heads[at:at + batch]
+            r = np.arange(len(head))
+            left = np.ones((len(head), n), dtype=bool)
+            left[r[:, None], head] = False
+            # the points left of each survivor, ascending, transposed (slot
+            # j of every tail in row j), and the flat index of each swap's
+            # partner
+            tail = np.broadcast_to(engine._points, left.shape)[left].reshape(
+                len(head), m).T.copy()
+            flat = tail.reshape(-1)
+            draws = _shuffle_draws(tail_words, len(head), m, max(0, m - 1))
+            partner = (draws.T + np.arange(m - 1)[:, None]) * len(head) + r
+            for j, p in enumerate(partner):  # slot j is final after swap j
+                col = tail[j].copy()
+                tail[j] = flat[p]
+                flat[p] = col
+            sigma = np.empty((len(head), n), dtype=np.int64)
+            sigma[:, supp], sigma[:, rest_at] = head, tail.T
+            if k:
+                inv = np.empty_like(sigma)
+                inv[r[:, None], sigma] = engine._points
+                bad = engine._bad_rows(inv[:, basis].reshape(-1, w))
+                keep = np.ones(len(sigma), dtype=bool)
+                keep[bad // k] = False
+                sigma = sigma[keep]
+            if len(sigma):
+                inside = claimed.chain().contains_batch(sigma)
+                counterexamples += [{"images": s.tolist(),
+                                     "basis_index": None}
+                                    for s in sigma[~inside]]
     return VerificationReport(
         code=_code_descriptor(code), method="Sample",
         counterexamples=counterexamples, trials=trials, seed=seed,
@@ -990,7 +1079,9 @@ def verify_claim(code: CyclicCodeSpec, claim: Optional[GroupExpr] = None,
     """The verdict report on Per(C) and an optional claim about it.
 
     A claim is materialized once.  Its generators get a certificate, which
-    proves claim <= Per(C), and sampling when trials > 0.  search =
+    proves claim <= Per(C), and sampling when trials > 0: falsify_by_sampling
+    on the seed's two random.Random streams (seed >= 0), which shares the
+    certificate's engine.  search =
     (method name, function of the code) runs an exact search whose group
     decides computed_order and equal (by group equality with the claim).
     Without one, n <= order_cap decides them from derive_per_group: equal

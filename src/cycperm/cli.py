@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "when omitted")
     p.add_argument("--trials", type=_nonnegative_int, default=0,
                    help="sampling trials, certify mode only (0: none)")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_nonnegative_int, default=42)
     p.add_argument("--order-cap", type=int, default=ORDER_CAP)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_perm_group)
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="write CSV summary here")
     p.add_argument("--order-cap", type=int, default=ORDER_CAP)
     p.add_argument("--trials", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_nonnegative_int, default=42)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_table)
 

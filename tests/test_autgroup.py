@@ -1,8 +1,10 @@
 import collections
+import functools
 import hashlib
 import itertools
 import json
 import math
+import random
 import time
 import tracemalloc
 
@@ -33,8 +35,8 @@ from cycperm.cyclic_code import (
     contains,
     make_code,
 )
-from cycperm.errors import AmbiguousPattern, FieldMismatch, NoPattern, \
-    TooLarge
+from cycperm.errors import AmbiguousPattern, DegreeMismatch, \
+    FieldMismatch, NoPattern, TooLarge
 from cycperm.galois import make_field, parse_field
 from cycperm.group_constructors import (
     CrtProduct,
@@ -728,6 +730,109 @@ def test_falsify_rejects_zero_trials():
         falsify_by_sampling(code, PermGroup(7, [identity_perm(7)]), 0, 1)
 
 
+def test_falsify_rejects_negative_seed_and_other_degrees():
+    # random.Random(s) seeds with |s|, so a negative seed would repeat the
+    # stream of another one
+    code = make_code(F2, 7, G7A)
+    with pytest.raises(ValueError, match="seed"):
+        falsify_by_sampling(code, PermGroup(7, [identity_perm(7)]), 10, -1)
+    # a claim of another degree is rejected before any trial
+    with pytest.raises(DegreeMismatch):
+        falsify_by_sampling(code, PermGroup(8, [identity_perm(8)]), 10, 1)
+
+
+class _StubWords:
+    """A word source that hands out fixed words and records each request."""
+
+    def __init__(self, words):
+        self.words, self.asked = list(words), []
+
+    def __call__(self, count):
+        self.asked.append(count)
+        out, self.words = self.words[:count], self.words[count:]
+        assert len(out) == count, "more words asked for than the slots use"
+        return np.array(out, dtype=np.uint32)
+
+
+_TOP = (1 << 32) - 1    # gives b - 1 for a bound b
+_MID = (1 << 31) + 1    # gives b // 2
+_INV7 = pow(7, -1, 1 << 32)  # 7 * _INV7 = 1 mod 2^32
+
+
+def test_bounded_draws_take_the_next_word_after_a_rejection():
+    # bounds 9, 8, 7 row after row: row-major, one word per slot
+    stub = _StubWords([_TOP] * 6)
+    assert autgroup._shuffle_draws(stub, 2, 9, 3).tolist() == \
+        [[8, 7, 6], [8, 7, 6]]
+    assert stub.asked == [6]
+    # bounds 7, 6, 7, 6 (2^32 mod 7 = 2^32 mod 6 = 4): a word whose product
+    # has low 32 bits under 4 (_INV7 for 7; 0 or 2^31 for 6) is skipped,
+    # and its slot takes the next word
+    stub = _StubWords([_INV7, _TOP, 0, _MID, _TOP, 1 << 31, _MID])
+    assert autgroup._shuffle_draws(stub, 2, 7, 2).tolist() == [[6, 3], [6, 3]]
+    assert stub.asked == [4, 1, 1, 1]  # one word more per rejection
+    assert stub.words == []
+    # the last slot of a request rejects: the slot takes the word of the
+    # refill, and a rejected refill is refilled again
+    stub = _StubWords([_MID, _TOP, _MID, 0, 1 << 31, _TOP])
+    draws = autgroup._bounded_draws(stub, np.array([7, 6, 7, 6]))
+    assert draws.tolist() == [3, 5, 3, 5]
+    assert stub.asked == [4, 1, 1]
+    # no bound, no word
+    stub = _StubWords([])
+    assert autgroup._shuffle_draws(stub, 3, 5, 0).shape == (3, 0)
+    assert stub.asked == []
+
+
+def test_bounded_draws_match_one_word_at_a_time():
+    # the block reads getrandbits(32 * count) and gets the words and draws
+    # one getrandbits(32) per word gives, bounds near 2^32 rejecting often
+    bounds = [3, (1 << 31) + 1, 3844, (1 << 32) - 5, 1, 2] * 40
+    stream = random.Random(7)
+    draws = autgroup._bounded_draws(
+        functools.partial(autgroup._words32, stream), np.array(bounds))
+    ref = random.Random(7)
+    assert draws.tolist() == [_reference_draw(ref, b) for b in bounds]
+    assert stream.getrandbits(32) == ref.getrandbits(32)
+
+
+class _EveryPermutation(PermGroup):
+    """A claim that holds every permutation and builds no chain, so that
+    tracemalloc sees the sampler's own arrays; it counts the rows it is
+    asked about."""
+
+    def __init__(self, n):
+        super().__init__(n, [])
+        self.rows = 0
+
+    def chain(self, target=None):
+        return self
+
+    def contains_batch(self, rows):
+        self.rows += len(rows)
+        return np.ones(len(rows), dtype=bool)
+
+
+@pytest.mark.parametrize("gen", ["k=0", "g=1"])
+def test_sampling_memory_stays_bounded_when_every_trial_survives(gen):
+    # at n = 3844 every trial of these codes survives the head check and
+    # preserves C; a survivor batch of all 1,000 trials peaks at about 200 MB
+    n = 3844
+    g = (poly_sub(poly_pow(x_poly(F2), n), one_poly(F2)) if gen == "k=0"
+         else one_poly(F2))
+    code = make_code(F2, n, g)
+    engine = _Engine(code)
+    claim = _EveryPermutation(n)
+    tracemalloc.start()
+    try:
+        rep = falsify_by_sampling(code, claim, 1000, seed=3, engine=engine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert claim.rows == 1000 and rep.counterexamples == []
+    assert peak < 64e6, peak
+
+
 def test_falsify_deterministic_stream():
     code = make_code(F2, 7, cyclotomic(7, F2))
     trivial = PermGroup(7, [identity_perm(7)])
@@ -737,17 +842,17 @@ def test_falsify_deterministic_stream():
 
 
 def test_falsify_golden_stream():
-    # pins the support-first stream (head and tail generators spawned from
-    # the seed) and which trials pass
+    # pins the support-first stream (head and tail streams Random(2 seed)
+    # and Random(2 seed + 1), Lemire draws) and which trials pass
     code = make_code(F2, 7, G7A)
     trivial = PermGroup(7, [identity_perm(7)])
     rep = falsify_by_sampling(code, trivial, trials=2000, seed=5)
-    assert rep.rng_algorithm == "numpy-pcg64/support-first-fisher-yates"
+    assert rep.rng_algorithm == "python-mt19937/support-first-fisher-yates"
     images = [tuple(c["images"]) for c in rep.counterexamples]
-    assert len(images) == 53
-    assert images[:2] == [(0, 6, 3, 2, 4, 5, 1), (2, 3, 1, 5, 0, 6, 4)]
+    assert len(images) == 64
+    assert images[:2] == [(2, 4, 6, 1, 3, 5, 0), (0, 5, 2, 4, 3, 1, 6)]
     digest = hashlib.sha256(json.dumps(images).encode()).hexdigest()
-    assert digest[:16] == "40f884852227288c"
+    assert digest[:16] == "06fba2baa7590f24"
 
 
 def _dense_preserves(code, sigma):
@@ -816,12 +921,22 @@ def _trivial_group(n):
     return PermGroup(n, [identity_perm(n)])
 
 
+def _reference_draw(stream, bound):
+    """One draw uniform on [0, bound): one getrandbits(32) per word,
+    Lemire's multiply-shift, a rejected word replaced by the next."""
+    while True:
+        prod = stream.getrandbits(32) * bound
+        if prod & 0xFFFFFFFF >= (1 << 32) % bound:
+            return prod >> 32
+
+
 def _reference_sampling(code, claimed, trials, seed):
-    """Reference: one trial at a time, the head by a Python Fisher-Yates
-    loop over supp g, the tail only for trials whose basis word 0 maps into
-    C, then the dense check and membership in the claim."""
-    head_rng, tail_rng = (np.random.default_rng(s)
-                          for s in np.random.SeedSequence(seed).spawn(2))
+    """Reference: one trial at a time in pure Python, the head by a
+    Fisher-Yates loop over supp g on the head stream, the tail (the points
+    left, ascending, shuffled on the tail stream) only for trials whose
+    basis word 0 maps into C, then the dense check and membership in the
+    claim."""
+    head_rng, tail_rng = random.Random(2 * seed), random.Random(2 * seed + 1)
     f, n = code.field, code.n
     supp = [i for i, c in enumerate(code.gen.coeffs)
             if c != f.zero] if code.k else []
@@ -829,7 +944,8 @@ def _reference_sampling(code, claimed, trials, seed):
     found = []
     for _ in range(trials):
         points = list(range(n))
-        for j, r in enumerate(head_rng.integers(0, n - np.arange(len(supp)))):
+        for j in range(len(supp)):
+            r = _reference_draw(head_rng, n - j)
             points[j], points[j + r] = points[j + r], points[j]
         head = points[:len(supp)]
         word = [f.zero] * n
@@ -837,13 +953,16 @@ def _reference_sampling(code, claimed, trials, seed):
             word[p] = code.gen.coeffs[i]
         if code.k and not contains(code, tuple(word)):
             continue
-        tail = np.array(sorted(points[len(supp):]))
-        tail_rng.shuffle(tail)
-        sigma = np.empty(n, dtype=np.int64)
-        sigma[supp], sigma[rest_at] = head, tail
+        tail = sorted(points[len(supp):])
+        for j in range(len(tail) - 1):
+            r = _reference_draw(tail_rng, len(tail) - j)
+            tail[j], tail[j + r] = tail[j + r], tail[j]
+        sigma = [0] * n
+        for i, p in zip(supp + rest_at, head + tail):
+            sigma[i] = p
         if _dense_preserves(code, sigma)[0] \
                 and not claimed.contains(Permutation(sigma)):
-            found.append({"images": sigma.tolist(), "basis_index": None})
+            found.append({"images": sigma, "basis_index": None})
     return found
 
 

@@ -308,6 +308,11 @@ def test_cli_bad_input_exit_code():
             (["perm-group", "--n", "7", "--gen", "1,1,0,1", "--trials", "-1"],
              "usage: "),
             (["table", "--row", "T17", "--trials", "0"], "usage: "),
+            # a negative seed: random.Random would seed with its absolute
+            # value
+            (["perm-group", "--n", "7", "--gen", "1,1,0,1", "--mode",
+              "certify", "--trials", "10", "--seed", "-1"], "usage: "),
+            (["table", "--row", "T17", "--seed", "-3"], "usage: "),
             (["table", "--row", "ZZZ"], "error: no table row matches 'ZZZ'"),
             # sampling runs in certify mode only
             (["perm-group", "--n", "7", "--gen", "1,1,0,1", "--mode", "brute",
@@ -622,6 +627,27 @@ assert all(rep.equal for rep in reports)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["factor", "--field", "3", "--n", "40"]) == 0
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=_src_env())
+    assert res.returncode == 0, res.stderr
+
+
+def test_sampling_does_not_import_numpy_random():
+    # the sampler reads random.Random streams; importing numpy.random
+    # (bit_generator, secrets, hmac, _hashlib) costs every sampling process
+    # about 12 ms
+    script = """
+import contextlib, io, sys
+from cycperm import cli
+from cycperm.table import RunConfig, run_table, select_rows
+[rep] = run_table(select_rows(["T17"]), RunConfig(trials=100))
+assert rep.trials == 100 and rep.evidence == "subgroup+sampling"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["perm-group", "--field", "2^2", "--n", "14", "--gen",
+                     "1:0,1:0,0:0,1:0", "--mode", "certify",
+                     "--trials", "50"]) == 0
+assert "numpy.random" not in sys.modules, "numpy.random was imported"
 """
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env=_src_env())

@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generator polynomial, comma-separated ascending "
                         "coefficients")
     p.add_argument("--min-distance", action="store_true")
-    p.add_argument("--enum-cap", type=int, default=2 ** 20)
+    p.add_argument("--enum-cap", type=_nonnegative_int, default=2 ** 20)
     p.set_defaults(fn=cmd_code_info)
 
     p = sub.add_parser("perm-group", parents=[common_field],
@@ -217,8 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_nonnegative_int, default=0,
                    help="sampling trials, certify mode only (0: none)")
     p.add_argument("--seed", type=_nonnegative_int, default=42)
-    p.add_argument("--order-cap", type=int, default=ORDER_CAP)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--order-cap", type=_nonnegative_int,
+                   default=ORDER_CAP)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_perm_group)
 
     p = sub.add_parser("table", help="verify embedded Table I rows")
@@ -231,10 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "get at least a certificate)")
     p.add_argument("--out", default=None, help="write JSON report here")
     p.add_argument("--csv", default=None, help="write CSV summary here")
-    p.add_argument("--order-cap", type=int, default=ORDER_CAP)
+    p.add_argument("--order-cap", type=_nonnegative_int,
+                   default=ORDER_CAP)
     p.add_argument("--trials", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=_nonnegative_int, default=42)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("selftest", help="fast invariant suite")

@@ -15,16 +15,18 @@ np.convolve mod r; for r = 2 a sum of indices is their XOR (_fadd).
 Polynomial arithmetic therefore shares the tables' cap q <= 4096;
 FieldSpec's scalar ops remain the reference they are tested against.
 
-x^n - 1 is factored without a splitting field: equal-degree splitting
-modulo Q_o finds one irreducible factor m_1.  Every other factor of Q_o is
-either a gcd of Q_o with m_1(x^t), folded to exponents mod o and divided by
-Q_o once (fold-and-divide), or the monic reciprocal of the factor for the
-negated coset, so one gcd serves each such pair.  The factors of each Q_o
-are memoized per (o, field), so x^n - 1 for many n factors each Q_o once.
-_Ext is the residue arithmetic modulo a monic polynomial behind the
-splitting, on the same kernels, with _xpow_table the one table of x^i mod M
-that it shares with the membership engine off F_2 (over F_2 the engine
-takes the same rows packed in uint64 lanes from _xpow_lanes_f2); in
+x^n - 1 is factored without a splitting field and without random probes:
+Berlekamp splitting modulo Q_o by the q-cyclotomic coset sums, which span
+the Frobenius-fixed subalgebra, finds one irreducible factor m_1.  Every
+other factor of Q_o is either a gcd of Q_o with m_1(x^t), folded to
+exponents mod o and divided by Q_o once (fold-and-divide), or the monic
+reciprocal of the factor for the negated coset, so one gcd serves each
+such pair.  The factors of each Q_o are memoized per (o, field), so
+x^n - 1 for many n factors each Q_o once.  _Ext is the residue arithmetic
+modulo a monic polynomial behind the splitting's traces (alpha > 1) and
+powers (r > 3), on the same kernels, with _xpow_table the one table of
+x^i mod M that it shares with the membership engine off F_2 (over F_2 the
+engine takes the same rows packed in uint64 lanes from _xpow_lanes_f2); in
 characteristic 2 it squares through that table's even rows.  It keeps its
 name because perfbench traces it.
 
@@ -207,12 +209,19 @@ def _reduce(field: FieldSpec, tables, w, v, quot=None):
     for top in range(len(w) - 1, dv - 1, -1):
         lead = w[top]
         if lead:
-            c = mul[lead, lead_inv]
+            c = lead if lead_inv == 1 else mul[lead, lead_inv]
             s = top - dv
             if quot is not None:
                 quot[s] = c
-            w[s:top + 1] = _fadd(field, w[s:top + 1],
-                                 minus_v if c == 1 else mul[c, minus_v])
+            seg = w[s:top + 1]  # _fadd in place, with no temporary
+            term = minus_v if c == 1 else mul[c, minus_v]
+            if field.r == 2:
+                seg ^= term
+            elif field.alpha == 1:
+                seg += term
+                seg %= field.r
+            else:
+                seg[:] = _fadd(field, seg, term)
     return _trimmed(w[:dv])
 
 
@@ -407,22 +416,24 @@ def cyclotomic(n: int, field: FieldSpec) -> Poly:
 
 # -- coset-labelled factorization ---------------------------------------------
 
+def _cyclotomic_cosets(q: int, o: int):
+    """The q-cyclotomic cosets partitioning the residues mod o, each sorted,
+    yielded by their minima (so {0} comes first)."""
+    seen = set()
+    for t in range(o):
+        if t not in seen:
+            cos = []
+            cur = t
+            while cur not in seen:
+                seen.add(cur)
+                cos.append(cur)
+                cur = (cur * q) % o
+            yield sorted(cos)
+
+
 def _cyclotomic_cosets_of_units(q: int, o: int) -> list:
     """q-cosets partitioning the units mod o, each sorted, ordered by min."""
-    units = [t for t in range(1, o) if math.gcd(t, o) == 1] if o > 1 else []
-    seen = set()
-    cosets = []
-    for t in units:
-        if t in seen:
-            continue
-        cos = []
-        cur = t
-        while cur not in seen:
-            seen.add(cur)
-            cos.append(cur)
-            cur = (cur * q) % o
-        cosets.append(sorted(cos))
-    return cosets
+    return [c for c in _cyclotomic_cosets(q, o) if math.gcd(c[0], o) == 1]
 
 
 def _xpow_table(field: FieldSpec, modulus, count: int):
@@ -471,7 +482,9 @@ def _xpow_lanes_f2(modulus, count: int):
 
 class _Ext:
     """Arithmetic in F_q[x]/(M) for a monic M of degree d >= 1 over an
-    arbitrary FieldSpec; M need not be irreducible.
+    arbitrary FieldSpec; M need not be irreducible.  _one_factor builds one
+    per modulus it splits, for the Frobenius steps of a trace (square for
+    r = 2, pow(a, r) otherwise) and the power (r-1)/2 of odd r.
 
     Elements are index arrays of length d (ascending powers of x).  A
     product is _mul_idx reduced with the rows x^d .. x^(2d-2) mod M of
@@ -527,41 +540,73 @@ class _Ext:
         return result
 
 
-def _one_factor(f: Poly, d: int) -> Poly:
-    """One irreducible factor of f, a product of distinct monic irreducibles
-    of degree d, by equal-degree splitting (Cantor & Zassenhaus, 1981).
+def _one_factor(q_o: Poly, d: int, o: int) -> Poly:
+    """One irreducible factor of Q_o, o > 1, whose irreducible factors all
+    have degree d, by Berlekamp's splitting (1970) with no random probe.
 
-    Each pass draws a probe a in F_q[x]/(f) and takes gcd(f, s) with
-    s = a^((q^d-1)/2) - 1 for odd q, or the trace a + a^2 + ... +
-    a^(2^(alpha d - 1)) for even q, built by _Ext.square.  On each
-    irreducible factor, s vanishes for about half the probes,
-    independently, so a pass splits f with probability about 1/2; the
-    smaller part is kept.  The probes come from a fixed-seed generator, so
-    every run returns the same factor.  They are drawn at random because
-    probes with coefficients in a subfield can have the same value on every
-    factor (the F_4 factors of Q_25 are swapped by the Frobenius map over
-    F_2, so no probe over F_2 splits them).  The loop works on index arrays
-    and builds a Poly only for the factor it returns.
+    An element of F_q[x]/(x^o - 1) is fixed by a -> a^q exactly when its
+    coefficients are constant on the q-cyclotomic cosets mod o, so the
+    coset sums eta_C = sum of x^j over j in C span that fixed subalgebra,
+    and still span it modulo any factor f of Q_o.  Modulo f it is F_q^s,
+    one coordinate per irreducible factor: eta_C mod f takes one value in
+    F_q on each factor, and any two factors differ in some eta_C.  So
+    does t = Tr_{F_q/F_r}(beta eta_C) for some beta in the basis
+    1, y, .., y^(alpha-1) of F_q, and t takes its values in F_r.  A t
+    that is not constant mod f splits f: for r = 2 by gcd(f, t), the
+    factors on which t is 0, and for odd r by gcd(f, (t + c)^((r-1)/2) - 1),
+    the factors on which t + c is a nonzero square, for c = 0, 1, .. in F_r
+    (any two values of t differ in that respect for some c).  The smaller
+    part is kept until its degree is d.
+
+    The cosets are taken by their minima, {0} skipped, and every beta in
+    turn.  The trace takes alpha - 1 Frobenius steps (_Ext.square for
+    r = 2, _Ext.pow(., r) otherwise), in an _Ext built once per f and only
+    when a trace or a power above 1 is needed.  The loop works on index
+    arrays and builds a Poly only for the factor it returns.
     """
-    field = f.field
-    q = field.order
-    rng = np.random.default_rng(0)
-    f_idx = _indices(f)
-    while len(f_idx) - 1 > d:
-        ring = _Ext(field, f_idx)
-        a = rng.integers(0, q, size=len(f_idx) - 1)
-        if q % 2:
-            s = ring.sub(ring.pow(a, (q ** d - 1) // 2), ring.one)
-        else:
-            s = a
-            for _ in range(field.alpha * d - 1):
-                a = ring.square(a)
-                s = ring.add(s, a)
-        g = _gcd_idx(field, f_idx.copy(), _trimmed(s))
-        if 1 < len(g) < len(f_idx):
-            h = _divmod_idx(field, f_idx, g)[0]
-            f_idx = g if len(g) <= len(h) else h
-    return _poly_of_indices(field, f_idx)
+    field = q_o.field
+    r, alpha = field.r, field.alpha
+    tables = _division_tables(field)
+    mul, half = tables[0], (r - 1) // 2
+    f, ring = _indices(q_o), None
+
+    def padded(a):  # an _Ext element: length deg f
+        out = np.zeros(len(f) - 1, dtype=np.int64)
+        out[:len(a)] = a
+        return out
+
+    for coset in itertools.islice(_cyclotomic_cosets(field.order, o), 1, None):
+        eta = np.zeros(o, dtype=np.int64)
+        eta[coset] = 1
+        for beta in range(alpha):
+            eta = _reduce(field, tables, eta, f)
+            if len(eta) <= 1:
+                break  # eta_C is constant mod f, so is every trace
+            t = mul[r ** beta, eta]  # r^beta is the index of y^beta
+            if alpha > 1:
+                ring = ring or _Ext(field, f)
+                a = t = padded(t)
+                for _ in range(alpha - 1):
+                    a = ring.square(a) if r == 2 else ring.pow(a, r)
+                    t = ring.add(t, a)
+            for c in range(1 if r == 2 else r):
+                t = _reduce(field, tables, t, f)
+                if len(t) <= 1:
+                    break
+                s = t.copy()
+                if r > 2:
+                    s[0] = _fadd(field, s[0], c)
+                    if half > 1:
+                        ring = ring or _Ext(field, f)
+                        s = ring.pow(padded(s), half)
+                    s[0] = _fadd(field, s[0], r - 1)  # r - 1 indexes -1
+                g = _gcd_idx(field, f.copy(), _trimmed(s))
+                if 1 < len(g) < len(f):
+                    h = _divmod_idx(field, f, g)[0]
+                    f, ring = (g if len(g) <= len(h) else h), None
+                    if len(f) - 1 == d:
+                        return _poly_of_indices(field, f)
+    raise AssertionError(f"the coset sums left Q_{o} unsplit")
 
 
 @functools.lru_cache(maxsize=None)
@@ -572,7 +617,9 @@ def _cyclotomic_factors(o: int, field: FieldSpec) -> tuple:
     Q_o is factored once however many n it serves.
 
     No extension field is built.  _one_factor splits off one factor m_1 of
-    Q_o, labelled by the coset of 1, and gamma stands for one of its roots.
+    Q_o by its coset sums, deterministically, labelled by the coset of 1,
+    and gamma stands for one of its roots (which factor is m_1 fixes the
+    labels; the set of factors does not depend on it).
     The factor with the roots gamma^u, u in C, is gcd(Q_o, m_1(x^t)) for
     t = (min C)^-1 mod o: gamma^u is a root of m_1(x^t) exactly when u*t
     lies in the powers of q mod o, that is when u lies in C.  As Q_o
@@ -589,7 +636,8 @@ def _cyclotomic_factors(o: int, field: FieldSpec) -> tuple:
     if len(cosets) == 1:
         return ((o, frozenset(cosets[0]), q_o),)
     coset_of = {u: i for i, coset in enumerate(cosets) for u in coset}
-    factors = [_one_factor(q_o, len(cosets[0]))] + [None] * (len(cosets) - 1)
+    factors = [_one_factor(q_o, len(cosets[0]), o)]
+    factors += [None] * (len(cosets) - 1)
     m1_idx, q_o_idx = _indices(factors[0]), _indices(q_o)
     for i, coset in enumerate(cosets):
         if factors[i] is None:

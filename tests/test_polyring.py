@@ -519,10 +519,65 @@ def test_conjugate_factors_match_the_gcd_rule(r, alpha):
     assert expect[(r, alpha)] <= set(self_reciprocal)
 
 
+def _rabin_irreducible(m, d):
+    """Rabin's test (1980) on a monic m of degree d, from poly_pow and
+    poly_mod: m is irreducible iff x^(q^d) = x mod m and x^(q^(d/p)) - x is
+    prime to m for each prime p | d."""
+    field = m.field
+    x = poly_mod(x_poly(field), m)
+
+    def frobenius(a):  # a^q mod m, by squaring and multiplying
+        out = one_poly(field)
+        for bit in bin(field.order)[2:]:
+            out = poly_mod(poly_pow(out, 2), m)
+            if bit == "1":
+                out = poly_mod(poly_mul(out, a), m)
+        return out
+
+    powers = [x]  # x^(q^k) mod m
+    for _ in range(d):
+        powers.append(frobenius(powers[-1]))
+    return powers[d] == x and all(
+        poly_gcd(poly_sub(powers[d // p], x), m).degree == 0
+        for p in polyring._prime_factors(d))
+
+
+SPLITTER_FIELDS = [(2, 1, 400), (2, 2, 400)] \
+    + [(r, a, 160) for r, a in [(3, 1), (5, 1), (7, 1), (2, 3), (3, 2),
+                                (11, 1), (13, 1), (2, 4)]] \
+    + [(r, a, 41) for r, a in [(4093, 1), (2, 12), (3, 7), (61, 2)]]
+
+
+@pytest.mark.parametrize("r, alpha, o_end", SPLITTER_FIELDS,
+                         ids=[f"F{r}^{a}-o<{end}"
+                              for r, a, end in SPLITTER_FIELDS])
+def test_coset_sum_splitter_finds_an_irreducible_factor(r, alpha, o_end):
+    """On every Q_o with several q-cosets of units, _one_factor returns a
+    monic divisor of degree |C_1| that passes Rabin's test."""
+    field = make_field(r, alpha)
+    tried = 0
+    try:
+        for o in range(2, o_end):
+            cosets = _cyclotomic_cosets_of_units(field.order, o)
+            if o % r == 0 or len(cosets) == 1:
+                continue
+            q_o, d = cyclotomic(o, field), len(cosets[0])
+            m1 = polyring._one_factor(q_o, d, o)
+            assert m1.is_monic() and m1.degree == d, (o, m1)
+            assert poly_divides(m1, q_o), (o, m1)
+            assert _rabin_irreducible(m1, d), (o, m1)
+            tried += 1
+    finally:
+        if field.order > 2048:  # free the four large fields' q x q tables
+            field_tables.cache_clear()
+    assert tried
+
+
 def test_factoring_runs_fewer_euclid_loops(monkeypatch):
     # every gcd goes through _gcd_idx; before reciprocal conjugates each was
     # one poly_gcd call: 258 for n <= 60 over F_2, F_3 and F_4, and 112
-    # for x^1023 - 1 over F_2
+    # for x^1023 - 1 over F_2; with random probes in place of the coset
+    # sums, 184 and 61
     calls = []
     gcd = polyring._gcd_idx
 
@@ -535,11 +590,11 @@ def test_factoring_runs_fewer_euclid_loops(monkeypatch):
     for field in (F2, F3, make_field(2, 2)):
         for n in range(1, 61):
             factor_xn_minus_1(n, field)
-    assert len(calls) == 184
+    assert len(calls) == 135
     calls.clear()
     _cyclotomic_factors.cache_clear()
     assert len(factor_xn_minus_1(1023, F2)) == 107
-    assert len(calls) == 61
+    assert len(calls) == 62
     _cyclotomic_factors.cache_clear()
 
 

@@ -327,6 +327,29 @@ def test_cli_bad_input_exit_code():
         assert "Traceback" not in res.stderr, args
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["perm-group", "--n", "7", "--gen", "1,1,0,1", "--workers", "-3"],
+     "argument --workers: -3 is not a positive integer"),
+    (["table", "--row", "T01a", "--workers", "0"],
+     "argument --workers: 0 is not a positive integer"),
+    (["perm-group", "--n", "7", "--gen", "1,1,0,1", "--order-cap", "-1"],
+     "argument --order-cap: -1 is negative"),
+    (["table", "--row", "T01a", "--order-cap", "-5"],
+     "argument --order-cap: -5 is negative"),
+    (["code-info", "--n", "7", "--gen", "1,1,0,1", "--min-distance",
+      "--enum-cap", "-1"],
+     "argument --enum-cap: -1 is negative"),
+], ids=["perm-group-workers", "table-workers", "perm-group-order-cap",
+        "table-order-cap", "code-info-enum-cap"])
+def test_cli_rejects_counts_out_of_range(capsys, argv, message):
+    # a usage error and exit status 2, before any verification runs
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: ") and message in err
+
+
 def test_python_m_cycperm_runs_from_a_checkout():
     res = subprocess.run([sys.executable, "-m", "cycperm", "--help"],
                          capture_output=True, text=True,
@@ -647,6 +670,22 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["perm-group", "--field", "2^2", "--n", "14", "--gen",
                      "1:0,1:0,0:0,1:0", "--mode", "certify",
                      "--trials", "50"]) == 0
+assert "numpy.random" not in sys.modules, "numpy.random was imported"
+"""
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=_src_env())
+    assert res.returncode == 0, res.stderr
+
+
+def test_factoring_does_not_import_numpy_random():
+    # x^n - 1 is split by its coset sums, with no random probe
+    script = """
+import contextlib, io, sys
+from cycperm import cli
+for field in ("2", "3", "2^2"):
+    for n in range(1, 61):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["factor", "--field", field, "--n", str(n)]) == 0
 assert "numpy.random" not in sys.modules, "numpy.random was imported"
 """
     res = subprocess.run([sys.executable, "-c", script], capture_output=True,

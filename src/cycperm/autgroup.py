@@ -2,7 +2,8 @@
 
 Four routes with different reach:
 
-* exhaustive_per_group - scan all of S_n (small n), pruning prefixes, exact;
+* exhaustive_per_group - scan the stabilizer of 0 in S_n (small n), pruning
+  prefixes, and take the orbit of 0 from the cyclic shift, exact;
 * backtrack_per_group  - coordinate-image backtracking over a candidate
   matrix refined by pair classes, with stabilizer-chain pruning
   (enumerable codes), exact;
@@ -93,7 +94,6 @@ from .permutation import (
     Permutation,
     _StabChain,
     groups_equal,
-    reduce_generators,
 )
 from .polyring import (
     Poly,
@@ -218,22 +218,23 @@ class _Engine:
 
 _SCAN_MAX_N = 12  # longest code the exhaustive scan accepts
 _SCAN_ROWS = 1 << 12  # prefix rows the scan extends at a time
-_REDUCE_ROWS = 1 << 16  # preserving rows reduced at a time
+_REDUCE_ROWS = 1 << 12  # stabilizer rows absorbed at a time, a block in cache
 
 
 def _scan_permutations(args):
-    """Worker: the rows tau = sigma^{-1} with tau[0] = v whose sigma
-    preserves the code, as one array of the smallest unsigned dtype that
-    holds n - 1, in lexicographic order; with first set, only the first.
+    """Worker: the rows tau = sigma^{-1} that begin with `prefix` and whose
+    sigma preserves the code, as one array of the smallest unsigned dtype
+    that holds n - 1, in lexicographic order.
 
-    The rows grow one position at a time, each row's candidates ascending,
-    and a block whose extension would pass _SCAN_ROWS rows is split, its
-    pieces finished in turn, so the rows come out in lexicographic order.
-    Under sigma, basis word t has support tau[supp g + t], which is placed
-    once position t + deg g is; a row that word rejects is dropped there,
-    with all its extensions.
+    The prefix is checked a position at a time.  The rows then grow one
+    position at a time, each row's candidates ascending, and a block whose
+    extension would pass _SCAN_ROWS rows is split, its pieces finished in
+    turn, so the rows come out in lexicographic order.  Under sigma, basis
+    word t has support tau[supp g + t], which is placed once position
+    t + deg g is; a row that word rejects is dropped there, with all its
+    extensions.
     """
-    engine, v, first = args
+    engine, prefix = args
     n, m = engine.n, engine.code.gen.degree
     dtype = np.min_scalar_type(n - 1)
 
@@ -245,16 +246,16 @@ def _scan_permutations(args):
                 taus = np.delete(taus, bad, axis=0)
         return taus
 
-    found = []
-    stack = [pruned(np.full((1, 1), v, dtype=dtype))]
+    head = np.array([prefix], dtype=dtype)
+    if not all(len(pruned(head[:, :i])) for i in range(1, len(prefix) + 1)):
+        return np.empty((0, n), dtype=dtype)
+    found, stack = [], [head]
     while stack:
         taus = stack.pop()
         i = taus.shape[1]  # the next position to place
         if not len(taus):
             continue
         if i == n:
-            if first:
-                return taus[:1]
             found.append(taus)
             continue
         per = max(1, _SCAN_ROWS // (n - i))
@@ -272,16 +273,27 @@ def _scan_permutations(args):
 
 def exhaustive_per_group(code: CyclicCodeSpec,
                          workers: int = 1) -> PermGroup:
-    """Per(C) by a prefix-pruned scan of all n! permutations
-    (_scan_permutations), one first image at a time.  The scan runs on C
-    or C-dual, whichever generator has the lower degree: Per(C) =
-    Per(C-dual), and a low degree lets the first words prune early.
+    """Per(C) by orbit-stabilizer: a prefix-pruned scan finds Per(C)_0,
+    the stabilizer of 0, and the shift i -> i + 1 gives the orbit of 0.
+    C is cyclic, so the shift lies in Per(C), Per(C) is transitive and
+    |Per(C)| = n |Per(C)_0| (Seress 2003, section 4.1); a shift the engine
+    rejects is an internal fault, not a verdict.  The scan
+    (_scan_permutations) runs on C or C-dual, whichever generator has the
+    lower degree: Per(C) = Per(C-dual), and a low degree lets the first
+    words prune early.  It runs as one chunk, prefix (0,), or with workers
+    as one chunk per second image u, prefix (0, u); joined in u order these
+    are the same rows of Per(C)_0 in the same, lexicographic, order.
 
-    The rows of first image 0 are the stabilizer of 0, reduced
-    _REDUCE_ROWS at a time.  The rows of another first image v are one
-    coset of it, so only v's first row is scanned for and reduced; the
-    group's order is then |Stab(0)| times the number of first images with
-    a row, which must equal the order of the kept generators' group.
+    The chain is complete by construction and forms no Schreier generator.
+    Every row is absorbed, _REDUCE_ROWS at a time, so every row is a
+    member; a member is a product of transversals, and so of rows, so when
+    the rows form a group the chain holds exactly Per(C)_0.  Absorbing the
+    shift then opens level 0 to all n points and changes no deeper level,
+    so the chain holds Per(C), and PermGroup seals it.  Absorb inserts what
+    sifting each row alone in order would, so every worker count builds
+    the same chain.  Its order must be n times the number of rows; a scan
+    that loses or adds a row fails that.  The group's generators are the
+    chain's strong generators.
     """
     n = code.n
     if n > _SCAN_MAX_N:
@@ -291,23 +303,29 @@ def exhaustive_per_group(code: CyclicCodeSpec,
     if code.dual_gen.degree < code.gen.degree:
         code = make_code(code.field, n, code.dual_gen)
     engine = _Engine(code)
-    chunks = [(engine, v, v > 0) for v in range(n)]
-    chain, kept, orbit = _StabChain(n), [], 0
+    shift = np.arange(1, n + 1, dtype=np.int32) % n
+    if not engine.perm_preserves(shift)[0]:
+        raise AssertionError("the cyclic shift does not preserve the code")
+    # one chunk, or with workers one per second image u, prefix (0, u)
+    prefixes = [(0, u) for u in range(1, n)] if workers > 1 else []
+    chunks = [(engine, prefix) for prefix in prefixes or [(0,)]]
+    chain, rows = _StabChain(n), 0
     with contextlib.ExitStack() as stack:
         parts = map(_scan_permutations, chunks)
         if workers > 1:
             import multiprocessing as mp
             pool = stack.enter_context(mp.get_context("fork").Pool(workers))
             parts = pool.imap(_scan_permutations, chunks)
-        for v, found in enumerate(parts):  # first images ascending
-            if not v:
-                stabilizer = len(found)
-            orbit += bool(len(found))
+        for found in parts:  # second images ascending
+            rows += len(found)
             for start in range(0, len(found), _REDUCE_ROWS):
-                sigmas = np.argsort(found[start:start + _REDUCE_ROWS], axis=1)
-                kept.extend(reduce_generators(sigmas, n, chain))
-    group = PermGroup(n, kept, chain)  # reduce_generators completed it
-    if group.order != stabilizer * orbit:
+                taus = found[start:start + _REDUCE_ROWS]
+                sigmas = np.empty(taus.shape, dtype=np.int32)
+                sigmas[np.arange(len(taus))[:, None], taus] = chain.arange
+                chain.absorb(sigmas)
+    chain.absorb(shift[None, :])
+    group = PermGroup(n, [Permutation(g) for g, _ in chain.all_gens], chain)
+    if group.order != n * rows:
         raise AssertionError("exhaustive scan produced a non-group")
     return group
 

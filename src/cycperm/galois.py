@@ -232,7 +232,8 @@ def make_field(r: int, alpha: int = 1,
 
     Without an explicit modulus the defining polynomial is the first monic
     irreducible of degree alpha in the scan order c_0 + c_1 r + c_2 r^2 + ...,
-    so every run picks the same one.
+    so every run picks the same one (_default_modulus).  An explicit
+    modulus is checked on every call.
     """
     if not _is_prime(r):
         raise NotPrime(f"{r} is not prime")
@@ -242,16 +243,23 @@ def make_field(r: int, alpha: int = 1,
         if modulus is not None:
             raise DegreeMismatch("prime field takes no modulus")
         return FieldSpec(r, 1, None)
-    if modulus is not None:
-        mod = tuple(int(c) % r for c in modulus)
-        if len(mod) != alpha + 1:
-            raise DegreeMismatch(
-                f"modulus must have degree {alpha} (got {len(mod) - 1})")
-        if mod[-1] != 1:
-            raise ReducibleModulus("modulus must be monic")
-        if not _zp_irreducible(list(mod), r):
-            raise ReducibleModulus(f"modulus {list(mod)} is reducible over Z_{r}")
-        return FieldSpec(r, alpha, mod)
+    if modulus is None:
+        return FieldSpec(r, alpha, _default_modulus(r, alpha))
+    mod = tuple(int(c) % r for c in modulus)
+    if len(mod) != alpha + 1:
+        raise DegreeMismatch(
+            f"modulus must have degree {alpha} (got {len(mod) - 1})")
+    if mod[-1] != 1:
+        raise ReducibleModulus("modulus must be monic")
+    if not _zp_irreducible(list(mod), r):
+        raise ReducibleModulus(f"modulus {list(mod)} is reducible over Z_{r}")
+    return FieldSpec(r, alpha, mod)
+
+
+@functools.lru_cache(maxsize=None)
+def _default_modulus(r: int, alpha: int) -> tuple:
+    """The first monic irreducible of degree alpha over Z_r in make_field's
+    scan order, found once per (r, alpha) and process."""
     for low in range(r ** alpha):
         coeffs = []
         m = low
@@ -260,7 +268,7 @@ def make_field(r: int, alpha: int = 1,
             m //= r
         cand = coeffs + [1]
         if _zp_irreducible(cand, r):
-            return FieldSpec(r, alpha, tuple(cand))
+            return tuple(cand)
     raise ReducibleModulus("no irreducible modulus found")  # unreachable
 
 

@@ -45,9 +45,11 @@ chain, absorbing each batch of pending Schreier generators with its
 level's base as their origin.  A caller may pass a target at least the
 group's order (an overgroup's order): the build then stops once the
 orbit product reaches it, since every transversal is whole.  groups_equal
-uses it.  A caller that can prove its chain complete by other means (the
-backtrack in autgroup) only absorbs, never forms a Schreier generator,
-and hands the chain to PermGroup, which seals it.
+uses it.  A caller that can prove its chain complete by other means
+only absorbs, never forms a Schreier generator, and hands the chain to
+PermGroup, which seals it.  Both exact searches in autgroup do: the
+backtrack, and the exhaustive scan, which absorbs every row of the
+stabilizer of 0 and then the cyclic shift.
 """
 
 from __future__ import annotations

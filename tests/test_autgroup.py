@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cycperm import autgroup, group_constructors
+from cycperm import autgroup, group_constructors, permutation
 from cycperm.autgroup import (
     VerificationReport,
     _Engine,
@@ -134,20 +134,52 @@ def test_exhaustive_cutoff():
 
 
 def test_exhaustive_non_group_check(monkeypatch):
-    # the group keeps reduce_generators' chain, which is complete for the
-    # kept generators: a scan that loses first image 1 still counts one
-    # first image too few against that group's order
+    # the chain holds every absorbed row and so the group they generate: a
+    # scan that loses one row of the stabilizer of 0 leaves an order of n
+    # times one row more than it found
     scan = autgroup._scan_permutations
 
-    def lose_first_image_1(args):
-        found = scan(args)
-        return found[:0] if args[1] == 1 else found
+    def lose_last_row(args):
+        return scan(args)[:-1]
 
     code = make_code(F2, 10, cyclotomic(5, F2))
     assert exhaustive_per_group(code).order == 3840
-    monkeypatch.setattr(autgroup, "_scan_permutations", lose_first_image_1)
+    monkeypatch.setattr(autgroup, "_scan_permutations", lose_last_row)
     with pytest.raises(AssertionError, match="non-group"):
         exhaustive_per_group(code)
+
+
+def test_exhaustive_forms_no_schreier_generators(monkeypatch):
+    # the scan's chain is complete by construction: over the divisor-code
+    # grid it forms no Schreier generator, and its order is that of a full
+    # Schreier-Sims rebuild from its generators
+    formed = []
+    collect = permutation._Level.collect_pending
+
+    def counting_collect(self, limit):
+        rows = collect(self, limit)
+        formed.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(permutation._Level, "collect_pending",
+                        counting_collect)
+    groups = []
+    for field, n_max in ((F2, 10), (F3, 8), (F4, 7), (F5, 6)):
+        for n in range(1, n_max + 1):
+            for code in _all_divisor_codes(field, n):
+                if 0 < code.k:
+                    groups.append((code, exhaustive_per_group(code)))
+    assert len(groups) == 213 and sum(formed) == 0
+    monkeypatch.undo()
+    for code, group in groups:
+        assert PermGroup(code.n, group.generators).order == group.order, \
+            code.describe()
+    # the shift must preserve a cyclic code; an engine that rejects it is
+    # an internal fault, not a verdict
+    monkeypatch.setattr(_Engine, "perm_preserves",
+                        lambda self, sigma: (False, 0))
+    with pytest.raises(AssertionError, match="shift"):
+        exhaustive_per_group(make_code(F2, 7, G7A))
 
 
 def test_exhaustive_workers_agree():
@@ -176,21 +208,21 @@ def test_exhaustive_matches_per_permutation_reference(field, n_max):
 
 @pytest.mark.parametrize("scan_rows", [1, 1 << 12])
 def test_scan_rows_are_the_passing_inverses_in_order(monkeypatch, scan_rows):
-    # however the scan splits its blocks, the rows with first image v are
-    # the inverses of the passing sigmas in lexicographic order, and the
-    # first-row scan gives the first of them
+    # however the scan splits its blocks, the chunks by second image,
+    # prefix (0, u), joined in u order, and the one chunk of prefix (0,)
+    # are the inverses of the passing sigmas with tau[0] = 0 in
+    # lexicographic order
     monkeypatch.setattr(autgroup, "_SCAN_ROWS", scan_rows)
     codes = [make_code(F2, 7, G7A)] + _all_divisor_codes(F3, 6)
     for code in codes:
         n, engine = code.n, _Engine(code)
-        taus = [list(tau) for tau in itertools.permutations(range(n))
-                if engine.perm_preserves(np.argsort(tau))[0]]
-        for v in range(n):
-            want = [tau for tau in taus if tau[0] == v]
-            got = autgroup._scan_permutations((engine, v, False))
-            assert got.tolist() == want, (code.gen, v)
-            got = autgroup._scan_permutations((engine, v, True))
-            assert got.tolist() == want[:1], (code.gen, v)
+        want = [list(tau) for tau in itertools.permutations(range(n))
+                if tau[0] == 0 and engine.perm_preserves(np.argsort(tau))[0]]
+        chunks = [autgroup._scan_permutations((engine, (0, u)))
+                  for u in range(1, n)]
+        assert np.concatenate(chunks).tolist() == want, code.gen
+        got = autgroup._scan_permutations((engine, (0,)))
+        assert got.tolist() == want, code.gen
 
 
 def _exact_search(kind, field_text, n, gen_text, workers=1):
@@ -227,8 +259,10 @@ def test_exact_search_golden():
         23592960, 1039694019687845983054132464844800, 21504, 47029248,
         1296, 3840, 1296]
     assert records[4] == records[6]
+    # the exhaustive searches' generators are their chains' strong
+    # generators, the shift last (digest was 7cd539e179db2b82)
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-    assert digest[:16] == "7cd539e179db2b82"
+    assert digest[:16] == "7e607a57e97e4733"
 
 
 def _chain_shape(chain):
@@ -239,9 +273,10 @@ def _chain_shape(chain):
 
 # strong generator counts of the claim chains below, from materialize's
 # generators (one base copy per top orbit) and from the one-copy-per-block
-# generators the first digest was recorded with
-CHAIN_GENS = [39, 39, 46, 46, 30, 30, 75, 75, 58, 58, 145, 2, 5, 30, 36, 36,
-              19, 94, 76, 11, 3]
+# generators the first digest was recorded with; the first list moved with
+# PSL2_7's generators, the exhaustive scan's strong generators
+CHAIN_GENS = [40, 43, 48, 52, 30, 30, 61, 61, 58, 58, 117, 2, 5, 30, 36, 36,
+              19, 94, 76, 9, 3]
 PER_BLOCK_CHAIN_GENS = [39, 39, 46, 46, 34, 34, 83, 83, 69, 69, 167, 2, 5, 30,
                         36, 36, 21, 96, 80, 11, 3]
 
@@ -272,8 +307,9 @@ def test_chain_golden():
         per_block.append(old)
     assert [shape[3] for shape in shapes] == CHAIN_GENS
     assert [shape[3] for shape in per_block] == PER_BLOCK_CHAIN_GENS
+    # moved from 265bd6394ef34c9d with PSL2_7's generators
     digest = hashlib.sha256(json.dumps(shapes).encode()).hexdigest()
-    assert digest[:16] == "265bd6394ef34c9d"
+    assert digest[:16] == "ad96ba260ceccaa5"
     shapes = per_block
     for call in [("backtrack", "2", 30, "Q(3)Q(5)"),
                  ("backtrack", "2", 105, "Q(5)Q(7)"),
@@ -294,8 +330,10 @@ def test_chain_golden():
             for shape in backtrack]
     digest = hashlib.sha256(json.dumps(sets).encode()).hexdigest()
     assert digest[:16] == "ccac39d0fed79693"
+    # moved from f3044b024348a2d2 with PSL2_7's generators and the
+    # exhaustive chains, which list their orbit points in another order
     digest = hashlib.sha256(json.dumps(shapes).encode()).hexdigest()
-    assert digest[:16] == "f3044b024348a2d2"
+    assert digest[:16] == "d3beb90a82288a2e"
 
 
 @pytest.mark.parametrize("N", [1, 63, 64, 65, 512, 1024])

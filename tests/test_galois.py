@@ -8,6 +8,7 @@ from cycperm.errors import (
     NotPrime,
     ReducibleModulus,
 )
+from cycperm import galois
 from cycperm.galois import field_tables, make_field, parse_field
 
 
@@ -62,6 +63,32 @@ def test_supplied_modulus_validation():
         make_field(2, 3, [1, 1, 1])
     with pytest.raises(ReducibleModulus):
         make_field(2, 3, [1, 1, 0, 0])  # not monic at degree 3
+
+
+def test_default_modulus_is_scanned_once(monkeypatch):
+    # the scan for a default modulus runs once per (r, alpha) and process;
+    # an explicit modulus is checked on every call
+    checked = []
+    irreducible = galois._zp_irreducible
+
+    def counting(coeffs, r):
+        checked.append(tuple(coeffs))
+        return irreducible(coeffs, r)
+
+    monkeypatch.setattr(galois, "_zp_irreducible", counting)
+    galois._default_modulus.cache_clear()
+    f81 = make_field(3, 4)
+    scanned = len(checked)
+    assert scanned > 1
+    assert make_field(3, 4) == parse_field("81") == parse_field("3^4") == f81
+    assert len(checked) == scanned
+    make_field(3, 4, f81.modulus)
+    make_field(3, 4, list(f81.modulus))
+    assert checked[scanned:] == [f81.modulus] * 2
+    for _ in range(2):
+        with pytest.raises(ReducibleModulus):
+            make_field(2, 3, [1, 0, 0, 1])
+    assert len(checked) == scanned + 4
 
 
 def test_f8_arithmetic_examples():

@@ -26,6 +26,7 @@ from .galois import Element, FieldSpec, field_tables
 from .polyring import (
     Poly,
     _fadd,
+    _indices,
     _reciprocal_monic,
     make_poly,
     monic,
@@ -92,15 +93,14 @@ def contains(code: CyclicCodeSpec, word: Codeword) -> bool:
     return poly_mod(word_to_poly(code, word), code.gen).is_zero()
 
 
-def basis_codewords(code: CyclicCodeSpec) -> list:
-    """The k generator-shift codewords x^i g(x), i = 0..k-1, as index rows."""
-    f = code.field
-    g_idx = [f.element_index(c) for c in code.gen.coeffs]
-    rows = []
-    for i in range(code.k):
-        row = [0] * code.n
-        row[i:i + len(g_idx)] = g_idx
-        rows.append(row)
+def basis_codewords(code: CyclicCodeSpec) -> np.ndarray:
+    """The k generator-shift codewords x^i g(x), i = 0..k-1, as the rows of
+    a k x n int64 array of element indices."""
+    g_idx = _indices(code.gen)
+    rows = np.zeros((code.k, code.n), dtype=np.int64)
+    # row i holds g at columns i .. i + deg g: g_j sits on diagonal j
+    for j in np.flatnonzero(g_idx):
+        rows[np.arange(code.k), np.arange(code.k) + j] = g_idx[j]
     return rows
 
 
@@ -120,7 +120,7 @@ def codeword_index_matrix(code: CyclicCodeSpec,
     if total > cap:
         raise TooLarge(f"{total} codewords exceed the enumeration cap {cap}")
     mul_t = field_tables(f)[1]
-    basis = np.array(basis_codewords(code), dtype=np.int64)
+    basis = basis_codewords(code)
     rows = np.zeros((total, code.n), dtype=np.int64)
     size = 1
     for word in basis[::-1]:

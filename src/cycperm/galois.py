@@ -233,7 +233,9 @@ def make_field(r: int, alpha: int = 1,
     Without an explicit modulus the defining polynomial is the first monic
     irreducible of degree alpha in the scan order c_0 + c_1 r + c_2 r^2 + ...,
     so every run picks the same one (_default_modulus).  An explicit
-    modulus is checked on every call.
+    modulus is checked on every call.  Every call returns the one interned
+    FieldSpec of its (r, alpha, modulus), so caches keyed by a field hit
+    by identity.
     """
     if not _is_prime(r):
         raise NotPrime(f"{r} is not prime")
@@ -242,9 +244,9 @@ def make_field(r: int, alpha: int = 1,
     if alpha == 1:
         if modulus is not None:
             raise DegreeMismatch("prime field takes no modulus")
-        return FieldSpec(r, 1, None)
+        return _interned_field(r, 1, None)
     if modulus is None:
-        return FieldSpec(r, alpha, _default_modulus(r, alpha))
+        return _interned_field(r, alpha, _default_modulus(r, alpha))
     mod = tuple(int(c) % r for c in modulus)
     if len(mod) != alpha + 1:
         raise DegreeMismatch(
@@ -253,7 +255,12 @@ def make_field(r: int, alpha: int = 1,
         raise ReducibleModulus("modulus must be monic")
     if not _zp_irreducible(list(mod), r):
         raise ReducibleModulus(f"modulus {list(mod)} is reducible over Z_{r}")
-    return FieldSpec(r, alpha, mod)
+    return _interned_field(r, alpha, mod)
+
+
+@functools.lru_cache(maxsize=None)
+def _interned_field(r: int, alpha: int, modulus: Optional[tuple]) -> FieldSpec:
+    return FieldSpec(r, alpha, modulus)
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,16 +4,16 @@ Home of the generator/check polynomial machinery: division, gcd, cyclotomic
 polynomials Q_n, the factorization of x^n - 1 by q-cyclotomic cosets, the
 dual-generator formula and power substitution g(x^t).
 
-One arithmetic serves every field.  The poly_* operations turn coefficients
-into element indices (galois element_index, through a cached element list
-and dict per field) and run two kernels on the field's add/mul/neg tables
-(galois.field_tables): _mul_idx, a product, and _reduce, a remainder
-computed in the dividend's own buffer by one leading-term elimination per
-step (_divmod_idx also collects the quotient; _gcd_idx is Euclid's loop on
-it).  For alpha = 1 an index is the residue, so the product is an
-np.convolve mod r; for r = 2 a sum of indices is their XOR (_fadd).
-Polynomial arithmetic therefore shares the tables' cap q <= 4096;
-FieldSpec's scalar ops remain the reference they are tested against.
+One arithmetic serves every field.  The poly_* operations read and write
+each Poly's array of element indices (galois element_index) and run two
+kernels on the field's add/mul/neg tables (galois.field_tables): _mul_idx,
+a product, and _reduce, a remainder computed in the dividend's own buffer
+by one leading-term elimination per step (_divmod_idx also collects the
+quotient; _gcd_idx is Euclid's loop on it).  For alpha = 1 an index is the
+residue, so the product is an np.convolve mod r; for r = 2 a sum of
+indices is their XOR (_fadd).  Polynomial arithmetic therefore shares the
+tables' cap q <= 4096; FieldSpec's scalar ops remain the reference they
+are tested against.
 
 x^n - 1 is factored without a splitting field and without random probes:
 Berlekamp splitting modulo Q_o by the q-cyclotomic coset sums, which span
@@ -30,8 +30,16 @@ engine takes the same rows packed in uint64 lanes from _xpow_lanes_f2); in
 characteristic 2 it squares through that table's even rows.  It keeps its
 name because perfbench traces it.
 
-A Poly stores ascending coefficients with no trailing zeros; the zero
-polynomial has an empty coefficient tuple and degree -1.
+A Poly has one form: a read-only int64 array of element indices,
+ascending, with no trailing zeros (the zero polynomial's is empty, of
+degree -1).  Poly._of wraps an array, and every operation, make_code,
+the membership engine and the table's generator parser work on arrays,
+so building a code converts no coefficient.  Element tuples are
+converted only at the edges (Poly(field, coeffs), make_poly and the
+coeffs tuple, built on first read, through _codec); text is parsed to
+and formatted from the array.  Equality and hash come from the field and
+the array's bytes, so equal polynomials built any way share one memo
+entry.
 """
 
 from __future__ import annotations
@@ -39,7 +47,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -53,99 +60,140 @@ from .errors import (
 from .galois import Element, FieldSpec, field_tables
 
 
-@dataclass(frozen=True)
 class Poly:
-    field: FieldSpec
-    coeffs: tuple  # tuple[Element, ...], ascending, trimmed
+    """A polynomial over F_{r^alpha}: one read-only int64 array of element
+    indices (galois element_index), ascending and trimmed.
+
+    Poly(field, coeffs) checks and converts Element tuples; Poly._of wraps
+    an index array as it is.  The coeffs tuple is built on first read.
+    Equality and hash come from the field and the array's bytes.
+    """
+
+    __slots__ = ("field", "_idx", "_coeffs", "_hash")
+
+    def __init__(self, field: FieldSpec, coeffs: Iterable[Element]):
+        index = _codec(field)[1]
+        idx = np.array([index[field.check(c)] for c in coeffs], dtype=np.int64)
+        self._init(field, _trimmed(idx))
+
+    @classmethod
+    def _of(cls, field: FieldSpec, idx) -> "Poly":
+        """Wrap a trimmed array of indices, made int64 (without a copy when
+        it is one already) and read-only."""
+        p = cls.__new__(cls)
+        p._init(field, np.asarray(idx, dtype=np.int64))
+        return p
+
+    def _init(self, field, idx):
+        idx.flags.writeable = False
+        self.field, self._idx = field, idx
+        self._coeffs: Optional[tuple] = None
+        self._hash: Optional[int] = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """tuple[Element, ...], ascending, trimmed."""
+        if self._coeffs is None:
+            elements = _codec(self.field)[0]
+            self._coeffs = tuple([elements[i] for i in self._idx.tolist()])
+        return self._coeffs
 
     @property
     def degree(self) -> int:
         """-1 stands in for the zero polynomial's degree."""
-        return len(self.coeffs) - 1
+        return len(self._idx) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self._idx)
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+    def is_monic(self) -> bool:  # index 1 is the field's one
+        return bool(len(self._idx)) and int(self._idx[-1]) == 1
 
     def coeff(self, i: int) -> Element:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
+        if 0 <= i < len(self._idx):
+            return _codec(self.field)[0][self._idx[i]]
+        return self.field.zero
+
+    def __eq__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return (self.field == other.field
+                and self._idx.tobytes() == other._idx.tobytes())
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.field, self._idx.tobytes()))
+        return self._hash
+
+    def __reduce__(self):  # a cached hash must not cross processes
+        return Poly._of, (self.field, self._idx)
 
     def __repr__(self):
         return f"Poly({format_poly_text(self)!r} over F_{self.field.describe()})"
 
 
-def _trim(field: FieldSpec, coeffs: list) -> Poly:
-    while coeffs and coeffs[-1] == field.zero:
-        coeffs.pop()
-    return Poly(field, tuple(coeffs))
-
-
 def make_poly(field: FieldSpec, coeffs: Iterable[Element]) -> Poly:
-    return _trim(field, [field.check(c) for c in coeffs])
+    return Poly(field, coeffs)
 
 
 def poly_from_ints(field: FieldSpec, ints: Sequence[int]) -> Poly:
-    """Convenience: coefficients as base-r integer encodings (alpha=1: residues)."""
-    return _trim(field, [field.element_of_index(int(c) % field.order if field.alpha == 1
-                                                else int(c)) for c in ints])
+    """Convenience: coefficients as base-r integer encodings (alpha=1:
+    residues), taken mod q."""
+    idx = np.array([int(c) for c in ints], dtype=np.int64) % field.order
+    return Poly._of(field, _trimmed(idx))
 
 
 def zero_poly(field: FieldSpec) -> Poly:
-    return Poly(field, ())
+    return Poly._of(field, np.zeros(0, dtype=np.int64))
 
 
 def one_poly(field: FieldSpec) -> Poly:
-    return Poly(field, (field.one,))
+    return Poly._of(field, np.ones(1, dtype=np.int64))
 
 
 def x_poly(field: FieldSpec) -> Poly:
-    return Poly(field, (field.zero, field.one))
+    return Poly._of(field, np.array([0, 1], dtype=np.int64))
 
 
 def xn_minus_1(field: FieldSpec, n: int) -> Poly:
-    coeffs = [field.zero] * (n + 1)
-    coeffs[0] = field.neg(field.one)
-    coeffs[n] = field.one
-    return Poly(field, tuple(coeffs))
-
-
-def _same_field(a: Poly, b: Poly):
-    if a.field != b.field:
-        raise FieldMismatch("polynomials over different fields")
+    idx = np.zeros(n + 1, dtype=np.int64)
+    idx[0] = field.r - 1  # the index of -1
+    idx[n] = 1
+    return Poly._of(field, idx)
 
 
 # -- index form: coefficients as element indices, arithmetic by table -------
 
 @functools.lru_cache(maxsize=None)
 def _codec(field: FieldSpec):
-    """The field's elements by index, and the dict back to indices.
-
-    Every conversion comes here before any arithmetic, so this is where the
-    tables' cap q <= 4096 is enforced, before q elements are listed."""
+    """The field's elements by index, and the dict back to indices: the
+    conversions between Element tuples and a Poly's array.  The tables'
+    cap q <= 4096 is enforced here, before q elements are listed."""
     field_tables(field)
     elements = list(field.elements())
     return elements, {e: i for i, e in enumerate(elements)}
 
 
 def _indices(p: Poly):
-    index = _codec(p.field)[1]
-    return np.array([index[c] for c in p.coeffs], dtype=np.int64)
+    """p's read-only index array."""
+    return p._idx
 
 
 def _trimmed(idx):
-    """idx without its trailing zeros, found by a scan from the top: the
-    arrays trimmed here end in few zeros."""
+    """idx without its trailing zeros, a view: a scan of the top few
+    entries, then one search for the last nonzero one (a zero remainder
+    of a long division is all zeros)."""
     top = len(idx)
-    while top and not idx[top - 1]:
+    for _ in range(8):
+        if not top or idx[top - 1]:
+            return idx[:top]
         top -= 1
-    return idx[:top]
+    nonzero = np.flatnonzero(idx[:top])
+    return idx[:nonzero[-1] + 1 if len(nonzero) else 0]
 
 
 def _poly_of_indices(field: FieldSpec, idx) -> Poly:
-    elements = _codec(field)[0]
-    return Poly(field, tuple(elements[i] for i in _trimmed(idx).tolist()))
+    return Poly._of(field, _trimmed(idx))
 
 
 def _fadd(field: FieldSpec, x, y):
@@ -244,44 +292,54 @@ def _gcd_idx(field: FieldSpec, u, v):
 
 
 def _add_idx(field: FieldSpec, a, b):
-    n = max(len(a), len(b))
-    return _fadd(field, np.pad(a, (0, n - len(a))), np.pad(b, (0, n - len(b))))
+    """a + b on index arrays of any lengths, as a new array."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    out[:len(b)] = _fadd(field, a[:len(b)], b)
+    return out
+
+
+def _arith_field(a: Poly, b: Optional[Poly] = None) -> FieldSpec:
+    """The field of a, and of b, which must be the same; fetching its
+    tables gives all polynomial arithmetic the tables' cap q <= 4096."""
+    if b is not None and a.field != b.field:
+        raise FieldMismatch("polynomials over different fields")
+    field_tables(a.field)
+    return a.field
 
 
 def poly_add(a: Poly, b: Poly) -> Poly:
-    _same_field(a, b)
-    return _poly_of_indices(a.field,
-                            _add_idx(a.field, _indices(a), _indices(b)))
+    f = _arith_field(a, b)
+    return _poly_of_indices(f, _add_idx(f, a._idx, b._idx))
 
 
 def poly_sub(a: Poly, b: Poly) -> Poly:
-    _same_field(a, b)
-    neg = field_tables(a.field)[2]
-    return _poly_of_indices(a.field,
-                            _add_idx(a.field, _indices(a), neg[_indices(b)]))
+    f = _arith_field(a, b)
+    neg = field_tables(f)[2]
+    return _poly_of_indices(f, _add_idx(f, a._idx, neg[b._idx]))
 
 
 def poly_scale(a: Poly, c: Element) -> Poly:
-    f = a.field
-    mul, index = field_tables(f)[1], _codec(f)[1]
-    return _poly_of_indices(f, mul[_indices(a), index[c]])
+    f = _arith_field(a)
+    return _poly_of_indices(f, field_tables(f)[1][a._idx,
+                                                  f.element_index(f.check(c))])
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
-    _same_field(a, b)
-    f = a.field
+    f = _arith_field(a, b)
     if a.is_zero() or b.is_zero():
         return zero_poly(f)
-    return _poly_of_indices(f, _mul_idx(f, _indices(a), _indices(b)))
+    return _poly_of_indices(f, _mul_idx(f, a._idx, b._idx))
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple:
     """a = q*b + r with deg r < deg b."""
-    _same_field(a, b)
+    f = _arith_field(a, b)
     if b.is_zero():
         raise DivisionByZero("polynomial division by zero")
-    quot, rem = _divmod_idx(a.field, _indices(a), _indices(b))
-    return _poly_of_indices(a.field, quot), _poly_of_indices(a.field, rem)
+    quot, rem = _divmod_idx(f, a._idx, b._idx)
+    return _poly_of_indices(f, quot), Poly._of(f, rem.copy())
 
 
 def poly_mod(a: Poly, b: Poly) -> Poly:
@@ -296,24 +354,25 @@ def poly_divides(a: Poly, b: Poly) -> bool:
 def monic(a: Poly) -> Poly:
     if a.is_zero():
         return a
-    return poly_scale(a, a.field.inv(a.coeffs[-1]))
+    f = _arith_field(a)
+    mul, _, inverses = _division_tables(f)
+    return Poly._of(f, mul[inverses[a._idx[-1]], a._idx])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    _same_field(a, b)
+    f = _arith_field(a, b)
     if a.is_zero() and b.is_zero():
         raise DivisionByZero("gcd(0, 0) undefined")
-    return _poly_of_indices(a.field,
-                            _gcd_idx(a.field, _indices(a), _indices(b)))
+    return Poly._of(f, _gcd_idx(f, a._idx.copy(), b._idx.copy()))
 
 
 def poly_pow(a: Poly, e: int) -> Poly:
     """a^e by squaring on index arrays; 0^0 = 1."""
-    f = a.field
+    f = _arith_field(a)
     if e and a.is_zero():
         return zero_poly(f)
     result = np.ones(1, dtype=np.int64)  # index 1 is the field's one
-    acc = _indices(a)
+    acc = a._idx
     while e:
         if e & 1:
             result = _mul_idx(f, result, acc)
@@ -329,25 +388,18 @@ def substitute_power(g: Poly, t: int) -> Poly:
         raise ValueError("t must be >= 1")
     if t == 1 or g.is_zero():
         return g
-    f = g.field
-    out = [f.zero] * (g.degree * t + 1)
-    for i, c in enumerate(g.coeffs):
-        out[i * t] = c
-    return Poly(f, tuple(out))
+    idx = np.zeros(g.degree * t + 1, dtype=np.int64)
+    idx[::t] = g._idx
+    return Poly._of(g.field, idx)
 
 
 def try_contract_power(g: Poly, t: int) -> Optional[Poly]:
     """Inverse of substitute_power: g0 with g == g0(x^t), or None."""
     if g.is_zero() or g.degree % t:
         return None
-    f = g.field
-    out = []
-    for i, c in enumerate(g.coeffs):
-        if i % t == 0:
-            out.append(c)
-        elif c != f.zero:
-            return None
-    return Poly(f, tuple(out))
+    if g._idx[:-1].reshape(-1, t)[:, 1:].any():
+        return None
+    return Poly._of(g.field, g._idx[::t].copy())
 
 
 # -- cyclotomic polynomials ---------------------------------------------------
@@ -409,9 +461,9 @@ def cyclotomic(n: int, field: FieldSpec) -> Poly:
     if n % field.r == 0:
         raise CharacteristicDividesN(
             f"char {field.r} divides {n}; Q_{n} is not defined here")
-    ints = _cyclotomic_int(n)
-    emb = [(c % field.r,) + (0,) * (field.alpha - 1) for c in ints]
-    return _trim(field, emb)
+    # a residue c of F_r is (c, 0, ..) in F_q, whose index is c
+    return Poly._of(field, np.array(_cyclotomic_int(n), dtype=np.int64)
+                    % field.r)
 
 
 # -- coset-labelled factorization ---------------------------------------------
@@ -568,7 +620,7 @@ def _one_factor(q_o: Poly, d: int, o: int) -> Poly:
     r, alpha = field.r, field.alpha
     tables = _division_tables(field)
     mul, half = tables[0], (r - 1) // 2
-    f, ring = _indices(q_o), None
+    f, ring = q_o._idx, None
 
     def padded(a):  # an _Ext element: length deg f
         out = np.zeros(len(f) - 1, dtype=np.int64)
@@ -638,12 +690,12 @@ def _cyclotomic_factors(o: int, field: FieldSpec) -> tuple:
     coset_of = {u: i for i, coset in enumerate(cosets) for u in coset}
     factors = [_one_factor(q_o, len(cosets[0]), o)]
     factors += [None] * (len(cosets) - 1)
-    m1_idx, q_o_idx = _indices(factors[0]), _indices(q_o)
+    m1_idx, q_o_idx = factors[0]._idx, q_o._idx
     for i, coset in enumerate(cosets):
         if factors[i] is None:
             folded = np.zeros(o, dtype=np.int64)
             folded[np.arange(len(m1_idx)) * pow(coset[0], -1, o) % o] = m1_idx
-            factors[i] = _poly_of_indices(
+            factors[i] = Poly._of(
                 field, _gcd_idx(field, q_o_idx.copy(), _trimmed(folded)))
         mirror = coset_of[o - coset[0]]
         if factors[mirror] is None:
@@ -675,13 +727,14 @@ def factor_xn_minus_1(n: int, field: FieldSpec) -> list:
         n_free //= r
         e += 1
     factors = sorted((fac for _o, _c, fac in _labelled_factors(n_free, field)),
-                     key=lambda p: (p.degree, _indices(p).tolist()))
+                     key=lambda p: (p.degree, p._idx.tolist()))
     return [(p, r ** e) for p in factors]
 
 
 def _reciprocal_monic(h: Poly) -> Poly:
     """x^deg(h) h(1/x) / h(0), the monic reciprocal of h with h(0) != 0."""
-    return poly_scale(Poly(h.field, h.coeffs[::-1]), h.field.inv(h.coeffs[0]))
+    mul, _, inverses = _division_tables(h.field)
+    return Poly._of(h.field, mul[inverses[h._idx[0]], h._idx[::-1]])
 
 
 def dual_generator(g: Poly, n: int) -> Poly:
@@ -698,26 +751,27 @@ def format_poly_text(p: Poly) -> str:
     """Ascending coefficients, comma separated; colon-joined residues when
     alpha > 1.  The zero polynomial prints as a single zero coefficient."""
     f = p.field
-    coeffs = p.coeffs if p.coeffs else (f.zero,)
-    if f.alpha == 1:
-        return ",".join(str(c[0]) for c in coeffs)
-    return ",".join(":".join(str(d) for d in c) for c in coeffs)
+    idx = p._idx if len(p._idx) else np.zeros(1, dtype=np.int64)
+    if f.alpha == 1:  # an index is its residue
+        return ",".join(map(str, idx.tolist()))
+    digits = idx[:, None] // f.r ** np.arange(f.alpha) % f.r
+    return ",".join(":".join(map(str, c)) for c in digits.tolist())
 
 
 def parse_poly_text(text: str, field: FieldSpec) -> Poly:
     toks = [t.strip() for t in text.strip().split(",")]
-    coeffs = []
+    r, idx = field.r, []
     for t in toks:
         if field.alpha == 1:
             v = int(t)
-            if not 0 <= v < field.r:
-                raise ValueError(f"coefficient {v} out of range for F_{field.r}")
-            coeffs.append((v,))
+            if not 0 <= v < r:
+                raise ValueError(f"coefficient {v} out of range for F_{r}")
+            idx.append(v)
         else:
             parts = [int(x) for x in t.split(":")]
             if len(parts) != field.alpha:
                 raise ValueError(f"coefficient {t!r} needs {field.alpha} residues")
-            if any(not 0 <= v < field.r for v in parts):
+            if any(not 0 <= v < r for v in parts):
                 raise ValueError(f"coefficient {t!r} out of range")
-            coeffs.append(tuple(parts))
-    return _trim(field, coeffs)
+            idx.append(sum(v * r ** i for i, v in enumerate(parts)))
+    return _poly_of_indices(field, np.array(idx, dtype=np.int64))

@@ -54,10 +54,11 @@ from .polyring import (
     cyclotomic,
     one_poly,
     poly_add,
+    poly_from_ints,
     poly_mul,
     poly_pow,
-    poly_scale,
     poly_sub,
+    substitute_power,
     x_poly,
 )
 
@@ -134,17 +135,18 @@ class _GenParser:
             self.i += 1
             return cyclotomic(n, self.f)
         if c.isdigit():
-            v = self.integer()
-            return poly_scale(one_poly(self.f),
-                              self.f.element_of_index(v % self.f.r))
+            return poly_from_ints(self.f, [self.integer() % self.f.r])
         self.err("expected atom")
 
     def factor(self) -> Poly:
         a = self.atom()
-        if self.peek() == "^":
-            self.i += 1
-            return poly_pow(a, self.integer())
-        return a
+        if self.peek() != "^":
+            return a
+        self.i += 1
+        e = self.integer()
+        if e and a == x_poly(self.f):  # x^e as one array, not by squaring
+            return substitute_power(a, e)
+        return poly_pow(a, e)
 
     def term(self) -> Poly:
         acc = self.factor()

@@ -91,6 +91,20 @@ def test_default_modulus_is_scanned_once(monkeypatch):
     assert len(checked) == scanned + 4
 
 
+def test_make_field_interns_its_fields():
+    # one FieldSpec per (r, alpha, modulus), so field-keyed caches hit by
+    # identity; an explicit modulus is still checked on every call
+    assert make_field(2, 2) is parse_field("4") is parse_field("2^2")
+    assert make_field(3) is make_field(3, 1) is parse_field("3")
+    f9 = make_field(3, 2)
+    assert make_field(3, 2, f9.modulus) is f9
+    other = make_field(3, 2, [2, 1, 1])
+    assert other is make_field(3, 2, [2, 1, 1]) and other != f9
+    for _ in range(2):
+        with pytest.raises(ReducibleModulus):
+            make_field(2, 2, [1, 0, 1])  # y^2 + 1 = (y + 1)^2
+
+
 def test_f8_arithmetic_examples():
     f8 = make_field(2, 3)
     y, y2 = (0, 1, 0), (0, 0, 1)

@@ -674,3 +674,146 @@ def test_poly_text_round_trip():
             assert parse_poly_text(format_poly_text(p), field) == p
     assert format_poly_text(make_poly(F2, [])) == "0"
     assert parse_poly_text("0", F2).is_zero()
+
+
+# -- one form: a Poly is one read-only index array -----------------------------
+
+def _assert_form(p, want):
+    """p holds a trimmed, read-only int64 index array whose coeffs are the
+    scalar reference want."""
+    idx = _indices(p)
+    assert idx.dtype == np.int64 and not idx.flags.writeable, p
+    assert not len(idx) or idx[-1], p
+    assert p.coeffs == tuple(want), p
+
+
+@pytest.mark.parametrize("r, alpha", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_every_result_holds_one_read_only_array(r, alpha):
+    from cycperm.polyring import _reciprocal_monic, monic, try_contract_power
+    f = make_field(r, alpha)
+    rng = random.Random(31 * r + alpha)
+    els = list(f.elements())
+
+    def rand(deg):
+        return [rng.choice(els) for _ in range(deg)] + [rng.choice(els[1:])]
+
+    for _ in range(12):
+        a, b = rand(rng.randrange(0, 9)), rand(rng.randrange(0, 5))
+        pa, pb = make_poly(f, a), make_poly(f, b)
+        span = range(max(len(a), len(b)))
+        c = rng.choice(els)
+        quot, rem = _school_divmod(f, a, b)
+        cube = _school_mul(f, _school_mul(f, a, a), a)
+        sub3 = [f.zero] * (3 * len(a) - 2)
+        sub3[::3] = a
+        cases = [
+            (poly_add(pa, pb), _strip(f, [f.add(pa.coeff(i), pb.coeff(i))
+                                          for i in span])),
+            (poly_sub(pa, pb), _strip(f, [f.sub(pa.coeff(i), pb.coeff(i))
+                                          for i in span])),
+            (poly_scale(pa, c), _strip(f, [f.mul(x, c) for x in a])),
+            (poly_mul(pa, pb), _school_mul(f, a, b)),
+            (poly_divmod(pa, pb)[0], quot),
+            (poly_divmod(pa, pb)[1], rem),
+            (poly_mod(pa, pb), rem),
+            (poly_gcd(pa, pb), _school_gcd(f, a, b)),
+            (poly_pow(pa, 3), cube),
+            (monic(pa), [f.mul(x, f.inv(a[-1])) for x in a]),
+            (substitute_power(pa, 3), sub3),
+            (try_contract_power(make_poly(f, sub3), 3), a),
+        ]
+        if a[0] != f.zero:
+            lead_inv = f.inv(a[0])
+            cases.append((_reciprocal_monic(pa),
+                          [f.mul(x, lead_inv) for x in reversed(a)]))
+        for got, want in cases:
+            _assert_form(got, want)
+    for n in (7, 8, 13, 15, 16):
+        if n % r:
+            _assert_form(cyclotomic(n, f),
+                         [f.element_of_index(c % r)
+                          for c in _cyclotomic_int(n)])
+        xn = [f.neg(f.one)] + [f.zero] * (n - 1) + [f.one]
+        product = [f.one]
+        for fac, mult in factor_xn_minus_1(n, f):
+            _assert_form(fac, fac.coeffs)
+            for _ in range(mult):
+                product = _school_mul(f, product, list(fac.coeffs))
+        assert product == xn, n
+        for fac, _ in factor_xn_minus_1(n, f):
+            code = make_code(f, n, fac)
+            check = _school_divmod(f, xn, list(fac.coeffs))[0]
+            lead_inv = f.inv(check[0])
+            _assert_form(code.gen, fac.coeffs)
+            _assert_form(code.check, check)
+            _assert_form(code.dual_gen,
+                         [f.mul(x, lead_inv) for x in reversed(check)])
+
+
+def test_equal_polys_hit_one_cache_entry():
+    from cycperm import autgroup, group_constructors
+    f = make_field(3)
+    built = [make_poly(f, [(2,), (0,), (1,)]),             # x^2 - 1 at n = 8
+             poly_from_ints(f, [-1, 3, 1]),
+             _poly_of_indices(f, np.array([2, 0, 1, 0, 0]))]
+    assert built[0] == built[1] == built[2]
+    assert len({hash(g) for g in built}) == 1
+    assert len(set(built)) == 1
+    q_13 = cyclotomic(13, f)
+    twins = [q_13, make_poly(f, q_13.coeffs),
+             poly_from_ints(f, _indices(q_13).tolist())]
+    for cached, args in ((group_constructors._searched_group,
+                          [(f, 8, g) for g in built]),
+                         (autgroup._prime_expr, [(13, g) for g in twins])):
+        before = cached.cache_info()
+        results = [cached(*a) for a in args]
+        after = cached.cache_info()
+        assert all(res is results[0] for res in results)
+        assert after.misses - before.misses <= 1
+        assert after.hits - before.hits >= 2
+
+
+def test_t18_code_and_engine_build_no_coefficient_tuple(monkeypatch):
+    from cycperm.autgroup import _Engine
+    from cycperm.table import select_rows
+
+    def no_tuples(field):
+        raise AssertionError("a coefficient tuple was built")
+
+    monkeypatch.setattr(polyring, "_codec", no_tuples)
+    row = select_rows(["T18"])[0]
+    code = make_code(F2, row.n, row.build_gen(F2))
+    _Engine(code)
+    assert (code.k, code.gen.degree, code.dual_gen.degree) == (2914, 930, 2914)
+
+
+def test_table_generators_golden():
+    # gen, check and dual_gen of all 43 records, as recorded before a Poly
+    # became one index array
+    from cycperm.table import TABLE_ROWS
+    digest = hashlib.sha256()
+    for row in TABLE_ROWS:
+        code = make_code(F2, row.n, row.build_gen(F2))
+        for p in (code.gen, code.check, code.dual_gen):
+            digest.update(format_poly_text(p).encode() + b"\n")
+    assert len(TABLE_ROWS) == 43
+    assert digest.hexdigest() == \
+        "15cfb481421e382fa986feebf1d07db373d9a71a142fbef0bf108f5941c6add3"
+
+
+@pytest.mark.parametrize("r, alpha", [(2, 2), (3, 2)])
+def test_index_arrays_round_trip_through_text(r, alpha):
+    f = make_field(r, alpha)
+    rng = np.random.default_rng(10 * r + alpha)
+    for deg in list(range(-1, 6)) + [40]:
+        idx = rng.integers(0, f.order, size=deg + 1)
+        if deg >= 0:
+            idx[-1] = rng.integers(1, f.order)
+        p = _poly_of_indices(f, idx)
+        text = format_poly_text(p)
+        assert text == (",".join(":".join(map(str, c)) for c in p.coeffs)
+                        or ":".join("0" * alpha))
+        back = parse_poly_text(text, f)
+        assert back == p and hash(back) == hash(p)
+        assert _indices(back).tolist() == idx.tolist()
+        assert not _indices(back).flags.writeable

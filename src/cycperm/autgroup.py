@@ -1104,7 +1104,10 @@ def verify_claim(code: CyclicCodeSpec, claim: Optional[GroupExpr] = None,
     decides computed_order and equal (by group equality with the claim).
     Without one, n <= order_cap decides them from derive_per_group: equal
     needs the certificate, and every derived generator must preserve C and
-    lie in the claim (expr_contains), which proves Per(C) <= claim.  A
+    lie in the claim (expr_contains), which proves Per(C) <= claim.  When
+    the derived expression equals the claim, its generators (materialize
+    returns the same permutations) are the ones the certificate has just
+    passed through perm_preserves, so each is checked once.  A
     leaf that derive_per_group cannot decide (TooLarge) decides nothing:
     the report keeps the certificate alone.
 
@@ -1130,11 +1133,13 @@ def verify_claim(code: CyclicCodeSpec, claim: Optional[GroupExpr] = None,
             except TooLarge:
                 pass  # an undecided leaf: the certificate is all there is
             else:
-                rows = np.stack([g.array() for g in materialize(derived)])
+                same = derived == claim  # the certificate checked these
+                rows = np.stack([g.array() for g in
+                                 (gens if same else materialize(derived))])
                 report.computed_order = order
                 report.equal = (report.certified
-                                and all(engine.perm_preserves(r)[0]
-                                        for r in rows)
+                                and (same or all(engine.perm_preserves(r)[0]
+                                                 for r in rows))
                                 and bool(expr_contains(claim, rows).all()))
                 report.evidence = "decomposition-equal"
         if trials:

@@ -4,7 +4,9 @@ Covers wreath products in both matrix layouts, CRT direct products
 S_p x S_q inside S_pq, the prime-degree groups that hold the shift (the
 affine p:m, PSL(d, q) on PG(d-1, q) in Singer order, M_23, PSL2_7), a
 parser/printer for symbolic group expressions, and membership in an
-expression decided block by block (expr_contains).
+expression decided block by block (expr_contains).  Each expression is
+materialized once per process (materialize), as each leaf chain
+(_leaf_chain) and each searched code (_searched_group) is built once.
 
 Wreath indexing.  For W = A wr H on deg(A)*deg(H) points, flat point
 (a_pt, h_pt) = a_pt * deg(H) + h_pt.  Base copies of A act on the stride
@@ -245,21 +247,28 @@ def named_group_generators(tag: str, degree: int) -> List[Permutation]:
 
 
 def _orbit_representatives(gens: List[Permutation]) -> List[int]:
-    """The least point of each orbit of <gens>, ascending."""
-    arrays = [g.array() for g in gens]
-    seen = np.zeros(gens[0].degree, dtype=bool)
+    """The least point of each orbit of <gens>, ascending.
+
+    Each orbit is closed over a point set, as _Level.extend_orbit closes
+    a chain's orbits: forward images close an orbit of a finite group, and
+    each generator's images are read once, as a list local to the call.
+    """
+    images = [g.array().tolist() for g in gens]
+    seen = set()
     reps = []
-    for p in range(len(seen)):
-        if seen[p]:
+    for p in range(gens[0].degree):
+        if p in seen:
             continue
         reps.append(p)
-        seen[p] = True
-        front = np.array([p])
-        while front.size:  # forward images close an orbit of a finite group
-            hit = np.zeros_like(seen)
-            hit[np.concatenate([a[front] for a in arrays])] = True
-            front = np.flatnonzero(hit & ~seen)
-            seen[front] = True
+        seen.add(p)
+        todo = [p]
+        while todo:
+            a = todo.pop()
+            for img in images:
+                b = img[a]
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
     return reps
 
 
@@ -440,6 +449,22 @@ def expr_order(e: GroupExpr) -> int:
 
 
 def materialize(e: GroupExpr) -> List[Permutation]:
+    """Generators of the group e, built once per expression and process.
+
+    Every call returns a new list of the same immutable Permutations, so
+    a claim, the expression derived for its code and their shared
+    sub-expressions build each generator set once.  A constructor error
+    (BadDegree, ...) is raised again on every call: nothing is kept for it.
+    """
+    return list(_generators(e))
+
+
+@functools.lru_cache(maxsize=None)
+def _generators(e: GroupExpr) -> Tuple[Permutation, ...]:
+    return tuple(_build_generators(e))
+
+
+def _build_generators(e: GroupExpr) -> List[Permutation]:
     if isinstance(e, Sym):
         return sym_generators(e.n)
     if isinstance(e, Cyclic):

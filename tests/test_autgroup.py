@@ -729,6 +729,38 @@ def test_certify_table_n21():
     assert rep.equal is True
 
 
+@pytest.mark.parametrize("row_id, claim_text, same, equal", [
+    ("T25", None, True, True),
+    ("T29", None, True, True),
+    ("T05a", None, False, True),  # the claim spells PSL2_7, derive per(...)
+    ("T16", "wr(C(31), S(2), cols)", False, False),  # the under-claim M16
+])
+def test_decomposition_tier_checks_each_permutation_once(
+        monkeypatch, row_id, claim_text, same, equal):
+    # where the derived expression equals the claim, its generators are the
+    # certificate's and only the certificate's perm_preserves calls run;
+    # where they differ, every derived generator is checked as well
+    row = select_rows([row_id])[0]
+    code = make_code(F2, row.n, row.build_gen(F2))
+    claim = parse_group_expr(claim_text) if claim_text else row.claim_expr()
+    derived = derive_per_group(code)[0]
+    assert (derived == claim) is same
+    verify_claim(code, claim)  # warms the memoized leaves of derive
+    calls = []
+    preserves = _Engine.perm_preserves
+
+    def counting(self, sigma):
+        calls.append(sigma)
+        return preserves(self, sigma)
+
+    monkeypatch.setattr(_Engine, "perm_preserves", counting)
+    rep = verify_claim(code, claim)
+    assert rep.evidence == "decomposition-equal"
+    assert (rep.certified, rep.equal) == (True, equal)
+    want = len(materialize(claim)) + (0 if same else len(materialize(derived)))
+    assert len(calls) == want
+
+
 def test_certify_identity_only():
     rep = certify_subgroup(make_code(F2, 7, G7A), [identity_perm(7)])
     assert rep.certified is True

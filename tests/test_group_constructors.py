@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from cycperm import group_constructors
 from cycperm.cyclic_code import Layout
 from cycperm.errors import (
     ArityError,
@@ -111,6 +112,98 @@ def test_table_wreath_claims_stay_small():
     counts = {row.id: len(materialize(row.claim_expr()))
               for row in select_rows(["T17", "T18", "T11a", "T13a"])}
     assert counts == {"T17": 4, "T18": 5, "T11a": 7, "T13a": 8}
+
+
+def _union_find_representatives(gens):
+    # the least point of each orbit, by merging i with g(i) for every
+    # generator g and point i, the smaller root kept
+    parent = list(range(gens[0].degree))
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for g in gens:
+        for a, b in enumerate(g.images):
+            ra, rb = root(a), root(b)
+            parent[max(ra, rb)] = min(ra, rb)
+    return [a for a in range(len(parent)) if parent[a] == a]
+
+
+def _wreath_tops(e):
+    if isinstance(e, Wreath):
+        yield e.h
+        yield from _wreath_tops(e.a)
+        yield from _wreath_tops(e.h)
+
+
+def test_orbit_representatives_match_union_find():
+    rng = random.Random(33)
+    cases = [[identity_perm(1)], [identity_perm(9)],
+             [identity_perm(5), identity_perm(5)]]
+    for _ in range(60):
+        n = rng.randrange(1, 40)
+        # transitive: an n-cycle in a random labelling, plus random extras
+        labels = rng.sample(range(n), n)
+        gens = [perm_from_cycles([labels], n)] if n > 1 \
+            else [identity_perm(1)]
+        gens += [Permutation(rng.sample(range(n), n))
+                 for _ in range(rng.randrange(2))]
+        cases.append(gens)
+        # intransitive: random permutations inside the blocks of a random
+        # partition, some of them fixed points
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(n))) if n > 1 \
+            else []
+        blocks = [labels[i:j] for i, j in zip([0] + cuts, cuts + [n])]
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            img = list(range(n))
+            for block in blocks:
+                for a, b in zip(block, rng.sample(block, len(block))):
+                    img[a] = b
+            gens.append(Permutation(img))
+        cases.append(gens)
+    # every top group of the table's wreath claims, and the cyclic group
+    # of each one's degree (the under-claims' tops, the deepest closures)
+    from cycperm.table import TABLE_ROWS
+    tops = {h for row in TABLE_ROWS for h in _wreath_tops(row.claim_expr())}
+    tops |= {Cyclic(expr_degree(h)) for h in tops}
+    assert Cyclic(62) in tops and Named("PSL2_7") in tops
+    cases += [materialize(h) for h in tops]
+    for gens in cases:
+        assert group_constructors._orbit_representatives(gens) == \
+            _union_find_representatives(gens)
+
+
+def test_materialize_builds_each_expression_once():
+    # a warm call returns a new list of the same Permutations; a cleared
+    # memo rebuilds them image for image, each distinct sub-expression of
+    # the table's claims once; a constructor error raises on every call
+    from cycperm.table import TABLE_ROWS
+
+    claims = list(dict.fromkeys(row.claim_expr() for row in TABLE_ROWS))
+    warm = [materialize(e) for e in claims]
+    for e, gens in zip(claims, warm):
+        again = materialize(e)
+        assert again is not gens and len(again) == len(gens)
+        assert all(a is b for a, b in zip(again, gens))
+    group_constructors._generators.cache_clear()
+    for e, gens in zip(claims, warm):
+        cold = materialize(e)
+        assert len(cold) == len(gens), format_group_expr(e)
+        for a, b in zip(cold, gens):
+            assert np.array_equal(a.array(), b.array()), format_group_expr(e)
+    subs, todo = set(), list(claims)
+    while todo:
+        e = todo.pop()
+        subs.add(e)
+        if isinstance(e, Wreath):
+            todo += [e.a, e.h]
+    assert group_constructors._generators.cache_info().misses == len(subs)
+    for _ in range(3):
+        with pytest.raises(BadDegree):
+            materialize(Affine(12, 5))
 
 
 def test_wreath_order_formula_random():

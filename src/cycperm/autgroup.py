@@ -638,8 +638,9 @@ def _prime_expr(p: int, gen: Poly) -> GroupExpr:
     Algebra 81, 1983).  The rule checks, with perm_preserves:
 
     * (0 1 2): with the shift it generates A_p; then (0 1) decides S_p.
-    * For each simple T of the others, a non-affine s in T (linear_element,
-      m23_element) conjugated by one multiplier t per class of the units
+    * For each simple T of the others whose multipliers M holds, a
+      non-affine s in T (linear_element, m23_element) conjugated by one
+      multiplier t per class of the units
       mod the multipliers that normalize T: <r0> for a power q0 of r0,
       the squares (<2>) for M_23.  The copies of T that hold the shift are
       exactly these T^t, and <shift, s^t> = T^t: for PSL by Kantor (J.
@@ -647,7 +648,12 @@ def _prime_expr(p: int, gen: Poly) -> GroupExpr:
       2-transitive subgroup of M_23 of degree 23 is M_23.  Then T^t <=
       Per(C) <= N(T^t), whose multipliers are <r0>: Per(C) =
       L(d,q0;t;|M & <r0>|), or M23(t), M_23 being maximal in A_23 and its
-      own normalizer.
+      own normalizer.  Each T^t holds a multiplier of fixed order, so T
+      is built and tested only when d | |M|, or 11 | |M| for M_23: the
+      Frobenius v -> v^q0 is F_q0-linear and maps alpha^i to alpha^(q0 i),
+      so PSL(d, q0) = PGL(d, q0) holds x -> q0 x, of order d mod p; M_23
+      holds 23:11, whose multipliers are the squares, x -> 2x among them;
+      and x -> t x commutes with every multiplier.
     * Otherwise Per(C) is p:|M|, the affine maps x -> a x + b whose
       multiplier x -> a x preserves C (C(p) for |M| = 1).  Those
       multipliers form a subgroup M of the cyclic units mod p, so |M| is
@@ -656,7 +662,8 @@ def _prime_expr(p: int, gen: Poly) -> GroupExpr:
     The rule reads the code only through perm_preserves; predicted_group
     names its prime leaves past 12 points with it too (_leaf_expr).
 
-    A geometry whose field passes the tables' cap falls back to the search.
+    A geometry that M admits and whose field passes the tables' cap falls
+    back to the search.
     """
     field = gen.field
     engine = _Engine(make_code(field, p, gen))
@@ -674,26 +681,20 @@ def _prime_expr(p: int, gen: Poly) -> GroupExpr:
              if engine.perm_preserves(pow(root, (p - 1) // m, p) * x % p)[0])
     try:
         socles = [((d, q0), _prime_power(q0)[0], linear_element(d, q0))
-                  for d, q0 in linear_geometries(p)]
+                  for d, q0 in linear_geometries(p) if m % d == 0]
     except FieldMismatch:
         return PerOf(field, p, gen)
-    if p == 23:
+    if p == 23 and m % 11 == 0:
         socles.append((None, 2, m23_element()))
     for geometry, r0, s in socles:
-        normal = [1]  # <r0> mod p
-        while r0 * normal[-1] % p != 1:
-            normal.append(r0 * normal[-1] % p)
-        seen = np.zeros(p, dtype=bool)
-        for t in range(1, p):  # the least t of each class t<r0>
-            if seen[t]:
-                continue
-            seen[np.array(normal) * t % p] = True
+        normal = sorted({pow(r0, k, p) for k in range(p - 1)})  # <r0> mod p
+        reps = {min(t * a % p for a in normal) for t in range(1, p)}
+        for t in sorted(reps):  # the least t of each class t<r0>
             conj = np.empty(p, dtype=np.int64)
             conj[t * x % p] = t * s % p
             if engine.perm_preserves(conj)[0]:
-                if geometry is None:
-                    return Mathieu(t)
-                return Linear(*geometry, t, math.gcd(m, len(normal)))
+                return Mathieu(t) if geometry is None else \
+                    Linear(*geometry, t, math.gcd(m, len(normal)))
     return Cyclic(p) if m == 1 else Affine(p, m)
 
 
@@ -702,20 +703,32 @@ def _crt_expr(n: int, gen: Poly) -> Optional[CrtProduct]:
     """The pq-words rule of derive_per_group on C_{n,gen}, or None.
     count(i, j) is the number of pairs {k, l} != {i, j} of equal
     check-column syndrome: weight-4 words in a leaf, and invariant under
-    Per(C) in any binary code, so the rule is sound off leaves too."""
+    Per(C) in any binary code, so the rule is sound off leaves too.
+
+    Multiplication by x is invertible mod g (g(0) != 0) and carries the
+    column x^i mod g to x^(i+1) mod g, so it maps the pairs of equal
+    syndrome sum onto each other and count(i, j) = count(0, j - i mod n):
+    only the n - 1 counts of the pairs (0, d) are read, and the class
+    test compares d = 0 mod m with the rest.  The pair sums are grouped
+    by one sort of a key per pair: the sum itself in one uint64 lane, or
+    its rank among the distinct rows (one lexsort) in more lanes."""
     primes = _prime_factors(n)
     if gen.field.order != 2 or len(primes) != 2 or math.prod(primes) != n:
         return None
     engine = _Engine(make_code(gen.field, n, gen))
-    i, j = np.triu_indices(n, 1)
-    syn = engine.packed[i] ^ engine.packed[j]  # one lane sorts 20x faster
-    _, cls, size = np.unique(syn if syn.shape[1] > 1 else syn[:, 0], axis=0,
-                             return_inverse=True, return_counts=True)
-    count = np.full((n, n), -1)
-    count[i, j] = count[j, i] = size[cls.ravel()] - 1
+    i, j = np.triu_indices(n, 1)  # the pairs (0, d) come first
+    syn = engine.packed[i] ^ engine.packed[j]
+    key = syn[:, 0]
+    if syn.shape[1] > 1:  # each row's rank among the distinct rows
+        order = np.lexsort(syn.T)
+        new = np.diff(syn[order], axis=0).any(axis=1)  # a row unlike the last
+        key = np.empty(len(syn), dtype=np.uint64)
+        key[order] = np.cumsum(np.r_[True, new])
+    keys, head = np.sort(key), key[:n - 1]
+    count = (np.searchsorted(keys, head, "right")
+             - np.searchsorted(keys, head) - 1)  # count[d - 1] = count(0, d)
     for m in primes:
-        same = np.arange(n) % m == np.arange(n)[:, None] % m
-        np.fill_diagonal(same, False)
+        same = np.arange(1, n) % m == 0
         v = count[same]
         if (v != v[0]).any() or (count[~same] == v[0]).any():
             return None

@@ -37,7 +37,7 @@ from cycperm.cyclic_code import (
 )
 from cycperm.errors import AmbiguousPattern, DegreeMismatch, \
     FieldMismatch, NoPattern, TooLarge
-from cycperm.galois import make_field, parse_field
+from cycperm.galois import _is_prime, make_field, parse_field
 from cycperm.group_constructors import (
     CrtProduct,
     Mathieu,
@@ -49,6 +49,9 @@ from cycperm.group_constructors import (
     expr_degree,
     expr_order,
     format_group_expr,
+    linear_element,
+    linear_geometries,
+    m23_element,
     materialize,
     named_group_generators,
     parse_group_expr,
@@ -65,6 +68,7 @@ from cycperm.permutation import (
 from cycperm.polyring import (
     _divisors,
     _indices,
+    _prime_factors,
     _xpow_lanes_f2,
     _xpow_table,
     cyclotomic,
@@ -1391,6 +1395,132 @@ def test_golay_codes_derive_m23():
         got.append(format_group_expr(expr))
     assert got == ["M23(1)", "M23(5)"]
     assert PermGroup(23, materialize(Mathieu(1))).order == 10_200_960
+
+
+def test_prime_rule_builds_only_the_geometries_its_multipliers_admit(
+        monkeypatch):
+    # from cold caches, T15's M = <2> has order 5, so PSL(3,5), which
+    # holds x -> 5x of order 3, is never built; a length-31 code over F_5
+    # with M = <5> of order 3 builds PG(2,5) and not PG(4,2), and still
+    # matches the search
+    for cached in (autgroup._prime_expr, group_constructors.linear_element):
+        cached.cache_clear()
+    built = []
+
+    def linear_element(d, q0):
+        built.append((d, q0))
+        return group_constructors.linear_element(d, q0)
+
+    monkeypatch.setattr(autgroup, "linear_element", linear_element)
+    expr, _ = derive_per_group(_table_code(select_rows(["T15"])[0]))
+    assert format_group_expr(expr) == L31 and built == [(5, 2)]
+    gen = parse_poly_text("4,4,1,4,4,4,0,2,1,2,2,1,3,2,1,0,3,0,4,1,4,4,3,3,"
+                          "2,1", F5)
+    code = make_code(F5, 31, gen)
+    engine = _Engine(code)
+    x = np.arange(31)
+    assert sum(engine.perm_preserves(a * x % 31)[0] for a in range(1, 31)) == 3
+    built.clear()
+    expr = autgroup._prime_expr(31, gen)
+    assert format_group_expr(expr) == "31:3" and built == [(3, 5)]
+    exact = backtrack_per_group(code)
+    assert groups_equal(exact, PermGroup(31, materialize(expr)))
+
+
+# the census's prime lengths past 12 points, each prime to q
+_PRIME_CENSUS = [(F2, 61), (F3, 37), (F4, 31), (F5, 23), (make_field(7), 19),
+                 (F9, 19)]
+
+
+def test_prime_rule_census_and_its_multiplier_gate():
+    # the 604 prime-length codes of the census past 12 points: the rule's
+    # answers are the ones recorded before the gate (digest), and every
+    # simple group the gate skips, PSL(d, q0) with d not dividing |M| or
+    # M_23 with 11 not dividing it, preserves C in none of its conjugates
+    # T^t by the multipliers, so testing it could not have decided anything
+    records, skipped, kept = [], 0, 0
+    for field, top in _PRIME_CENSUS:
+        for p in range(13, top + 1):
+            if not _is_prime(p) or p == field.r:
+                continue
+            x = np.arange(p)
+            for code in _all_divisor_codes(field, p):
+                if not 0 < code.k < p:
+                    continue
+                expr = autgroup._prime_expr(p, code.gen)
+                records.append([field.describe(), p,
+                                format_poly_text(code.gen),
+                                format_group_expr(expr)])
+                if expr == Sym(p):  # (0 1 2) decides before any socle
+                    continue
+                engine = _Engine(code)
+                m = sum(engine.perm_preserves(a * x % p)[0]
+                        for a in range(1, p))  # |M|
+                skips = [linear_element(d, q0)
+                         for d, q0 in linear_geometries(p) if m % d]
+                if p == 23 and m % 11:
+                    skips.append(m23_element())
+                kept += len(linear_geometries(p)) + (p == 23) - len(skips)
+                skipped += len(skips)
+                for s in skips:
+                    for t in range(1, p):
+                        conj = np.empty(p, dtype=np.int64)
+                        conj[t * x % p] = t * s % p
+                        assert not engine.perm_preserves(conj)[0], \
+                            (field.describe(), format_poly_text(code.gen), t)
+    assert len(records) == 604
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest[:16] == "32024fcd21ffbbf0"
+    # skipped: PSL(3,5) at 31 over F_2 and F_4, PSL(3,3) at 13 over F_5;
+    # never M_23, as x -> q x lies in M and q has order 11 or 22 mod 23
+    assert (skipped, kept) == (252, 364)
+
+
+def _crt_by_pair_matrix(n, gen):
+    """The pq-words rule over the full n x n matrix of pair counts (-1 on
+    the diagonal), as _crt_expr computed it before it read one row:
+    (its answer, the matrix)."""
+    primes = _prime_factors(n)
+    engine = _Engine(make_code(gen.field, n, gen))
+    i, j = np.triu_indices(n, 1)
+    syn = engine.packed[i] ^ engine.packed[j]
+    _, cls, size = np.unique(syn if syn.shape[1] > 1 else syn[:, 0], axis=0,
+                             return_inverse=True, return_counts=True)
+    count = np.full((n, n), -1)
+    count[i, j] = count[j, i] = size[cls.ravel()] - 1
+    for m in primes:
+        same = np.arange(n) % m == np.arange(n)[:, None] % m
+        np.fill_diagonal(same, False)
+        v = count[same]
+        if (v != v[0]).any() or (count[~same] == v[0]).any():
+            return None, count
+    gens = crt_product_generators(*primes)
+    ok = all(engine.perm_preserves(s.array())[0] for s in gens)
+    return (CrtProduct(*primes) if ok else None), count
+
+
+def test_crt_rule_reads_one_row_of_the_circulant_pair_counts():
+    # on both sides of every binary g | x^n - 1 and of T25/T26 (whose
+    # Q(217) side spans three uint64 lanes), the rule answers as the full
+    # pair-count matrix does, and that matrix is circulant; n = 201 = 3 * 67
+    # adds four-lane sides and the two-lane sides that the rule decides
+    sides = [(n, g) for n in (15, 21, 35, 55, 201)
+             for code in _all_divisor_codes(F2, n) if 0 < code.k < n
+             for g in (code.gen, code.dual_gen)]
+    sides += [(217, g) for row in select_rows(["T25", "T26"])
+              for g in (_table_code(row).gen, _table_code(row).dual_gen)]
+    decided = collections.Counter()  # by lane count
+    lanes = set()
+    for n, g in sides:
+        want, count = _crt_by_pair_matrix(n, g)
+        assert autgroup._crt_expr(n, g) == want, (n, format_poly_text(g))
+        shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        assert (count == count[0][shift]).all()
+        width = _Engine(make_code(F2, n, g)).packed.shape[1]
+        lanes.add(width)
+        if want is not None:
+            decided[width] += 1
+    assert lanes == {1, 2, 3, 4} and decided == {1: 18, 2: 4}
 
 
 def test_expr_contains_matches_chain_membership():
